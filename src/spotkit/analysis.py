@@ -105,8 +105,9 @@ def export_contour(model: KrigingModel, space: SearchSpace,
         for vb in axis(spec_b):
             v = base.copy()
             v[ia], v[ib] = va, vb
-            # per-point prediction keeps the export bit-equal to direct calls
-            mean, _ = model.predict(v)
+            # per-point prediction keeps the export bit-equal to direct calls;
+            # a batched product sums each mean in another order
+            mean = float(model.predict_mean(v)[0])
             rows.append({name_a: float(va), name_b: float(vb), "mean": mean})
     return rows
 

@@ -9,6 +9,11 @@ with ``theta`` searched on a log10 scale inside [min_theta, max_theta]. A
 nugget on the diagonal turns interpolation into regression; with
 ``noise=False`` it stays at a jitter floor so the model reproduces its
 training targets.
+
+A fitted ``KrigingModel`` predicts the mean and variance with
+``predict_batch``; ``predict_mean`` returns the same mean bits without the
+variance solve, for infill search and contour exports that read only the
+mean.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 JITTER_FLOOR = 1e-12
 JITTER_CEIL = 1e-6
@@ -51,7 +57,12 @@ class SurrogateControl:
 
 @dataclass
 class KrigingModel:
-    """Fitted surrogate; immutable in practice, safe to share across threads."""
+    """Fitted surrogate; immutable in practice, safe to share across threads.
+
+    ``predict_batch`` gives mean and variance, ``predict_mean`` the mean
+    alone; both build the cross-correlations through ``_kernel``, so their
+    means agree bit for bit.
+    """
 
     X: np.ndarray                 # raw training inputs, n x d
     y: np.ndarray                 # n observations
@@ -83,17 +94,19 @@ class KrigingModel:
         m = Q.shape[0]
         if self.chol is None:      # constant-data model
             return np.full(m, self.mu), np.zeros(m)
-        t10 = 10.0 ** self.theta_log10
-        # (m, n) weighted squared distances to the training sites
-        d2 = np.zeros((m, self.Z.shape[0]))
-        for k in range(self.dim):
-            diff = Q[:, k, None] - self.Z[None, :, k]
-            d2 += t10[k] * diff * diff
-        psi = np.exp(-d2)
+        psi = _kernel(Q, self.Z, 10.0 ** self.theta_log10)
         mean = self.mu + psi @ self.weights
         v = solve_triangular(self.chol, psi.T, lower=True)
         var = self.sigma2 * (1.0 + self.nugget - np.einsum("ij,ij->j", v, v))
         return mean, np.maximum(var, 0.0)
+
+    def predict_mean(self, X) -> np.ndarray:
+        """Kriging mean at each row of ``X``: ``predict_batch(X)[0]`` without
+        the triangular solve for the variance."""
+        Q = self._normalize(X)
+        if self.chol is None:      # constant-data model
+            return np.full(Q.shape[0], self.mu)
+        return self.mu + _kernel(Q, self.Z, 10.0 ** self.theta_log10) @ self.weights
 
     # -- persistence -------------------------------------------------------
 
@@ -148,23 +161,35 @@ def neg_log_likelihood(X, y, theta_log10, nugget: float) -> float:
     return _nll_from_chol(L, y)[0]
 
 
-def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.ndarray:
-    t10 = 10.0 ** theta_log10
-    n = Z.shape[0]
-    w = np.zeros((n, n))
-    for k in range(Z.shape[1]):
-        diff = Z[:, k, None] - Z[None, :, k]
+def _kernel(A: np.ndarray, B: np.ndarray, t10: np.ndarray) -> np.ndarray:
+    """Correlations ``exp(-sum_k t10_k (a_k - b_k)**2)`` between the rows of
+    ``A`` (m x d) and ``B`` (n x d), as an m x n array."""
+    w = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        diff = A[:, k, None] - B[None, :, k]
         w += t10[k] * diff * diff
-    R = np.exp(-w)
+    return np.exp(-w)
+
+
+def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.ndarray:
+    R = _kernel(Z, Z, 10.0 ** theta_log10)
     R[np.diag_indices_from(R)] += nugget
     return R
 
 
 def _nll_from_chol(L: np.ndarray, y: np.ndarray):
+    """NLL, mu, sigma2 and R^-1 (y - mu) from the lower Cholesky factor.
+
+    One LAPACK solve serves both right-hand sides ``y`` and ones; it gives
+    the same bits as two ``cho_solve`` calls. A non-finite solution (from a
+    NaN or inf in ``y``) raises ``ValueError``.
+    """
     n = y.size
     one = np.ones(n)
-    rinv_y = cho_solve((L, True), y)
-    rinv_one = cho_solve((L, True), one)
+    sol, info = dpotrs(L, np.column_stack((y, one)), lower=1)
+    if info != 0 or not np.isfinite(sol).all():
+        raise ValueError("non-finite Kriging solve; check y for NaN or inf")
+    rinv_y, rinv_one = sol[:, 0], sol[:, 1]
     mu = (one @ rinv_y) / (one @ rinv_one)
     resid = y - mu
     rinv_r = rinv_y - mu * rinv_one
@@ -181,7 +206,9 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     The budget ``model_fun_evals`` caps the number of likelihood
     evaluations: 80% go to a Latin-hypercube screen of the parameter box,
     the remainder to coordinate-wise golden-section refinement around the
-    best screened point.
+    best screened point. Each evaluation forms R from squared distances
+    stored once per fit, factors it, and solves for y and ones in one
+    triangular solve. A NaN or inf in ``y`` raises ``ValueError``.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -213,11 +240,13 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
                 "duplicate rows after normalization; refit with noise=True"
             )
 
-    # squared per-dimension distances, reused by every likelihood evaluation
-    D = np.empty((d, n, n))
+    # squared per-dimension distances, one flattened n x n block per row;
+    # every likelihood evaluation weights them with one (1, d) @ (d, n*n) product
+    D = np.empty((d, n * n))
     for k in range(d):
         diff = Z[:, k, None] - Z[None, :, k]
-        D[k] = diff * diff
+        D[k] = (diff * diff).ravel()
+    diag = np.arange(0, n * n, n + 1)
 
     lo = np.full(d, control.min_theta)
     hi = np.full(d, control.max_theta)
@@ -228,11 +257,10 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     def objective(v: np.ndarray) -> float:
         theta = v[:d]
         nugget = 10.0 ** v[d] if control.noise else JITTER_FLOOR
-        w = np.tensordot(10.0 ** theta, D, axes=1)
-        R = np.exp(-w)
-        R[np.diag_indices_from(R)] += nugget
+        R = np.exp(-np.dot((10.0 ** theta)[None, :], D)[0])
+        R[diag] += nugget
         try:
-            L = np.linalg.cholesky(R)
+            L = np.linalg.cholesky(R.reshape(n, n))
         except np.linalg.LinAlgError:
             return math.inf
         return _nll_from_chol(L, y)[0]

@@ -156,8 +156,10 @@ def _embed_active(space: SearchSpace, v_active: np.ndarray) -> np.ndarray:
     return space.clip_internal(full)
 
 
-def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if len(a) else math.inf
+def _is_distinct(cand: np.ndarray, rows: np.ndarray, tolerance_x: float) -> bool:
+    """True when ``cand`` lies beyond ``tolerance_x`` in max-norm from every
+    row of ``rows`` (k x dim, k may be 0)."""
+    return bool(np.all(np.max(np.abs(rows - cand), axis=1) > tolerance_x))
 
 
 def _random_full_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
@@ -183,7 +185,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
 
     n_probe = max(2 * n_points, budget // 2)
     probes = rng.uniform(lo, hi, size=(n_probe, d))
-    mu = model.predict_batch(probes)[0]
+    mu = model.predict_mean(probes)
     order = np.argsort(mu, kind="stable")
 
     pool: list[tuple[float, np.ndarray]] = []
@@ -197,7 +199,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
             if fev < min_fev:
                 break
             res = minimize(
-                lambda v: float(model.predict_batch(v[None, :])[0][0]),
+                lambda v: float(model.predict_mean(v[None, :])[0]),
                 probes[i], method="Nelder-Mead",
                 bounds=list(zip(lo, hi)),
                 options={"maxfev": fev, "xatol": 1e-8, "fatol": 1e-12},
@@ -209,22 +211,22 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     pool.extend((float(mu[i]), probes[i]) for i in order)
     pool.sort(key=lambda t: t[0])
 
-    chosen: list[np.ndarray] = []
+    chosen = np.empty((0, space.dim))
     for _, v in pool:
         cand = _embed_active(space, v)
-        if all(_max_norm(cand, c) > tolerance_x for c in chosen):
-            chosen.append(cand)
+        if _is_distinct(cand, chosen, tolerance_x):
+            chosen = np.vstack([chosen, cand])
         if len(chosen) == n_points:
             break
     tries = 0
     while len(chosen) < n_points and tries < 200:
         cand = _random_full_point(space, rng)
-        if all(_max_norm(cand, c) > tolerance_x for c in chosen):
-            chosen.append(cand)
+        if _is_distinct(cand, chosen, tolerance_x):
+            chosen = np.vstack([chosen, cand])
         tries += 1
     while len(chosen) < n_points:      # tiny lattices may admit no more
-        chosen.append(_random_full_point(space, rng))
-    return np.asarray(chosen)
+        chosen = np.vstack([chosen, _random_full_point(space, rng)])
+    return chosen
 
 
 def _replace_duplicates(cands: np.ndarray, state: RunState, space: SearchSpace,
@@ -233,17 +235,15 @@ def _replace_duplicates(cands: np.ndarray, state: RunState, space: SearchSpace,
     random point."""
     if tolerance_x <= 0:
         return cands
+    seen = np.asarray(state.X, dtype=float).reshape(-1, space.dim)
     out: list[np.ndarray] = []
     for cand in cands:
-        ok = (all(_max_norm(cand, row) > tolerance_x for row in state.X)
-              and all(_max_norm(cand, c) > tolerance_x for c in out))
         tries = 0
-        while not ok and tries < 200:
+        while not _is_distinct(cand, seen, tolerance_x) and tries < 200:
             cand = _random_full_point(space, rng)
-            ok = (all(_max_norm(cand, row) > tolerance_x for row in state.X)
-                  and all(_max_norm(cand, c) > tolerance_x for c in out))
             tries += 1
         out.append(cand)
+        seen = np.vstack([seen, cand])
     return np.asarray(out)
 
 
@@ -366,17 +366,20 @@ def atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def events_csv(state: RunState, space: SearchSpace) -> str:
+def events_csv(state: RunState, space: SearchSpace, start: int = 0) -> str:
     """Deterministic per-evaluation event log.
 
     Columns are a pure function of the run content (no wall-clock values),
     so identical seeds yield byte-identical logs; timings live in
-    ``run_state.json``.
+    ``run_state.json``. With ``start > 0`` only the rows after the first
+    ``start`` evaluations are rendered, without the header, so a caller
+    holding the earlier text can append to it.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "phase", "loss", "metric", "config"])
-    for i in range(len(state)):
+    if start == 0:
+        writer.writerow(["iteration", "phase", "loss", "metric", "config"])
+    for i in range(start, len(state)):
         config = space.from_internal(state.X[i])
         writer.writerow([
             i + 1, state.phases[i], repr(state.y[i]), repr(state.metrics[i]),
@@ -386,16 +389,25 @@ def events_csv(state: RunState, space: SearchSpace) -> str:
 
 
 class _RunWriter:
+    """Rewrites ``run_state.json`` and ``events.csv`` after each evaluation.
+
+    The state only grows between writes, so the rendered events text is kept
+    and each write decodes just the evaluations appended since the last one.
+    """
+
     def __init__(self, out_dir: str, space: SearchSpace):
         self.out_dir = out_dir
         self.space = space
+        self.events = ""
+        self.n_events = 0
         os.makedirs(out_dir, exist_ok=True)
 
     def write(self, state: RunState) -> None:
         atomic_write(os.path.join(self.out_dir, "run_state.json"),
                      json.dumps(state.to_dict()))
-        atomic_write(os.path.join(self.out_dir, "events.csv"),
-                     events_csv(state, self.space))
+        self.events += events_csv(state, self.space, self.n_events)
+        self.n_events = len(state)
+        atomic_write(os.path.join(self.out_dir, "events.csv"), self.events)
 
 
 def load_run_state(out_dir: str) -> RunState:

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from spotkit import surrogate as sg
 from spotkit.design import DesignControl, latin_hypercube
 from spotkit.surrogate import (
     JITTER_FLOOR, KrigingModel, SurrogateControl, fit, neg_log_likelihood,
@@ -29,6 +31,29 @@ def dense_inverse_nll(X, y, theta_log10, nugget):
     sign, logdet = np.linalg.slogdet(R)
     assert sign > 0
     return n * math.log(sigma2) + logdet
+
+
+def two_solve_nll(Z, y, v, noise):
+    """Reference for the fit objective: R from np.tensordot over the squared
+    distances, then one cho_solve per right-hand side."""
+    n, d = Z.shape
+    D = np.empty((d, n, n))
+    for k in range(d):
+        diff = Z[:, k, None] - Z[None, :, k]
+        D[k] = diff * diff
+    R = np.exp(-np.tensordot(10.0 ** v[:d], D, axes=1))
+    R[np.diag_indices_from(R)] += 10.0 ** v[d] if noise else JITTER_FLOOR
+    try:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        return math.inf
+    one = np.ones(n)
+    rinv_y = cho_solve((L, True), y)
+    rinv_one = cho_solve((L, True), one)
+    mu = (one @ rinv_y) / (one @ rinv_one)
+    rinv_r = rinv_y - mu * rinv_one
+    sigma2 = max(float((y - mu) @ rinv_r) / n, 1e-300)
+    return n * math.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
 class TestNegLogLikelihood:
@@ -60,6 +85,35 @@ class TestNegLogLikelihood:
         grid = [1e-8, 1e-6, 1e-4, 1e-2, 1e-1]
         vals = [neg_log_likelihood(X, y, [0.0], nug) for nug in grid]
         assert any(b < a for a, b in zip(vals, vals[1:]))
+
+
+class TestFitObjective:
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_bit_equal_to_two_solve_reference(self, monkeypatch, noise):
+        captured = []
+
+        def capture(objective, lo, hi, budget, seed):
+            captured.append((objective, lo, hi))
+            return 0.5 * (lo + hi), 0.0
+
+        monkeypatch.setattr(sg, "_budgeted_search", capture)
+        rng = np.random.default_rng(11)
+        for n, d in [(6, 1), (17, 3), (40, 4), (73, 2)]:
+            X = rng.random((n, d)) * 3.0 - 1.0
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            fit(X, y, SurrogateControl(noise=noise), seed=0)
+            objective, lo, hi = captured.pop()
+            Z = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0))
+            for _ in range(25):
+                v = rng.uniform(lo, hi)
+                assert objective(v) == two_solve_nll(Z, y, v, noise)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_y_raises(self, bad):
+        X = np.array([[0.0], [0.3], [0.7], [1.0]])
+        y = np.array([0.0, bad, 0.4, 1.0])
+        with pytest.raises(ValueError):
+            fit(X, y, SurrogateControl(model_fun_evals=20), seed=0)
 
 
 class TestFit:
@@ -177,6 +231,29 @@ class TestPredict:
         inside = model.predict([1.0, 1.0])
         outside = model.predict([5.0, 5.0])
         assert inside == outside
+
+
+class TestPredictMean:
+    def test_bit_equal_to_predict_batch_mean(self):
+        rng = np.random.default_rng(5)
+        for n, d, noise in [(5, 1, False), (20, 3, False), (30, 2, True)]:
+            X = rng.random((n, d))
+            y = np.sin(4.0 * X).sum(axis=1) + 0.05 * rng.normal(size=n)
+            model = fit(X, y, SurrogateControl(noise=noise, model_fun_evals=100),
+                        seed=1)
+            probes = rng.random((50, d)) * 1.4 - 0.2
+            assert np.array_equal(model.predict_mean(probes),
+                                  model.predict_batch(probes)[0])
+            for p in probes[:10]:
+                assert model.predict_mean(p)[0] == model.predict(p)[0]
+
+    def test_constant_data_model(self):
+        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
+        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        probes = np.array([[0.3, 0.3], [2.0, -1.0]])
+        assert np.array_equal(model.predict_mean(probes),
+                              model.predict_batch(probes)[0])
+        assert np.array_equal(model.predict_mean(probes), [3.5, 3.5])
 
 
 def test_rescaled_column_leaves_ranking_unchanged():

@@ -183,6 +183,48 @@ class TestDuplicateReplacement:
         out = _replace_duplicates(cand, state, space, 1e-8, np.random.default_rng(1))
         np.testing.assert_array_equal(out, cand)
 
+    def test_decisions_and_draws_match_per_row_loop(self):
+        from spotkit.tuner import _random_full_point, _replace_duplicates
+
+        def loop_reference(cands, state, space, tol, rng):
+            def far(a, b):
+                return float(np.max(np.abs(a - b))) > tol
+
+            out = []
+            for cand in cands:
+                ok = all(far(cand, r) for r in state.X) and all(far(cand, c) for c in out)
+                tries = 0
+                while not ok and tries < 200:
+                    cand = _random_full_point(space, rng)
+                    ok = (all(far(cand, r) for r in state.X)
+                          and all(far(cand, c) for c in out))
+                    tries += 1
+                out.append(cand)
+            return np.asarray(out)
+
+        space = SearchSpace((
+            ParamSpec(name="a", kind="int", default=0, lower=0, upper=2),
+            ParamSpec(name="b", kind="float", default=0.0, lower=-1.0, upper=1.0),
+            ParamSpec(name="c", kind="int", default=1, lower=1, upper=1),
+        ))
+        rng = np.random.default_rng(4)
+        for trial in range(20):
+            state = RunState()
+            for _ in range(int(rng.integers(0, 12))):
+                state.append(_random_full_point(space, rng), 0.0, math.nan,
+                             "initial", 0.0)
+            cands = np.asarray([_random_full_point(space, rng) for _ in range(4)])
+            if len(state):          # exact and near collisions with history
+                cands[0] = state.X[0]
+                cands[1] = state.X[-1] + 1e-9
+            cands[3] = cands[2]     # sibling collision
+            for tol in (1e-8, 0.3):
+                got = _replace_duplicates(cands, state, space, tol,
+                                          np.random.default_rng(trial))
+                want = loop_reference(cands, state, space, tol,
+                                      np.random.default_rng(trial))
+                np.testing.assert_array_equal(got, want)
+
 
 class TestWorstSentinel:
     def test_empty_history(self):
@@ -284,6 +326,29 @@ class TestPersistence:
         row = text.splitlines()[1].split(",", 3)
         assert row[0] == "1"
         assert row[1] == "initial"
+
+    def test_events_csv_start_appends_rows(self):
+        space = float_space(2)
+        state = run(sphere, space, TunerConfig(fun_evals=12, seed=0),
+                    DesignControl(init_size=8, seed=1), FAST_SURROGATE)
+        full = events_csv(state, space)
+        for k in (1, 7, 12):
+            partial = RunState(X=state.X[:k], y=state.y[:k],
+                               metrics=state.metrics[:k], phases=state.phases[:k])
+            assert events_csv(partial, space) + events_csv(state, space, k) == full
+
+    def test_events_file_matches_full_render_across_resume(self, tmp_path):
+        space = float_space(2)
+        kw = dict(design=DesignControl(init_size=6, seed=2),
+                  surrogate_control=FAST_SURROGATE, out_dir=str(tmp_path))
+        run(sphere, space, TunerConfig(fun_evals=9, seed=3), **kw)
+        events = tmp_path / "events.csv"
+        first = load_run_state(str(tmp_path))
+        assert events.read_text() == events_csv(first, space)
+        resumed = run(sphere, space, TunerConfig(fun_evals=13, seed=3),
+                      state=first, **kw)
+        assert events.read_text() == events_csv(resumed, space)
+        assert len(events.read_text().splitlines()) == 14
 
     def test_corrupt_state_rejected(self, tmp_path):
         (tmp_path / "run_state.json").write_text("{not json")
