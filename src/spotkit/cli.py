@@ -215,10 +215,9 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
                     surr_cfg: sg.SurrogateControl, seed: int) -> list[dict]:
     """Refit the surrogate on the full history and write the analysis files."""
     os.makedirs(out_dir, exist_ok=True)
-    X_active = np.asarray(state.X)[:, space.active_mask]
     model = None
     try:
-        model = sg.fit(X_active, np.asarray(state.y), surr_cfg,
+        model = sg.fit(*tn._fit_inputs(state, space, surr_cfg.noise), surr_cfg,
                        seed=tn._child_seed(seed, 1, len(state)))
     except (ValueError, sg.FitError):
         pass

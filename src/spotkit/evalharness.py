@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import OptimizerConfig, OptimizerState, init_state, optimizer_handler, step
-from .toynet import HyperConfig, SyntheticDataset, ToyNet, accuracy, generate_dataset
+from .toynet import (
+    HyperConfig, SyntheticDataset, ToyNet, accuracy, generate_dataset, log_softmax_loss,
+)
 
 EVAL_SETTINGS = ("train_hold_out", "test_hold_out", "train_cv", "test_cv")
 
@@ -111,7 +113,7 @@ def train_one_epoch(net: ToyNet, batches, opt_config: OptimizerConfig,
         if not math.isfinite(loss):
             return loss
         grad = clip_gradient(grad, clip)
-        net.set_params(step(opt_config, opt_state, net.get_params(), grad))
+        net.weights = step(opt_config, opt_state, net.weights, grad)
     return loss
 
 
@@ -124,17 +126,11 @@ def validate_one_epoch(net: ToyNet, batches) -> tuple[float, float]:
     seen = 0
     for Xb, yb in batches:
         logits = net.forward(Xb)
-        loss, _ = _batch_loss(logits, yb)
+        loss, _ = log_softmax_loss(logits, yb)
         total_loss += loss
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         seen += yb.size
     return correct / seen, total_loss / len(batches)
-
-
-def _batch_loss(logits: np.ndarray, labels: np.ndarray):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -float(log_probs[np.arange(labels.size), labels].mean()), log_probs
 
 
 # -- early-stopping epoch loop ------------------------------------------------

@@ -121,8 +121,12 @@ def init_state(config: OptimizerConfig, n: int) -> OptimizerState:
 
 def step(config: OptimizerConfig, state: OptimizerState,
          params, grads) -> np.ndarray:
-    """Apply one update of the configured rule; returns the new parameters."""
-    w = np.asarray(params, dtype=float).copy()
+    """Apply one update of the configured rule.
+
+    Returns a new array; ``params`` is not modified (no rule writes into
+    its ``w`` argument), so callers need not copy it.
+    """
+    w = np.asarray(params, dtype=float)
     g = np.asarray(grads, dtype=float)
     if w.shape != g.shape:
         raise ValueError(f"params/grads length mismatch: {w.shape} vs {g.shape}")

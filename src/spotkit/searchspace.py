@@ -309,9 +309,6 @@ class SearchSpace:
             j += 1
         return rows
 
-    def active_columns(self, X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(X, dtype=float))[:, self.active_mask]
-
 
 # -- JSON hyper-dict parsing / serialization ------------------------------
 

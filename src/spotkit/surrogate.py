@@ -31,6 +31,11 @@ NUGGET_LOG10_BOUNDS = (-8.0, -1.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# _kernel forms its d x rows x n terms for about this many elements at a
+# time, so a large batch (the infill probes) needs no more memory than a
+# one-dimension-at-a-time loop
+_KERNEL_BLOCK = 1 << 14
+
 
 class FitError(RuntimeError):
     """Raised when no positive-definite correlation matrix can be built."""
@@ -82,7 +87,7 @@ class KrigingModel:
 
     def _normalize(self, X: np.ndarray) -> np.ndarray:
         Z = (np.atleast_2d(np.asarray(X, dtype=float)) - self.norm_min) / self.norm_span
-        return np.clip(Z, 0.0, 1.0)
+        return np.minimum(np.maximum(Z, 0.0), 1.0)
 
     def predict(self, x) -> tuple[float, float]:
         """Kriging mean and variance at one point (clamped into the data box)."""
@@ -158,17 +163,27 @@ def neg_log_likelihood(X, y, theta_log10, nugget: float) -> float:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         return math.inf
-    return _nll_from_chol(L, y)[0]
+    return _nll_from_chol(L, _rhs(y))[0]
 
 
 def _kernel(A: np.ndarray, B: np.ndarray, t10: np.ndarray) -> np.ndarray:
     """Correlations ``exp(-sum_k t10_k (a_k - b_k)**2)`` between the rows of
-    ``A`` (m x d) and ``B`` (n x d), as an m x n array."""
-    w = np.zeros((A.shape[0], B.shape[0]))
-    for k in range(A.shape[1]):
-        diff = A[:, k, None] - B[None, :, k]
-        w += t10[k] * diff * diff
-    return np.exp(-w)
+    ``A`` (m x d) and ``B`` (n x d), as an m x n array.
+
+    For a block of rows of ``A``, the terms ``(t10_k * diff) * diff`` fill a
+    C-ordered d x rows x n array whose outer-axis sum adds them in dimension
+    order: the same bits as accumulating one dimension at a time, whatever
+    the block. (Summing a contiguous axis could reorder them pairwise, as
+    when rows = n = 1 and d >= 8; models hold n >= 2.)
+    """
+    out = np.empty((A.shape[0], B.shape[0]))
+    rows = max(1, _KERNEL_BLOCK // B.size)
+    for i in range(0, A.shape[0], rows):
+        diff = np.subtract(A[i:i + rows].T[:, :, None], B.T[:, None, :], order="C")
+        w = diff * t10[:, None, None]
+        w *= diff
+        np.exp(-np.add.reduce(w, axis=0), out=out[i:i + rows])
+    return out
 
 
 def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.ndarray:
@@ -177,25 +192,30 @@ def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.nd
     return R
 
 
-def _nll_from_chol(L: np.ndarray, y: np.ndarray):
+def _rhs(y: np.ndarray) -> np.ndarray:
+    """The right-hand sides ``y`` and ones as the columns of one n x 2
+    Fortran-ordered array, so each column is a contiguous vector."""
+    return np.stack((y, np.ones(y.size))).T
+
+
+def _nll_from_chol(L: np.ndarray, rhs: np.ndarray):
     """NLL, mu, sigma2 and R^-1 (y - mu) from the lower Cholesky factor.
 
-    One LAPACK solve serves both right-hand sides ``y`` and ones; it gives
-    the same bits as two ``cho_solve`` calls. A non-finite solution (from a
-    NaN or inf in ``y``) raises ``ValueError``.
+    ``rhs`` holds ``y`` and ones as ``_rhs`` builds them, once per fit. One
+    LAPACK solve serves both right-hand sides; it gives the same bits as two
+    ``cho_solve`` calls. A non-finite solution (from a NaN or inf in ``y``)
+    raises ``ValueError``.
     """
-    n = y.size
-    one = np.ones(n)
-    sol, info = dpotrs(L, np.column_stack((y, one)), lower=1)
+    sol, info = dpotrs(L, rhs, lower=1)
     if info != 0 or not np.isfinite(sol).all():
         raise ValueError("non-finite Kriging solve; check y for NaN or inf")
+    y, one = rhs[:, 0], rhs[:, 1]
     rinv_y, rinv_one = sol[:, 0], sol[:, 1]
-    mu = (one @ rinv_y) / (one @ rinv_one)
-    resid = y - mu
+    mu = (one @ rinv_y) / (one @ rinv_one)    # not .sum(): other bits
     rinv_r = rinv_y - mu * rinv_one
-    sigma2 = max(float(resid @ rinv_r) / n, 1e-300)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return n * math.log(sigma2) + logdet, mu, sigma2, rinv_r
+    sigma2 = max(float((y - mu) @ rinv_r) / y.size, 1e-300)
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
+    return y.size * math.log(sigma2) + logdet, mu, sigma2, rinv_r
 
 
 # -- fitting ----------------------------------------------------------------
@@ -206,9 +226,11 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     The budget ``model_fun_evals`` caps the number of likelihood
     evaluations: 80% go to a Latin-hypercube screen of the parameter box,
     the remainder to coordinate-wise golden-section refinement around the
-    best screened point. Each evaluation forms R from squared distances
-    stored once per fit, factors it, and solves for y and ones in one
-    triangular solve. A NaN or inf in ``y`` raises ``ValueError``.
+    best screened point. The squared distances and the right-hand side
+    (y, ones) are built once per fit; each evaluation then forms R with one
+    product, factors it, solves for both columns in one triangular solve and
+    computes the NLL. A NaN or inf in ``y`` raises ``ValueError``, and so do
+    duplicate rows when ``noise`` is off.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -240,13 +262,13 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
                 "duplicate rows after normalization; refit with noise=True"
             )
 
-    # squared per-dimension distances, one flattened n x n block per row;
-    # every likelihood evaluation weights them with one (1, d) @ (d, n*n) product
-    D = np.empty((d, n * n))
-    for k in range(d):
-        diff = Z[:, k, None] - Z[None, :, k]
-        D[k] = (diff * diff).ravel()
-    diag = np.arange(0, n * n, n + 1)
+    # squared per-dimension distances (the kernel's broadcast), one flattened
+    # n x n block per row; every likelihood evaluation weights them with one
+    # (1, d) @ (d, n*n) product
+    D = np.subtract(Z.T[:, :, None], Z.T[:, None, :], order="C")
+    D *= D
+    D = D.reshape(d, n * n)
+    rhs = _rhs(y)
 
     lo = np.full(d, control.min_theta)
     hi = np.full(d, control.max_theta)
@@ -258,12 +280,12 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
         theta = v[:d]
         nugget = 10.0 ** v[d] if control.noise else JITTER_FLOOR
         R = np.exp(-np.dot((10.0 ** theta)[None, :], D)[0])
-        R[diag] += nugget
+        R[::n + 1] += nugget              # the diagonal of the flat n x n R
         try:
             L = np.linalg.cholesky(R.reshape(n, n))
         except np.linalg.LinAlgError:
             return math.inf
-        return _nll_from_chol(L, y)[0]
+        return _nll_from_chol(L, rhs)[0]
 
     best_v, _ = _budgeted_search(objective, lo, hi, control.model_fun_evals, seed)
 
@@ -306,7 +328,7 @@ def _finalize(model: KrigingModel) -> None:
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
     model.nugget = float(model.nugget + jitter)
-    _, mu, sigma2, rinv_r = _nll_from_chol(L, model.y)
+    _, mu, sigma2, rinv_r = _nll_from_chol(L, _rhs(model.y))
     model.Z = Z
     model.chol = L
     model.mu = float(mu)

@@ -99,7 +99,12 @@ def generate_dataset(n: int = DEFAULT_N_SAMPLES, input_dim: int = DEFAULT_INPUT_
 
 
 class ToyNet:
-    """input -> l1 -> l2 -> 10 rectifier stack over a flat weight vector."""
+    """input -> l1 -> l2 -> 10 rectifier stack over a flat weight vector.
+
+    ``weights`` is that vector itself: a training loop may replace it with a
+    new array but must not write into it. ``get_params``/``set_params``
+    hand out and take in copies.
+    """
 
     def __init__(self, input_dim: int, l1: int, l2: int, seed: int = 0):
         self.input_dim = input_dim
@@ -110,11 +115,18 @@ class ToyNet:
             (l1, l2), (l2,),
             (l2, NUM_CLASSES), (NUM_CLASSES,),
         ]
+        # (start, stop, shape) of each tensor in the flat weight vector
+        self._layout = []
+        pos = 0
+        for shape in self.shapes:
+            size = math.prod(shape)
+            self._layout.append((pos, pos + size, shape))
+            pos += size
         self.reset_weights(seed)
 
     @property
     def n_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.shapes)
+        return self._layout[-1][1]
 
     def reset_weights(self, seed: int) -> None:
         """Seed-deterministic init, uniform in +-1/sqrt(fan_in) per layer."""
@@ -123,33 +135,28 @@ class ToyNet:
         for i in range(0, len(self.shapes), 2):
             w_shape, b_shape = self.shapes[i], self.shapes[i + 1]
             bound = 1.0 / math.sqrt(w_shape[0])
-            chunks.append(rng.uniform(-bound, bound, size=int(np.prod(w_shape))))
+            chunks.append(rng.uniform(-bound, bound, size=math.prod(w_shape)))
             chunks.append(rng.uniform(-bound, bound, size=b_shape[0]))
-        self._w = np.concatenate(chunks)
+        self.weights = np.concatenate(chunks)
 
     def get_params(self) -> np.ndarray:
-        return self._w.copy()
+        return self.weights.copy()
 
     def set_params(self, w) -> None:
         w = np.asarray(w, dtype=float)
-        if w.shape != self._w.shape:
+        if w.shape != self.weights.shape:
             raise ValueError("parameter vector length mismatch")
-        self._w = w.copy()
+        self.weights = w.copy()
 
     def _unpack(self, w):
-        mats = []
-        pos = 0
-        for shape in self.shapes:
-            size = int(np.prod(shape))
-            mats.append(w[pos:pos + size].reshape(shape))
-            pos += size
-        return mats
+        """Views of ``w`` shaped as the layer tensors, in ``shapes`` order."""
+        return [w[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} features, got {X.shape[1]}")
-        W1, b1, W2, b2, W3, b3 = self._unpack(self._w)
+        W1, b1, W2, b2, W3, b3 = self._unpack(self.weights)
         h1 = np.maximum(X @ W1 + b1, 0.0)
         h2 = np.maximum(h1 @ W2 + b2, 0.0)
         return h2 @ W3 + b3
@@ -160,7 +167,7 @@ class ToyNet:
         labels = np.asarray(labels, dtype=int)
         if X.shape[0] != labels.size:
             raise ValueError("feature/label row counts differ")
-        W1, b1, W2, b2, W3, b3 = self._unpack(self._w)
+        W1, b1, W2, b2, W3, b3 = self._unpack(self.weights)
         z1 = X @ W1 + b1
         h1 = np.maximum(z1, 0.0)
         z2 = h1 @ W2 + b2
@@ -168,9 +175,7 @@ class ToyNet:
         logits = h2 @ W3 + b3
 
         m = X.shape[0]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = -float(log_probs[np.arange(m), labels].mean())
+        loss, log_probs = log_softmax_loss(logits, labels)
 
         dlogits = np.exp(log_probs)
         dlogits[np.arange(m), labels] -= 1.0
@@ -189,13 +194,18 @@ class ToyNet:
         return loss, grad
 
 
+def log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of integer ``labels`` under raw 2-D ``logits``, and
+    the log-sum-exp stabilized log-probabilities it was taken from."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -float(log_probs[np.arange(labels.size), labels].mean()), log_probs
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of raw logits, log-sum-exp stabilized."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.asarray(labels, dtype=int)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -float(log_probs[np.arange(labels.size), labels].mean())
+    return log_softmax_loss(logits, np.asarray(labels, dtype=int))[0]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

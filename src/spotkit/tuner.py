@@ -1,7 +1,8 @@
 """Sequential surrogate-guided tuning loop.
 
 Evaluate an optional start point and the full initial design, then
-alternate: fit the Kriging surrogate on everything seen, propose the
+alternate: fit the Kriging surrogate on everything seen (exact repeats
+averaged into one row when the surrogate is noise-free), propose the
 points minimizing its predicted mean, de-duplicate, evaluate, append.
 Stops on the evaluation budget or the wall-time budget (checked between
 evaluations; the initial design always runs to completion).
@@ -31,7 +32,6 @@ class TunerConfig:
     fun_evals: float = math.inf      # total evaluation budget (inf allowed)
     fun_repeats: int = 1
     max_time: float = math.inf       # minutes
-    noise: bool = False
     tolerance_x: float = DEFAULT_TOLERANCE_X
     infill_criterion: str = "y"
     n_points: int = 1
@@ -89,13 +89,6 @@ class RunState:
         self.phases.append(phase)
         self.elapsed.append(float(seconds))
         self.elapsed_total += float(seconds)
-
-    def history(self) -> list[dict]:
-        return [
-            {"iteration": i + 1, "phase": self.phases[i], "y": self.y[i],
-             "metric": self.metrics[i], "elapsed_s": self.elapsed[i]}
-            for i in range(len(self.y))
-        ]
 
     def to_dict(self) -> dict:
         return {
@@ -160,6 +153,27 @@ def _is_distinct(cand: np.ndarray, rows: np.ndarray, tolerance_x: float) -> bool
     """True when ``cand`` lies beyond ``tolerance_x`` in max-norm from every
     row of ``rows`` (k x dim, k may be 0)."""
     return bool(np.all(np.max(np.abs(rows - cand), axis=1) > tolerance_x))
+
+
+def _fit_inputs(state: RunState, space: SearchSpace,
+                noise: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Active columns and losses of every evaluation, for a surrogate fit.
+
+    A noise-free surrogate cannot fit repeated rows (design ``repeats``,
+    ``fun_repeats``), so without ``noise`` each exactly repeated row enters
+    once, at its mean loss, in first-occurrence order. Without repeats the
+    arrays are returned as built.
+    """
+    X = np.asarray(state.X)[:, space.active_mask]
+    y = np.asarray(state.y)
+    if noise:
+        return X, y
+    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
+    if first.size == len(X):
+        return X, y
+    order = np.argsort(first)
+    mean = np.bincount(inverse, weights=y) / np.bincount(inverse)
+    return X[first[order]], mean[order]
 
 
 def _random_full_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
@@ -256,8 +270,10 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     """Execute (or resume) the tuning loop; returns the final run state.
 
     A failed evaluation is recorded at a finite worst-case penalty and the
-    loop continues. With ``out_dir`` set, ``run_state.json`` and
-    ``events.csv`` are rewritten atomically after every evaluation.
+    loop continues. The state keeps every evaluation, repeats included; a
+    noise-free surrogate is fitted on the mean of each repeated point. With
+    ``out_dir`` set, ``run_state.json`` and ``events.csv`` are rewritten
+    atomically after every evaluation.
     """
     tuner = tuner or TunerConfig()
     design = design or DesignControl()
@@ -307,12 +323,11 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     # -- sequential phase
     while len(state) < tuner.fun_evals and elapsed_minutes() < tuner.max_time:
         k = len(state) - state.n_initial      # stable across resumes
-        X_all = np.asarray(state.X)
-        X_active = X_all[:, space.active_mask]
         model = None
         if len(state) >= 2:
             try:
-                model = sg.fit(X_active, np.asarray(state.y), surrogate_control,
+                model = sg.fit(*_fit_inputs(state, space, surrogate_control.noise),
+                               surrogate_control,
                                seed=_child_seed(tuner.seed, 1, k))
             except (ValueError, sg.FitError):
                 model = None

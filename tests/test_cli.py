@@ -51,6 +51,13 @@ class TestTune:
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "nowhere.json" in capsys.readouterr().err
 
+    def test_tuner_noise_rejected(self, tmp_path, capsys):
+        # the surrogate block owns the nugget; a tuner-level flag would be ignored
+        cfg = write_config(tmp_path / "exp.json",
+                           tuner={"fun_evals": 14, "noise": True})
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "noise" in capsys.readouterr().err
+
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

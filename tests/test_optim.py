@@ -160,6 +160,20 @@ def test_deterministic_given_same_inputs():
         np.testing.assert_array_equal(out[0], out[1])
 
 
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_params_argument_not_modified(kind):
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=40)
+    w.flags.writeable = False         # an in-place write would raise
+    kept = w.tobytes()
+    cfg = optimizer_handler(kind, 1.0, 0.9 if kind == "SGD" else 0.0)
+    state = init_state(cfg, w.size)
+    for _ in range(3):
+        new = step(cfg, state, w, rng.normal(size=40))
+        assert not np.shares_memory(new, w)
+    assert w.tobytes() == kept
+
+
 def test_step_counter_increments():
     cfg = optimizer_handler("Adam", 1.0, 0.0)
     state = init_state(cfg, 1)

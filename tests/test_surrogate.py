@@ -56,6 +56,31 @@ def two_solve_nll(Z, y, v, noise):
     return n * math.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
+def loop_kernel(A, B, t10):
+    """Reference: the kernel accumulated one dimension at a time."""
+    w = np.zeros((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        diff = A[:, k, None] - B[None, :, k]
+        w += t10[k] * diff * diff
+    return np.exp(-w)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_bit_equal_to_per_dimension_loop(self, d):
+        rng = np.random.default_rng(d)
+        for m in (1, 2, 7, 300):
+            for n in (2, 3, 12, 100):
+                A = rng.random((m, d))
+                B = rng.random((n, d))
+                t10 = 10.0 ** rng.uniform(-4.0, 3.0, d)
+                want = loop_kernel(A, B, t10)
+                assert np.array_equal(sg._kernel(A, B, t10), want)
+                # the memory order of the inputs must not change the sum order
+                assert np.array_equal(
+                    sg._kernel(np.asfortranarray(A), np.asfortranarray(B), t10), want)
+
+
 class TestNegLogLikelihood:
     def test_matches_dense_inverse_oracle(self):
         X = np.array([[0.0, 0.0], [0.3, 0.8], [0.9, 0.2], [0.5, 0.5]])

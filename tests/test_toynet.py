@@ -116,6 +116,36 @@ class TestAccuracy:
         assert accuracy(logits, np.array([5])) == 0.0
 
 
+def reference_loss_and_grad(net, X, labels):
+    """Reference: per-call offsets from np.prod and an inline log-softmax."""
+    w = net.get_params()
+    mats, pos = [], 0
+    for shape in net.shapes:
+        size = int(np.prod(shape))
+        mats.append(w[pos:pos + size].reshape(shape))
+        pos += size
+    W1, b1, W2, b2, W3, b3 = mats
+    z1 = X @ W1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ W2 + b2
+    h2 = np.maximum(z2, 0.0)
+    logits = h2 @ W3 + b3
+    m = X.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -float(log_probs[np.arange(m), labels].mean())
+    dlogits = np.exp(log_probs)
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits /= m
+    dh2 = dlogits @ W3.T
+    dh2[z2 <= 0.0] = 0.0
+    dh1 = dh2 @ W2.T
+    dh1[z1 <= 0.0] = 0.0
+    grads = (X.T @ dh1, dh1.sum(axis=0), h1.T @ dh2, dh2.sum(axis=0),
+             h2.T @ dlogits, dlogits.sum(axis=0))
+    return loss, np.concatenate([g.ravel() for g in grads])
+
+
 class TestWeights:
     def test_reset_restores_exact_vector(self):
         net = ToyNet(6, 8, 8, seed=11)
@@ -128,6 +158,28 @@ class TestWeights:
         net = ToyNet(6, 8, 8, seed=1)
         W1, b1, W2, b2, W3, b3 = net._unpack(net.get_params())
         assert not np.array_equal(b1, b2)
+
+    def test_unpack_views_tile_flat_vector(self):
+        net = ToyNet(20, 32, 128, seed=0)
+        w = net.weights
+        pos = 0
+        for view, shape in zip(net._unpack(w), net.shapes):
+            assert view.shape == shape
+            assert view.base is w
+            assert view.ctypes.data == w.ctypes.data + pos * w.itemsize
+            pos += view.size
+        assert pos == w.size == net.n_params
+
+    @pytest.mark.parametrize("batch, l1, l2", [(16, 32, 128), (1, 4, 8), (7, 64, 16)])
+    def test_loss_and_grad_bit_equal_to_reference(self, batch, l1, l2):
+        rng = np.random.default_rng(batch)
+        net = ToyNet(20, l1, l2, seed=batch)
+        X = rng.normal(size=(batch, 20))
+        labels = rng.integers(0, NUM_CLASSES, batch)
+        loss, grad = net.loss_and_grad(X, labels)
+        ref_loss, ref_grad = reference_loss_and_grad(net, X, labels)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_param_count(self):
         net = ToyNet(20, 32, 16, seed=0)

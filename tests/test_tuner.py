@@ -8,8 +8,8 @@ from spotkit.evalharness import EvalResult
 from spotkit.searchspace import ParamSpec, SearchSpace
 from spotkit.surrogate import SurrogateControl, fit
 from spotkit.tuner import (
-    RunState, TunerConfig, best, events_csv, load_run_state, random_search,
-    run, suggest_next, worst_sentinel,
+    RunState, TunerConfig, _fit_inputs, best, events_csv, load_run_state,
+    random_search, run, suggest_next, worst_sentinel,
 )
 
 
@@ -155,6 +155,72 @@ class TestFunRepeats:
         X = np.asarray(state.X)
         assert len(X) == 8
         assert np.array_equal(X[0], X[1])
+
+
+class TestRepeatsReachSurrogate:
+    """A noise-free surrogate cannot fit repeated rows; the loop fits their
+    mean instead of falling back to random proposals."""
+
+    @pytest.mark.parametrize("repeats", [
+        dict(design=DesignControl(init_size=10, repeats=2, seed=5)),
+        dict(tuner=TunerConfig(fun_evals=40, fun_repeats=2, seed=3)),
+    ])
+    def test_no_fit_failures(self, monkeypatch, repeats):
+        import spotkit.surrogate as sg
+        from spotkit.cli import _mixed4_objective, _mixed4_space
+
+        fits = {"ok": 0, "failed": 0}
+        real_fit = sg.fit
+
+        def counting_fit(*args, **kwargs):
+            try:
+                model = real_fit(*args, **kwargs)
+            except (ValueError, sg.FitError):
+                fits["failed"] += 1
+                raise
+            fits["ok"] += 1
+            return model
+
+        monkeypatch.setattr(sg, "fit", counting_fit)
+        state = run(_mixed4_objective, _mixed4_space(),
+                    repeats.get("tuner", TunerConfig(fun_evals=40, seed=3)),
+                    repeats.get("design", DesignControl(init_size=10, seed=5)),
+                    SurrogateControl(model_fun_evals=300))
+        assert len(state) == 40
+        assert fits["failed"] == 0 and fits["ok"] > 0
+        # random search reaches about 0.2 in 40 evaluations (bench table)
+        assert state.best_y < 1e-2
+
+    def test_artifact_refit_sees_repeats(self, tmp_path):
+        from spotkit.cli import _mixed4_objective, _mixed4_space, write_artifacts
+
+        space = _mixed4_space()
+        cfg = SurrogateControl(model_fun_evals=300)
+        state = run(_mixed4_objective, space, TunerConfig(fun_evals=24, seed=3),
+                    DesignControl(init_size=10, repeats=2, seed=5), cfg)
+        report = write_artifacts(str(tmp_path), space, state, cfg, seed=3)
+        assert max(row["importance"] for row in report) == 100.0
+
+    def test_collapse_to_mean_in_first_occurrence_order(self):
+        space = float_space(2)
+        state = RunState()
+        for row, loss in [([0.5, 1.0], 1.0), ([0.0, 0.0], 4.0), ([0.5, 1.0], 3.0),
+                          ([0.2, 0.3], 7.0), ([0.0, 0.0], 6.0)]:
+            state.append(np.array(row), loss, math.nan, "initial", 0.0)
+        X, y = _fit_inputs(state, space, noise=False)
+        assert X.tolist() == [[0.5, 1.0], [0.0, 0.0], [0.2, 0.3]]
+        assert y.tolist() == [2.0, 5.0, 7.0]
+        X, y = _fit_inputs(state, space, noise=True)     # the nugget absorbs repeats
+        assert len(X) == len(y) == 5
+
+    def test_distinct_rows_pass_through(self):
+        space = float_space(3)
+        state = RunState()
+        for row in np.random.default_rng(0).random((6, 3)):
+            state.append(row, float(row.sum()), math.nan, "initial", 0.0)
+        X, y = _fit_inputs(state, space, noise=False)
+        assert np.array_equal(X, np.asarray(state.X))
+        assert np.array_equal(y, state.y)
 
 
 class TestDuplicateReplacement:
