@@ -249,10 +249,7 @@ def cmd_tune(args) -> int:
     exp = load_experiment(args.config)
     seed = _resolve_seed(exp, args.seed)
     out_dir = args.out or exp["out"]
-    if args.max_time is not None:
-        exp.setdefault("tuner", {})["max_time"] = args.max_time
-    if args.fun_evals is not None:
-        exp.setdefault("tuner", {})["fun_evals"] = args.fun_evals
+    _apply_budget_flags(exp, args)
     space = build_space(exp)
     objective = build_objective(exp, seed)
     tuner_cfg, design_cfg, surr_cfg = _controls(exp, space, seed)
@@ -285,6 +282,7 @@ def cmd_resume(args) -> int:
     if "experiment" not in meta:
         print("error: run state has no embedded experiment", file=sys.stderr)
         return 1
+    bumped = _apply_budget_flags(meta["experiment"], args)
     exp = dict(_DEFAULTS)
     exp.update(meta["experiment"])
     seed = int(meta["seed"])
@@ -295,6 +293,9 @@ def cmd_resume(args) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    if bumped:      # a later plain resume keeps the new budget
+        tn.atomic_write(os.path.join(args.out, "run_state.json"),
+                        json.dumps(state.to_dict()))
     try:
         state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
                        X_start=_x_start(exp, space), out_dir=args.out,
@@ -364,6 +365,16 @@ def _bench_row(method: str, evals: int, bests: list[float], wins: str) -> dict:
 
 # -- shared helpers ----------------------------------------------------------------
 
+def _apply_budget_flags(exp: dict, args) -> bool:
+    """Write ``--max-time`` / ``--fun-evals`` into the experiment's tuner
+    block; True when either flag was given."""
+    flags = {"max_time": args.max_time, "fun_evals": args.fun_evals}
+    given = {k: v for k, v in flags.items() if v is not None}
+    if given:
+        exp.setdefault("tuner", {}).update(given)
+    return bool(given)
+
+
 def _meta(exp: dict, space: SearchSpace, seed: int) -> dict:
     experiment = {k: v for k, v in exp.items() if not k.startswith("_")}
     return {
@@ -418,15 +429,17 @@ def main(argv=None) -> int:
     p_tune.add_argument("--config", required=True, help="experiment JSON file")
     p_tune.add_argument("--out", help="output directory (overrides config)")
     p_tune.add_argument("--seed", type=int, help="seed (overrides env and config)")
-    p_tune.add_argument("--max-time", type=float, dest="max_time",
-                        help="wall-time budget in minutes")
-    p_tune.add_argument("--fun-evals", type=int, dest="fun_evals",
-                        help="evaluation budget")
     p_tune.set_defaults(func=cmd_tune)
 
     p_resume = sub.add_parser("resume", help="continue a persisted run")
     p_resume.add_argument("--out", required=True, help="run directory")
     p_resume.set_defaults(func=cmd_resume)
+
+    for p in (p_tune, p_resume):
+        p.add_argument("--max-time", type=float, dest="max_time",
+                       help="wall-time budget in minutes")
+        p.add_argument("--fun-evals", type=int, dest="fun_evals",
+                       help="evaluation budget")
 
     p_bench = sub.add_parser("bench", help="compare against random search")
     p_bench.add_argument("--config", required=True, help="experiment JSON file")

@@ -19,6 +19,18 @@ class DesignControl:
             raise ValueError("repeats must be >= 1")
 
 
+def lhs_unit(rng: np.random.Generator, n: int, dims: int) -> np.ndarray:
+    """Latin hypercube of ``n`` points in [0, 1)^dims drawn from ``rng``.
+
+    Per dimension, in order: a permutation of the ``n`` strata, then one
+    uniform jitter per point inside its stratum.
+    """
+    out = np.empty((n, dims))
+    for d in range(dims):
+        out[:, d] = (rng.permutation(n) + rng.random(n)) / n
+    return out
+
+
 def latin_hypercube(control: DesignControl, dims: int) -> np.ndarray:
     """Latin hypercube sample of ``init_size`` points in [0, 1)^dims.
 
@@ -30,10 +42,8 @@ def latin_hypercube(control: DesignControl, dims: int) -> np.ndarray:
     if dims < 1:
         raise ValueError("dims must be >= 1")
     n = control.init_size
-    rng = np.random.default_rng(control.seed)
-    base = np.empty((n, dims), dtype=float)
-    for d in range(dims):
-        perm = rng.permutation(n)
-        jitter = np.full(n, 0.5) if n == 1 else rng.random(n)
-        base[:, d] = (perm + jitter) / n
+    if n == 1:
+        base = np.full((1, dims), 0.5)
+    else:
+        base = lhs_unit(np.random.default_rng(control.seed), n, dims)
     return np.repeat(base, control.repeats, axis=0)

@@ -12,7 +12,8 @@ training targets.
 
 A fitted ``KrigingModel`` predicts the mean and variance with
 ``predict_batch``; ``predict_mean`` returns the same mean bits without the
-variance solve, for infill search and contour exports that read only the
+variance solve, and ``mean_at`` the same bits at a single point with no
+per-call set-up, for infill search and contour exports that read only the
 mean.
 """
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrs
+
+from .design import lhs_unit
 
 JITTER_FLOOR = 1e-12
 JITTER_CEIL = 1e-6
@@ -65,8 +68,10 @@ class KrigingModel:
     """Fitted surrogate; immutable in practice, safe to share across threads.
 
     ``predict_batch`` gives mean and variance, ``predict_mean`` the mean
-    alone; both build the cross-correlations through ``_kernel``, so their
-    means agree bit for bit.
+    alone, and ``mean_at`` the mean at one point as a float, for the infill
+    search's Nelder-Mead and the contour export; all three build the
+    cross-correlations the way ``_kernel`` does, so their means agree bit
+    for bit. ``_finalize`` caches the per-model arrays they share.
     """
 
     X: np.ndarray                 # raw training inputs, n x d
@@ -80,6 +85,8 @@ class KrigingModel:
     chol: np.ndarray | None = None          # lower Cholesky factor of R
     weights: np.ndarray | None = None       # R^-1 (y - mu)
     Z: np.ndarray | None = field(default=None, repr=False)  # normalized inputs
+    ZT: np.ndarray | None = field(default=None, repr=False)   # Z.T, contiguous
+    t10: np.ndarray | None = field(default=None, repr=False)  # 10**theta_log10
 
     @property
     def dim(self) -> int:
@@ -99,7 +106,7 @@ class KrigingModel:
         m = Q.shape[0]
         if self.chol is None:      # constant-data model
             return np.full(m, self.mu), np.zeros(m)
-        psi = _kernel(Q, self.Z, 10.0 ** self.theta_log10)
+        psi = _kernel(Q, self.Z, self.t10)
         mean = self.mu + psi @ self.weights
         v = solve_triangular(self.chol, psi.T, lower=True)
         var = self.sigma2 * (1.0 + self.nugget - np.einsum("ij,ij->j", v, v))
@@ -111,7 +118,25 @@ class KrigingModel:
         Q = self._normalize(X)
         if self.chol is None:      # constant-data model
             return np.full(Q.shape[0], self.mu)
-        return self.mu + _kernel(Q, self.Z, 10.0 ** self.theta_log10) @ self.weights
+        return self.mu + _kernel(Q, self.Z, self.t10) @ self.weights
+
+    def mean_at(self, x: np.ndarray) -> float:
+        """Kriging mean at one float point ``x`` (a 1-D array of length d).
+
+        The same arithmetic in the same order as ``predict_mean(x[None, :])[0]``,
+        so the same bits: clamp, the weighted squared differences as one
+        C-ordered d x n array summed over its outer axis (dimension order,
+        as in ``_kernel``), ``exp`` and a (1, n) @ (n,) product; only the
+        per-call set-up is gone. Does not modify ``x``.
+        """
+        if self.chol is None:      # constant-data model
+            return self.mu
+        q = np.minimum(np.maximum((x - self.norm_min) / self.norm_span, 0.0), 1.0)
+        diff = q[:, None] - self.ZT
+        w = diff * self.t10[:, None]
+        w *= diff
+        psi = np.exp(-np.add.reduce(w, axis=0))
+        return float(self.mu + (psi[None, :] @ self.weights)[0])
 
     # -- persistence -------------------------------------------------------
 
@@ -330,6 +355,8 @@ def _finalize(model: KrigingModel) -> None:
     model.nugget = float(model.nugget + jitter)
     _, mu, sigma2, rinv_r = _nll_from_chol(L, _rhs(model.y))
     model.Z = Z
+    model.ZT = np.ascontiguousarray(Z.T)
+    model.t10 = 10.0 ** model.theta_log10
     model.chol = L
     model.mu = float(mu)
     model.sigma2 = float(max(sigma2, 0.0))
@@ -341,7 +368,7 @@ def _budgeted_search(objective, lo, hi, budget: int, seed: int):
     rng = np.random.default_rng(seed)
     dims = lo.size
     n_screen = max(2, int(0.8 * budget))
-    pts = _lhs_unit(rng, n_screen, dims) * (hi - lo) + lo
+    pts = lhs_unit(rng, n_screen, dims) * (hi - lo) + lo
     center = 0.5 * (lo + hi)
     pts[0] = center        # always include the box center
     best_v, best_f = None, math.inf
@@ -395,9 +422,3 @@ def _golden_coordinate(objective, v0, k, a, b, budget):
     v[k] = x
     return v, fx, used
 
-
-def _lhs_unit(rng: np.random.Generator, n: int, dims: int) -> np.ndarray:
-    out = np.empty((n, dims))
-    for d in range(dims):
-        out[:, d] = (rng.permutation(n) + rng.random(n)) / n
-    return out

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import surrogate as sg
 from .design import DesignControl, latin_hypercube
@@ -138,6 +137,26 @@ def worst_sentinel(ys) -> float:
     return m + 9.0 * span
 
 
+def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
+              phase: str) -> None:
+    """Decode ``vec``, evaluate it and append the outcome to ``state``.
+
+    An exception or a non-finite loss is recorded at ``worst_sentinel`` of
+    the losses so far, with a NaN metric on an exception.
+    """
+    t0 = time.monotonic()
+    config = space.from_internal(vec)
+    try:
+        result = objective(config)
+        loss = float(result.loss)
+        metric = float(result.metric)
+    except Exception:
+        loss, metric = math.nan, math.nan
+    if not math.isfinite(loss):
+        loss = worst_sentinel(state.y)
+    state.append(vec, loss, metric, phase, time.monotonic() - t0)
+
+
 def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
                .generate_state(1)[0])
@@ -181,15 +200,103 @@ def _random_full_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarr
     return space.embed_unit(unit)[0]
 
 
+def _nelder_mead(f, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 maxfev: int) -> tuple[np.ndarray, float, int]:
+    """Bounded Nelder-Mead minimization of ``f`` from ``x0``.
+
+    A port of scipy 1.17.1's ``minimize(method="Nelder-Mead", bounds=...)``
+    with ``xatol=1e-8``, ``fatol=1e-12`` and ``maxfev``: the same initial
+    simplex (reflected into the box, then clipped), coefficients, centroid,
+    re-sorting and stopping tests, so it returns the same ``(x, fun, nfev)``
+    bits. A budget that runs out mid-iteration, a shrink included, leaves
+    that iteration as scipy does. Calls ``f`` directly, without scipy's
+    per-call wrapper and per-iteration result object; ``f`` must not modify
+    its argument.
+    """
+    N = x0.size
+    x0 = np.minimum(np.maximum(x0, lo), hi)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.where(sim > hi, 2 * hi - sim, sim)
+    sim = np.minimum(np.maximum(sim, lo), hi)
+
+    fsim = np.full(N + 1, np.inf)
+    nfev = min(N + 1, maxfev)
+    for k in range(nfev):
+        fsim[k] = f(sim[k])
+    for _ in range(2):          # scipy sorts twice; ties may move the second time
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+
+    while nfev < maxfev:
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-8
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.minimum(np.maximum(2 * xbar - sim[-1], lo), hi)
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = np.minimum(np.maximum(3 * xbar - 2 * sim[-1], lo), hi)
+                fxe = f(xe)
+                nfev += 1
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:      # outside contraction
+                xc = np.minimum(np.maximum(1.5 * xbar - 0.5 * sim[-1], lo), hi)
+                fxc = f(xc)
+                nfev += 1
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+            else:                   # inside contraction
+                xcc = np.minimum(np.maximum(0.5 * xbar + 0.5 * sim[-1], lo), hi)
+                fxcc = f(xcc)
+                nfev += 1
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = np.minimum(
+                        np.maximum(sim[0] + 0.5 * (sim[j] - sim[0]), lo), hi)
+                    if nfev >= maxfev:
+                        break
+                    fsim[j] = f(sim[j])
+                    nfev += 1
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return sim[0], fsim.min(), nfev
+
+
 def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
                  n_points: int = 1, budget: int = 1000, seed: int = 0,
                  tolerance_x: float = 0.0) -> np.ndarray:
     """Candidates minimizing the surrogate mean over the active box.
 
-    Random multistart probes take half the budget, local simplex
-    refinement on the continuous relaxation the rest; integer and factor
-    coordinates snap to their lattice before returning. Candidates are
-    mutually distinct beyond ``tolerance_x`` in max-norm where possible.
+    Random multistart probes take half the budget, scored in one
+    ``predict_mean`` batch; bounded Nelder-Mead (``_nelder_mead``, scipy
+    1.17.1's algorithm) refines the best probes on the continuous relaxation
+    with the rest, calling ``model.mean_at`` once per vertex. Integer and
+    factor coordinates snap to their lattice before returning. Candidates
+    are mutually distinct beyond ``tolerance_x`` in max-norm where possible.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     active = space.active
@@ -212,14 +319,9 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
             fev = min(per_start, remaining)
             if fev < min_fev:
                 break
-            res = minimize(
-                lambda v: float(model.predict_mean(v[None, :])[0]),
-                probes[i], method="Nelder-Mead",
-                bounds=list(zip(lo, hi)),
-                options={"maxfev": fev, "xatol": 1e-8, "fatol": 1e-12},
-            )
-            remaining -= res.nfev
-            pool.append((float(res.fun), np.clip(res.x, lo, hi)))
+            x, fun, nfev = _nelder_mead(model.mean_at, probes[i], lo, hi, fev)
+            remaining -= nfev
+            pool.append((float(fun), np.clip(x, lo, hi)))
             if remaining < min_fev:
                 break
     pool.extend((float(mu[i]), probes[i]) for i in order)
@@ -294,17 +396,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
         return (budget_consumed + (time.monotonic() - started)) / 60.0
 
     def evaluate(vec: np.ndarray, phase: str) -> None:
-        t0 = time.monotonic()
-        config = space.from_internal(vec)
-        try:
-            result = objective(config)
-            loss = float(result.loss)
-            metric = float(result.metric)
-        except Exception:
-            loss, metric = math.nan, math.nan
-        if not math.isfinite(loss):
-            loss = worst_sentinel(state.y)
-        state.append(vec, loss, metric, phase, time.monotonic() - t0)
+        _evaluate(objective, space, state, vec, phase)
         if writer:
             writer.write(state)
 
@@ -355,18 +447,7 @@ def random_search(objective, space: SearchSpace, n_evals: int, seed: int = 0) ->
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = RunState()
     for _ in range(n_evals):
-        vec = _random_full_point(space, rng)
-        t0 = time.monotonic()
-        config = space.from_internal(vec)
-        try:
-            result = objective(config)
-            loss = float(result.loss)
-            metric = float(result.metric)
-        except Exception:
-            loss, metric = math.nan, math.nan
-        if not math.isfinite(loss):
-            loss = worst_sentinel(state.y)
-        state.append(vec, loss, metric, "random", time.monotonic() - t0)
+        _evaluate(objective, space, state, _random_full_point(space, rng), "random")
     return state
 
 

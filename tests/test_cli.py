@@ -153,6 +153,46 @@ class TestResume:
         after = json.load(open(os.path.join(out, "run_state.json")))["y"]
         assert before == after
 
+    def test_budget_bump_matches_full_run(self, tmp_path):
+        cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4",
+                           model="mixed4", design={"init_size": 10})
+        full, bumped = str(tmp_path / "full"), str(tmp_path / "bumped")
+        assert main(["tune", "--config", cfg, "--out", full,
+                     "--fun-evals", "30"]) == 0
+        assert main(["tune", "--config", cfg, "--out", bumped,
+                     "--fun-evals", "20"]) == 0
+        assert len(json.load(open(os.path.join(bumped, "run_state.json")))["y"]) == 20
+        assert main(["resume", "--out", bumped, "--fun-evals", "30"]) == 0
+        events = [open(os.path.join(d, "events.csv")).read() for d in (full, bumped)]
+        assert events[0] == events[1]
+        assert events[0].count("\n") == 31
+        doc = json.load(open(os.path.join(bumped, "run_state.json")))
+        assert doc["meta"]["experiment"]["tuner"]["fun_evals"] == 30
+
+    def test_budget_bump_persists_for_plain_resume(self, sphere_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["tune", "--config", sphere_config, "--out", out]) == 0
+        # a time budget already spent: no evaluation runs, the bump still sticks
+        assert main(["resume", "--out", out, "--fun-evals", "16",
+                     "--max-time", "0"]) == 0
+        doc = json.load(open(os.path.join(out, "run_state.json")))
+        assert len(doc["y"]) == 14
+        assert doc["meta"]["experiment"]["tuner"] == {"fun_evals": 16, "max_time": 0.0}
+        # a plain resume keeps the new evaluation budget (and the time one)
+        assert main(["resume", "--out", out, "--max-time", "10"]) == 0
+        doc = json.load(open(os.path.join(out, "run_state.json")))
+        assert len(doc["y"]) == 16
+        assert doc["meta"]["experiment"]["tuner"] == {"fun_evals": 16, "max_time": 10.0}
+        assert main(["resume", "--out", out]) == 0
+        assert len(json.load(open(os.path.join(out, "run_state.json")))["y"]) == 16
+
+    def test_bad_budget_exits_1(self, sphere_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["tune", "--config", sphere_config, "--out", out]) == 0
+        before = open(os.path.join(out, "run_state.json")).read()
+        assert main(["resume", "--out", out, "--fun-evals", "0"]) == 1
+        assert open(os.path.join(out, "run_state.json")).read() == before
+
     def test_missing_dir_exits_1(self, tmp_path, capsys):
         assert main(["resume", "--out", str(tmp_path / "void")]) == 1
 

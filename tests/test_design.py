@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spotkit.design import DesignControl, latin_hypercube
+from spotkit.design import DesignControl, latin_hypercube, lhs_unit
 
 
 def bin_counts(points: np.ndarray, bins: int) -> np.ndarray:
@@ -46,6 +46,32 @@ def test_different_seed_differs():
     a = latin_hypercube(DesignControl(init_size=11, seed=1), dims=4)
     b = latin_hypercube(DesignControl(init_size=11, seed=2), dims=4)
     assert not np.array_equal(a, b)
+
+
+def old_latin_hypercube(control, dims):
+    """The former per-dimension loop, kept as the reference."""
+    n = control.init_size
+    rng = np.random.default_rng(control.seed)
+    base = np.empty((n, dims), dtype=float)
+    for d in range(dims):
+        perm = rng.permutation(n)
+        jitter = np.full(n, 0.5) if n == 1 else rng.random(n)
+        base[:, d] = (perm + jitter) / n
+    return np.repeat(base, control.repeats, axis=0)
+
+
+@pytest.mark.parametrize("n, dims, repeats", [(1, 1, 1), (1, 4, 3), (2, 1, 1),
+                                              (10, 4, 1), (17, 9, 2)])
+def test_bit_equal_to_old_loop(n, dims, repeats):
+    for seed in range(5):
+        control = DesignControl(init_size=n, repeats=repeats, seed=seed)
+        assert np.array_equal(latin_hypercube(control, dims),
+                              old_latin_hypercube(control, dims))
+
+
+def test_lhs_unit_stratified():
+    pts = lhs_unit(np.random.default_rng(3), 8, 5)
+    assert np.all(bin_counts(pts, 8) == 1)
 
 
 def test_single_point_centered():

@@ -281,6 +281,67 @@ class TestPredictMean:
         assert np.array_equal(model.predict_mean(probes), [3.5, 3.5])
 
 
+class TestMeanAt:
+    def test_bit_equal_to_predict_mean(self):
+        rng = np.random.default_rng(6)
+        for n, d, noise in [(4, 1, False), (25, 3, False), (40, 5, True),
+                            (30, 8, False), (60, 10, True)]:
+            X = rng.random((n, d)) * 2.0 - 0.5
+            y = np.cos(3.0 * X).sum(axis=1) + 0.05 * rng.normal(size=n)
+            model = fit(X, y, SurrogateControl(noise=noise, model_fun_evals=80),
+                        seed=2)
+            # inside the data box, and outside it (clamped)
+            probes = np.vstack([rng.random((20, d)) * 2.0 - 0.5,
+                                rng.random((20, d)) * 6.0 - 3.0])
+            loaded = KrigingModel.from_json(model.to_json())
+            for m in (model, loaded):
+                for p in probes:
+                    assert m.mean_at(p) == m.predict_mean(p[None, :])[0]
+                    assert type(m.mean_at(p)) is float
+
+    def test_constant_data_model(self):
+        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
+        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        for m in (model, KrigingModel.from_json(model.to_json())):
+            for p in ([0.3, 0.3], [2.0, -1.0]):
+                p = np.array(p)
+                assert m.mean_at(p) == m.predict_mean(p[None, :])[0] == 3.5
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(1)
+        X = rng.random((10, 2))
+        model = fit(X, X.sum(axis=1), SurrogateControl(model_fun_evals=50), seed=0)
+        x = np.array([1.5, -0.2])
+        model.mean_at(x)
+        assert np.array_equal(x, [1.5, -0.2])
+
+
+class TestLhsScreen:
+    @staticmethod
+    def old_lhs_unit(rng, n, dims):
+        """The surrogate's former private sampler, kept as the reference."""
+        out = np.empty((n, dims))
+        for d in range(dims):
+            out[:, d] = (rng.permutation(n) + rng.random(n)) / n
+        return out
+
+    @pytest.mark.parametrize("budget, dims", [(10, 1), (50, 3), (300, 6)])
+    def test_screen_bit_equal_to_old_sampler(self, budget, dims):
+        seen = []
+
+        def objective(v):
+            seen.append(v.copy())
+            return float(np.sum((v - 0.3) ** 2))
+
+        lo, hi = np.full(dims, -4.0), np.full(dims, 3.0)
+        sg._budgeted_search(objective, lo, hi, budget, seed=17)
+        n_screen = max(2, int(0.8 * budget))
+        ref = (self.old_lhs_unit(np.random.default_rng(17), n_screen, dims)
+               * (hi - lo) + lo)
+        ref[0] = 0.5 * (lo + hi)
+        assert np.array_equal(np.asarray(seen[:n_screen]), ref)
+
+
 def test_rescaled_column_leaves_ranking_unchanged():
     rng = np.random.default_rng(8)
     X = rng.random((14, 2))

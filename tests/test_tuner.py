@@ -8,8 +8,8 @@ from spotkit.evalharness import EvalResult
 from spotkit.searchspace import ParamSpec, SearchSpace
 from spotkit.surrogate import SurrogateControl, fit
 from spotkit.tuner import (
-    RunState, TunerConfig, _fit_inputs, best, events_csv, load_run_state,
-    random_search, run, suggest_next, worst_sentinel,
+    RunState, TunerConfig, _fit_inputs, _nelder_mead, best, events_csv,
+    load_run_state, random_search, run, suggest_next, worst_sentinel,
 )
 
 
@@ -348,6 +348,82 @@ class TestSuggestNext:
         assert len(np.unique(arr[:, 1])) == 4
 
 
+def scipy_nelder_mead(f, x0, lo, hi, maxfev):
+    from scipy.optimize import minimize
+
+    res = minimize(f, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
+                   options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-12})
+    return res.x, res.fun, res.nfev
+
+
+def assert_same_as_scipy(f, x0, lo, hi, maxfev):
+    x, fun, nfev = _nelder_mead(f, x0, lo, hi, maxfev)
+    ref_x, ref_fun, ref_nfev = scipy_nelder_mead(f, x0, lo, hi, maxfev)
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(np.signbit(x), np.signbit(ref_x))
+    assert fun == ref_fun
+    assert nfev == ref_nfev
+
+
+class TestNelderMead:
+    """The in-repo port against scipy's bounded Nelder-Mead, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_random_fitted_models(self, d):
+        rng = np.random.default_rng(100 + d)
+        for case in range(8):
+            n = int(rng.integers(3, 41))
+            X = rng.random((n, d)) * 4.0 - 2.0
+            y = np.sin(2.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
+            model = fit(X, y, SurrogateControl(noise=case % 2 == 1,
+                                               model_fun_evals=60), seed=case)
+            lo, hi = np.full(d, -2.0), np.full(d, 2.0)
+            maxfev = int(rng.integers(3 * (d + 1), 250))
+            assert_same_as_scipy(model.mean_at, rng.uniform(lo, hi), lo, hi, maxfev)
+
+    def test_constant_data_model(self):
+        X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
+        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        lo, hi = np.zeros(3), np.ones(3)
+        assert_same_as_scipy(model.mean_at, np.array([0.2, 0.7, 0.4]), lo, hi, 400)
+
+    def test_maxfev_cuts_a_shrink(self):
+        # a constant surface ties every vertex, so each iteration reflects,
+        # contracts inside and shrinks: 4 initial calls, then 2 + 3 per
+        # iteration; cutting at 4 + 2 * 5 + 2 + k leaves a shrink after
+        # k < 3 of its vertices (k = 0: cut just before the first one)
+        X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
+        model = fit(X, np.full(3, -1.0), SurrogateControl(model_fun_evals=50), seed=0)
+        lo, hi = np.zeros(3), np.ones(3)
+        x0 = np.array([0.2, 0.7, 0.4])
+        for k in range(3):
+            assert_same_as_scipy(model.mean_at, x0, lo, hi, 4 + 2 * 5 + 2 + k)
+        rng = np.random.default_rng(4)
+        X = rng.random((12, 3))
+        model = fit(X, (X ** 2).sum(axis=1), FAST_SURROGATE, seed=0)
+        for maxfev in range(1, 120):
+            assert_same_as_scipy(model.mean_at, x0, lo, hi, maxfev)
+
+    def test_start_on_bound_and_zero_coordinate(self):
+        rng = np.random.default_rng(9)
+        X = rng.random((15, 3)) * 2.0 - 1.0
+        model = fit(X, (X - 0.3).sum(axis=1) ** 2, FAST_SURROGATE, seed=1)
+        lo, hi = np.full(3, -1.0), np.ones(3)
+        for x0 in ([1.0, 1.0, 1.0], [-1.0, 0.5, 1.0], [0.0, 0.0, 0.4],
+                   [0.0, 1.0, -1.0]):
+            assert_same_as_scipy(model.mean_at, np.array(x0), lo, hi, 200)
+        # zero lower bounds: a zero start coordinate gets the 0.00025 step
+        assert_same_as_scipy(model.mean_at, np.array([0.0, 0.0, 0.0]),
+                             np.zeros(3), hi, 200)
+
+    def test_converges_inside_box(self):
+        lo, hi = np.zeros(2), np.ones(2)
+        x, fun, nfev = _nelder_mead(lambda v: float(((v - 0.3) ** 2).sum()),
+                                    np.array([0.9, 0.1]), lo, hi, 1000)
+        assert np.allclose(x, 0.3, atol=1e-6)
+        assert fun < 1e-12 and nfev < 1000
+
+
 class TestBest:
     def test_argmin(self):
         state = RunState()
@@ -459,6 +535,25 @@ class TestPersistence:
             TunerConfig(fun_evals=math.inf, max_time=math.inf)
         with pytest.raises(ValueError):
             TunerConfig(tolerance_x=-1.0)
+
+
+def test_random_search_failures_map_to_sentinel():
+    calls = {"n": 0}
+
+    def flaky(config):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise RuntimeError("boom")
+        if calls["n"] == 5:
+            return EvalResult(loss=math.inf, metric=0.5)
+        return sphere(config)
+
+    state = random_search(flaky, float_space(2), 6, seed=1)
+    assert state.y[2] == worst_sentinel(state.y[:2])
+    assert math.isnan(state.metrics[2])
+    assert state.y[4] == worst_sentinel(state.y[:4])
+    assert state.metrics[4] == 0.5
+    assert state.phases == ["random"] * 6
 
 
 def test_random_search_budget_and_bounds():
