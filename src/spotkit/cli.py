@@ -219,8 +219,10 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
     try:
         model = sg.fit(*tn._fit_inputs(state, space, surr_cfg.noise), surr_cfg,
                        seed=tn._child_seed(seed, 1, len(state)))
-    except (ValueError, sg.FitError):
-        pass
+    except (ValueError, sg.FitError) as err:
+        print(f"warning: surrogate refit for the artifacts failed "
+              f"({type(err).__name__}: {err}); importance is written as 0 and "
+              f"no contours", file=sys.stderr)
     report = (analysis.importance(model, space) if model is not None
               else [{"name": p.name, "importance": 0.0, "stars": ""}
                     for p in space.params])
@@ -252,21 +254,11 @@ def cmd_tune(args) -> int:
     _apply_budget_flags(exp, args)
     space = build_space(exp)
     objective = build_objective(exp, seed)
-    tuner_cfg, design_cfg, surr_cfg = _controls(exp, space, seed)
+    controls = _controls(exp, space, seed)
 
     print(render_table(gen_design_table(space)))
-    meta = _meta(exp, space, seed)
-    try:
-        state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
-                       X_start=_x_start(exp, space), out_dir=out_dir, meta=meta)
-        write_artifacts(out_dir, space, state, surr_cfg, seed)
-        _report_best(state, space)
-        if exp["objective"] == "toynet":
-            _final_train_test(exp, space, state, out_dir, seed)
-    except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    return 0
+    return _run_and_report(exp, space, seed, objective, controls, out_dir,
+                           meta=_meta(exp, space, seed))
 
 
 def cmd_resume(args) -> int:
@@ -289,19 +281,30 @@ def cmd_resume(args) -> int:
     try:
         space = parse_hyper_dict(meta["space_json"], meta["model"])
         objective = build_objective(exp, seed)
-        tuner_cfg, design_cfg, surr_cfg = _controls(exp, space, seed)
+        controls = _controls(exp, space, seed)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if bumped:      # a later plain resume keeps the new budget
         tn.atomic_write(os.path.join(args.out, "run_state.json"),
                         json.dumps(state.to_dict()))
+    return _run_and_report(exp, space, seed, objective, controls, args.out,
+                           state=state)
+
+
+def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
+                    controls, out_dir: str, **run_kw) -> int:
+    """Run (or continue, given ``state=``) the tuner, write the artifacts,
+    report the best configuration and, for ToyNet, retrain and test it: the
+    shared tail of ``tune`` and ``resume``. Returns the exit code."""
+    tuner_cfg, design_cfg, surr_cfg = controls
     try:
         state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
-                       X_start=_x_start(exp, space), out_dir=args.out,
-                       state=state)
-        write_artifacts(args.out, space, state, surr_cfg, seed)
+                       X_start=_x_start(exp, space), out_dir=out_dir, **run_kw)
+        write_artifacts(out_dir, space, state, surr_cfg, seed)
         _report_best(state, space)
+        if exp["objective"] == "toynet":
+            _final_train_test(exp, space, state, out_dir, seed)
     except Exception as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,6 +10,9 @@ nugget on the diagonal turns interpolation into regression; with
 ``noise=False`` it stays at a jitter floor so the model reproduces its
 training targets.
 
+``fit`` evaluates the likelihood over blocks of parameter vectors, each
+value with the bits of evaluating its vector alone.
+
 A fitted ``KrigingModel`` predicts the mean and variance with
 ``predict_batch``; ``predict_mean`` returns the same mean bits without the
 variance solve, and ``mean_at`` the same bits at a single point with no
@@ -34,9 +37,9 @@ NUGGET_LOG10_BOUNDS = (-8.0, -1.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# _kernel forms its d x rows x n terms for about this many elements at a
-# time, so a large batch (the infill probes) needs no more memory than a
-# one-dimension-at-a-time loop
+# _kernel forms its d x rows x n terms, and fit's likelihood its stack of
+# n x n matrices, for about this many elements at a time, so a large batch
+# (the infill probes, the likelihood screen) needs little memory
 _KERNEL_BLOCK = 1 << 14
 
 
@@ -47,16 +50,12 @@ class FitError(RuntimeError):
 @dataclass(frozen=True)
 class SurrogateControl:
     noise: bool = False
-    cod_type: str = "norm"
     min_theta: float = -4.0
     max_theta: float = 3.0
     n_theta: int | None = None     # None: one per input column
     model_fun_evals: int = 10_000
-    log_level: int = 50
 
     def __post_init__(self):
-        if self.cod_type != "norm":
-            raise ValueError(f"unsupported cod_type {self.cod_type!r}")
         if self.min_theta >= self.max_theta:
             raise ValueError("min_theta must be below max_theta")
         if self.model_fun_evals < 1:
@@ -184,11 +183,7 @@ def neg_log_likelihood(X, y, theta_log10, nugget: float) -> float:
     Z = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     R = _correlation(Z, np.asarray(theta_log10, dtype=float), float(nugget))
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        return math.inf
-    return _nll_from_chol(L, _rhs(y))[0]
+    return _nll(R[None], _rhs(y))[0]
 
 
 def _kernel(A: np.ndarray, B: np.ndarray, t10: np.ndarray) -> np.ndarray:
@@ -223,24 +218,55 @@ def _rhs(y: np.ndarray) -> np.ndarray:
     return np.stack((y, np.ones(y.size))).T
 
 
-def _nll_from_chol(L: np.ndarray, rhs: np.ndarray):
-    """NLL, mu, sigma2 and R^-1 (y - mu) from the lower Cholesky factor.
+def _nll(R: np.ndarray, rhs: np.ndarray) -> list[float]:
+    """NLL of each correlation matrix in the stack ``R`` (b x n x n), +inf
+    where it is not positive definite.
+
+    One ``np.linalg.cholesky`` factors the whole stack, with the same bits
+    per matrix as factoring each alone. If any matrix is not positive
+    definite the stack raises, and the matrices are factored one at a time.
+    """
+    try:
+        L = np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        if R.shape[0] == 1:
+            return [math.inf]
+        return [_nll(Ri[None], rhs)[0] for Ri in R]
+    return _likelihood(L, rhs)[0]
+
+
+def _likelihood(L: np.ndarray, rhs: np.ndarray):
+    """NLL, mu, sigma2 and R^-1 (y - mu) of each lower Cholesky factor in
+    the stack ``L`` (b x n x n): NLL and sigma2 as lists of b floats, mu as
+    a b-vector, R^-1 (y - mu) as a b x n array.
 
     ``rhs`` holds ``y`` and ones as ``_rhs`` builds them, once per fit. One
-    LAPACK solve serves both right-hand sides; it gives the same bits as two
-    ``cho_solve`` calls. A non-finite solution (from a NaN or inf in ``y``)
-    raises ``ValueError``.
+    LAPACK solve per matrix serves both; passed the factor's transpose as
+    the upper factor, f2py does not copy it, and the bits are those of two
+    ``cho_solve`` calls. The inner products are stacked ``np.matmul`` calls,
+    one ``ddot`` each as for single vectors, and the scalar tail is per
+    matrix in Python floats, so every value has the bits of a one-matrix
+    evaluation. A non-finite solution (from a NaN or inf in ``y``) raises
+    ``ValueError``.
     """
-    sol, info = dpotrs(L, rhs, lower=1)
-    if info != 0 or not np.isfinite(sol).all():
+    b, n = L.shape[0], L.shape[1]
+    sol = np.empty((b, 2, 1, n))        # rows R^-1 y, R^-1 1 of each matrix
+    for i in range(b):
+        x, info = dpotrs(L[i].T, rhs, lower=0)
+        if info != 0:
+            raise ValueError("Kriging solve failed")
+        sol[i, :, 0] = x.T
+    if not np.isfinite(sol).all():
         raise ValueError("non-finite Kriging solve; check y for NaN or inf")
-    y, one = rhs[:, 0], rhs[:, 1]
-    rinv_y, rinv_one = sol[:, 0], sol[:, 1]
-    mu = (one @ rinv_y) / (one @ rinv_one)    # not .sum(): other bits
-    rinv_r = rinv_y - mu * rinv_one
-    sigma2 = max(float((y - mu) @ rinv_r) / y.size, 1e-300)
-    logdet = 2.0 * float(np.log(L.diagonal()).sum())
-    return y.size * math.log(sigma2) + logdet, mu, sigma2, rinv_r
+    # (b, 2, 1, n) @ (n, 1): 1' R^-1 y and 1' R^-1 1 (not .sum(): other bits)
+    p = np.matmul(sol, rhs[:, 1:])
+    mu = p[:, 0] / p[:, 1]              # b x 1 x 1
+    rinv_r = sol[:, 0] - mu * sol[:, 1]
+    q = np.matmul(rhs[:, 0] - mu, rinv_r.transpose(0, 2, 1)).ravel()
+    half_logdet = np.add.reduce(np.log(L.diagonal(axis1=1, axis2=2)), axis=1)
+    sigma2 = [max(s / n, 1e-300) for s in q.tolist()]
+    nll = [n * math.log(s) + 2.0 * h for s, h in zip(sigma2, half_logdet.tolist())]
+    return nll, mu.ravel(), sigma2, rinv_r[:, 0]
 
 
 # -- fitting ----------------------------------------------------------------
@@ -252,10 +278,14 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     evaluations: 80% go to a Latin-hypercube screen of the parameter box,
     the remainder to coordinate-wise golden-section refinement around the
     best screened point. The squared distances and the right-hand side
-    (y, ones) are built once per fit; each evaluation then forms R with one
-    product, factors it, solves for both columns in one triangular solve and
-    computes the NLL. A NaN or inf in ``y`` raises ``ValueError``, and so do
-    duplicate rows when ``noise`` is off.
+    (y, ones) are built once per fit. The screen's points are evaluated in
+    blocks of ``max(1, _KERNEL_BLOCK // n**2)`` parameter vectors, each
+    golden-section step alone: a block forms its matrices R with one stacked
+    product, factors them with one Cholesky call, solves each for both
+    columns in one triangular solve and takes the NLLs with array
+    operations. Every value has the bits of evaluating its vector alone, so
+    the block size never changes the search. A NaN or inf in ``y`` raises
+    ``ValueError``, and so do duplicate rows when ``noise`` is off.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -287,11 +317,12 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
                 "duplicate rows after normalization; refit with noise=True"
             )
 
-    # squared per-dimension distances (the kernel's broadcast), one flattened
-    # n x n block per row; every likelihood evaluation weights them with one
-    # (1, d) @ (d, n*n) product
+    # negated squared per-dimension distances (the kernel's broadcast), one
+    # flattened n x n block per row; every likelihood evaluation weights them
+    # with one (1, d) @ (d, n*n) product, which is then exactly the negated
+    # exponent, since IEEE rounding is symmetric in sign
     D = np.subtract(Z.T[:, :, None], Z.T[:, None, :], order="C")
-    D *= D
+    D *= -D
     D = D.reshape(d, n * n)
     rhs = _rhs(y)
 
@@ -301,16 +332,24 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
         lo = np.append(lo, NUGGET_LOG10_BOUNDS[0])
         hi = np.append(hi, NUGGET_LOG10_BOUNDS[1])
 
-    def objective(v: np.ndarray) -> float:
-        theta = v[:d]
-        nugget = 10.0 ** v[d] if control.noise else JITTER_FLOOR
-        R = np.exp(-np.dot((10.0 ** theta)[None, :], D)[0])
-        R[::n + 1] += nugget              # the diagonal of the flat n x n R
-        try:
-            L = np.linalg.cholesky(R.reshape(n, n))
-        except np.linalg.LinAlgError:
-            return math.inf
-        return _nll_from_chol(L, rhs)[0]
+    rows = max(1, _KERNEL_BLOCK // (n * n))
+
+    def objective(V: np.ndarray) -> list[float]:
+        """NLL at each row of ``V`` (theta, then the log10 nugget when
+        ``noise``), in blocks of ``rows`` parameter vectors."""
+        out = []
+        for i in range(0, V.shape[0], rows):
+            B = V[i:i + rows]
+            # (b, 1, d) @ (d, n*n): per row the bits of a (1, d) @ (d, n*n)
+            # np.dot, which a (b, d) @ (d, n*n) product does not give
+            R = np.matmul((10.0 ** B[:, :d])[:, None, :], D)
+            np.exp(R, out=R)
+            # the diagonals of the flat n x n matrices; scalar powers, since an
+            # array power differs from them in the last bit
+            R[:, 0, ::n + 1] += (np.array([[10.0 ** x] for x in B[:, d].tolist()])
+                                 if control.noise else JITTER_FLOOR)
+            out += _nll(R.reshape(-1, n, n), rhs)
+        return out
 
     best_v, _ = _budgeted_search(objective, lo, hi, control.model_fun_evals, seed)
 
@@ -353,18 +392,19 @@ def _finalize(model: KrigingModel) -> None:
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
     model.nugget = float(model.nugget + jitter)
-    _, mu, sigma2, rinv_r = _nll_from_chol(L, _rhs(model.y))
+    _, mu, sigma2, rinv_r = _likelihood(L[None], _rhs(model.y))
     model.Z = Z
     model.ZT = np.ascontiguousarray(Z.T)
     model.t10 = 10.0 ** model.theta_log10
     model.chol = L
-    model.mu = float(mu)
-    model.sigma2 = float(max(sigma2, 0.0))
-    model.weights = rinv_r
+    model.mu = float(mu[0])
+    model.sigma2 = float(max(sigma2[0], 0.0))
+    model.weights = rinv_r[0]
 
 
 def _budgeted_search(objective, lo, hi, budget: int, seed: int):
-    """LHS screen (80% of budget), then coordinate-wise golden sections."""
+    """LHS screen (80% of budget), then coordinate-wise golden sections.
+    ``objective`` maps an m x dims array of parameter vectors to m values."""
     rng = np.random.default_rng(seed)
     dims = lo.size
     n_screen = max(2, int(0.8 * budget))
@@ -372,9 +412,8 @@ def _budgeted_search(objective, lo, hi, budget: int, seed: int):
     center = 0.5 * (lo + hi)
     pts[0] = center        # always include the box center
     best_v, best_f = None, math.inf
-    for v in pts:
-        f = objective(v)
-        if f < best_f:
+    for v, f in zip(pts, objective(pts)):
+        if f < best_f:      # the first strict improvement; never NaN or inf
             best_v, best_f = v.copy(), f
     used = n_screen
 
@@ -401,7 +440,7 @@ def _golden_coordinate(objective, v0, k, a, b, budget):
     def f(x):
         v = v0.copy()
         v[k] = x
-        return objective(v)
+        return objective(v[None, :])[0]
 
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

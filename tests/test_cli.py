@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from spotkit import surrogate as sg
 from spotkit.cli import main
 
 ARTIFACTS = ["run_state.json", "events.csv", "results.csv",
@@ -52,11 +53,16 @@ class TestTune:
         assert "nowhere.json" in capsys.readouterr().err
 
     def test_tuner_noise_rejected(self, tmp_path, capsys):
-        # the surrogate block owns the nugget; a tuner-level flag would be ignored
-        cfg = write_config(tmp_path / "exp.json",
-                           tuner={"fun_evals": 14, "noise": True})
-        assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "noise" in capsys.readouterr().err
+        for block, key in [
+            # the surrogate block owns the nugget; a tuner-level flag would be
+            # ignored
+            ({"tuner": {"fun_evals": 14, "noise": True}}, "noise"),
+            # inputs are always min-max normalized; there is nothing to select
+            ({"surrogate": {"model_fun_evals": 250, "cod_type": "norm"}}, "cod_type"),
+        ]:
+            cfg = write_config(tmp_path / "exp.json", **block)
+            assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert key in capsys.readouterr().err
 
     def test_invalid_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -98,6 +104,21 @@ class TestTune:
                      "--fun-evals", "10"]) == 0
         state = json.load(open(os.path.join(out, "run_state.json")))
         assert len(state["y"]) == 10
+
+    def test_artifact_refit_failure_reported(self, sphere_config, tmp_path,
+                                             monkeypatch, capsys):
+        def failing_fit(*args, **kwargs):
+            raise sg.FitError("synthetic refit failure")
+
+        monkeypatch.setattr(sg, "fit", failing_fit)
+        out = str(tmp_path / "run")
+        assert main(["tune", "--config", sphere_config, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err.count("FitError: synthetic refit failure") == 1
+        for name in ARTIFACTS:
+            assert os.path.exists(os.path.join(out, name)), name
+        rows = open(os.path.join(out, "importance.csv")).read().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0", "0.0"]
 
     def test_external_objective(self, tmp_path):
         code = ("import json,sys; req=json.loads(sys.stdin.readline()); "
@@ -192,6 +213,22 @@ class TestResume:
         before = open(os.path.join(out, "run_state.json")).read()
         assert main(["resume", "--out", out, "--fun-evals", "0"]) == 1
         assert open(os.path.join(out, "run_state.json")).read() == before
+
+    def test_toynet_budget_bump_retrains_winner(self, tmp_path, capsys):
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.json")
+        full, bumped = str(tmp_path / "full"), str(tmp_path / "bumped")
+        assert main(["tune", "--config", config, "--out", full,
+                     "--fun-evals", "13"]) == 0
+        want = capsys.readouterr().out.splitlines()[-1]
+        assert want.startswith("final hold-out loss")
+        assert main(["tune", "--config", config, "--out", bumped,
+                     "--fun-evals", "12"]) == 0
+        capsys.readouterr()
+        assert main(["resume", "--out", bumped, "--fun-evals", "13"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == want
+        models = [open(os.path.join(d, "tuned_model.json")).read()
+                  for d in (full, bumped)]
+        assert models[0] == models[1]
 
     def test_missing_dir_exits_1(self, tmp_path, capsys):
         assert main(["resume", "--out", str(tmp_path / "void")]) == 1

@@ -43,6 +43,13 @@ def two_solve_nll(Z, y, v, noise):
         D[k] = diff * diff
     R = np.exp(-np.tensordot(10.0 ** v[:d], D, axes=1))
     R[np.diag_indices_from(R)] += 10.0 ** v[d] if noise else JITTER_FLOOR
+    return cho_nll(R, y)
+
+
+def cho_nll(R, y):
+    """Reference NLL of one correlation matrix: its Cholesky factor, then one
+    cho_solve per right-hand side; +inf when R is not positive definite."""
+    n = y.size
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
@@ -54,6 +61,19 @@ def two_solve_nll(Z, y, v, noise):
     rinv_r = rinv_y - mu * rinv_one
     sigma2 = max(float((y - mu) @ rinv_r) / n, 1e-300)
     return n * math.log(sigma2) + 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def fit_objective(monkeypatch, X, y, control):
+    """The likelihood function ``fit`` hands to its search, with the box."""
+    captured = []
+
+    def capture(objective, lo, hi, budget, seed):
+        captured.append((objective, lo, hi))
+        return 0.5 * (lo + hi), 0.0
+
+    monkeypatch.setattr(sg, "_budgeted_search", capture)
+    fit(X, y, control, seed=0)
+    return captured.pop()
 
 
 def loop_kernel(A, B, t10):
@@ -115,23 +135,18 @@ class TestNegLogLikelihood:
 class TestFitObjective:
     @pytest.mark.parametrize("noise", [False, True])
     def test_bit_equal_to_two_solve_reference(self, monkeypatch, noise):
-        captured = []
-
-        def capture(objective, lo, hi, budget, seed):
-            captured.append((objective, lo, hi))
-            return 0.5 * (lo + hi), 0.0
-
-        monkeypatch.setattr(sg, "_budgeted_search", capture)
         rng = np.random.default_rng(11)
         for n, d in [(6, 1), (17, 3), (40, 4), (73, 2)]:
             X = rng.random((n, d)) * 3.0 - 1.0
             y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
-            fit(X, y, SurrogateControl(noise=noise), seed=0)
-            objective, lo, hi = captured.pop()
+            objective, lo, hi = fit_objective(
+                monkeypatch, X, y, SurrogateControl(noise=noise))
             Z = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0))
-            for _ in range(25):
-                v = rng.uniform(lo, hi)
-                assert objective(v) == two_solve_nll(Z, y, v, noise)
+            V = rng.uniform(lo, hi, (25, lo.size))
+            want = [two_solve_nll(Z, y, v, noise) for v in V]
+            # one row at a time, and all 25 rows as one call
+            assert [objective(v[None, :])[0] for v in V] == want
+            assert objective(V) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_y_raises(self, bad):
@@ -139,6 +154,57 @@ class TestFitObjective:
         y = np.array([0.0, bad, 0.4, 1.0])
         with pytest.raises(ValueError):
             fit(X, y, SurrogateControl(model_fun_evals=20), seed=0)
+
+
+class TestBlockLikelihood:
+    """The fit's likelihood over blocks of parameter vectors gives, row for
+    row, the bits of evaluating one vector at a time."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_blocks_bit_equal_to_rows(self, monkeypatch, noise):
+        rng = np.random.default_rng(21 + noise)
+        block_sizes = set()
+        for i, n in enumerate([2, 3, 7, 16, 30, 45, 64, 90, 91, 128]):
+            d = 1 + i % 6
+            X = rng.random((n, d))
+            y = np.sin(4.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
+            objective, lo, hi = fit_objective(
+                monkeypatch, X, y, SurrogateControl(noise=noise))
+            rows = max(1, sg._KERNEL_BLOCK // (n * n))
+            block_sizes.add(rows)
+            # two full blocks and part of a third, at most 40 rows
+            m = min(2 * rows + 3, 40)
+            V = rng.uniform(lo, hi, (m, lo.size))
+            Z = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0))
+            got = objective(V)
+            assert got == [objective(v[None, :])[0] for v in V]
+            assert got == [two_solve_nll(Z, y, v, noise) for v in V]
+        assert 1 in block_sizes and max(block_sizes) > 1
+
+    def test_non_pd_matrix_mid_block(self):
+        rng = np.random.default_rng(4)
+        Z = rng.random((12, 2))
+        y = Z[:, 0] - 2.0 * Z[:, 1] ** 2
+        R = np.stack([sg._correlation(Z, rng.uniform(-1.0, 2.0, 2), 1e-10)
+                      for _ in range(5)])
+        R[2] = 1.0                      # all ones: singular, not positive definite
+        got = sg._nll(R, sg._rhs(y))
+        assert got[2] == math.inf
+        assert got == [cho_nll(Ri, y) for Ri in R]
+        assert all(math.isfinite(f) for i, f in enumerate(got) if i != 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_y_raises_in_block(self, bad):
+        rng = np.random.default_rng(5)
+        Z = rng.random((10, 2))
+        y = Z.sum(axis=1)
+        y[3] = bad
+        R = np.stack([sg._correlation(Z, np.zeros(2), 1e-10) for _ in range(4)])
+        R[0] = 1.0                      # a non-PD first matrix does not hide it
+        with pytest.raises(ValueError):
+            sg._nll(R, sg._rhs(y))
+        with pytest.raises(ValueError):
+            sg._nll(R[1:], sg._rhs(y))
 
 
 class TestFit:
@@ -329,9 +395,9 @@ class TestLhsScreen:
     def test_screen_bit_equal_to_old_sampler(self, budget, dims):
         seen = []
 
-        def objective(v):
-            seen.append(v.copy())
-            return float(np.sum((v - 0.3) ** 2))
+        def objective(V):
+            seen.extend(V.copy())
+            return [float(np.sum((v - 0.3) ** 2)) for v in V]
 
         lo, hi = np.full(dims, -4.0), np.full(dims, 3.0)
         sg._budgeted_search(objective, lo, hi, budget, seed=17)
@@ -385,5 +451,3 @@ def test_control_validation():
         SurrogateControl(min_theta=3.0, max_theta=-4.0)
     with pytest.raises(ValueError):
         SurrogateControl(model_fun_evals=0)
-    with pytest.raises(ValueError):
-        SurrogateControl(cod_type="standardize")
