@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .searchspace import (  # noqa: F401
     ParamSpec,
     SearchSpace,
-    apply_transform,
     gen_design_table,
     parse_hyper_dict,
     serialize_hyper_dict,

@@ -6,7 +6,9 @@ surrogate control blocks. Outputs land in one directory per run:
 run_state.json, events.csv, results.csv, importance.csv, progress.csv,
 parallel.csv plus one contour file per important parameter pair.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure. A runtime
+failure prints ``error: <exception class>: <message>``, and with
+SPOTKIT_DEBUG=1 in the environment also its traceback.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .searchspace import (
 from .toynet import HyperConfig, generate_dataset
 
 SEED_ENV_VAR = "SPOTKIT_SEED"
+DEBUG_ENV_VAR = "SPOTKIT_DEBUG"
 IMPORTANCE_PAIR_THRESHOLD = 0.025
 
 
@@ -306,8 +310,7 @@ def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
         if exp["objective"] == "toynet":
             _final_train_test(exp, space, state, out_dir, seed)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _runtime_error(err)
     return 0
 
 
@@ -341,8 +344,7 @@ def cmd_bench(args) -> int:
             spot_best.append(spot_state.best_y)
             rand_best.append(rand_state.best_y)
     except Exception as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _runtime_error(err)
 
     wins = sum(1 for s, r in zip(spot_best, rand_best) if s < r)
     rows = [
@@ -367,6 +369,14 @@ def _bench_row(method: str, evals: int, bests: list[float], wins: str) -> dict:
 
 
 # -- shared helpers ----------------------------------------------------------------
+
+def _runtime_error(err: Exception) -> int:
+    """Report a failure of a running command on stderr; the exit code 2."""
+    print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+    if os.environ.get(DEBUG_ENV_VAR) == "1":
+        traceback.print_exception(type(err), err, err.__traceback__, file=sys.stderr)
+    return 2
+
 
 def _apply_budget_flags(exp: dict, args) -> bool:
     """Write ``--max-time`` / ``--fun-evals`` into the experiment's tuner

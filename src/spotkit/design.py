@@ -4,6 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it with spotkit keeps that cost
+# in a command's start-up instead of its first iteration
+import numpy.random  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,12 @@ def make_batches(dataset: SyntheticDataset, batch_size: int,
 # -- single-epoch passes ------------------------------------------------------
 
 def clip_gradient(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> np.ndarray:
-    """Global-norm clip; an over-norm gradient comes back at exactly max_norm."""
-    norm = float(np.linalg.norm(grad))
+    """Global-norm clip; an over-norm gradient comes back at exactly max_norm.
+
+    The norm is taken with ``einsum``, not ``np.linalg.norm``, whose BLAS
+    ``ddot`` sums in an order that depends on the BLAS thread count.
+    """
+    norm = math.sqrt(np.einsum("i,i->", grad, grad))
     if norm > max_norm:
         return grad * (max_norm / norm)
     return grad

@@ -97,9 +97,7 @@ def optimizer_handler(name: str, lr_mult: float = 1.0,
     elif name == "AdamW":
         kw = dict(weight_decay=1e-2)
     elif name == "ASGD":
-        # momentum/nesterov defaults are recorded for completeness but the
-        # averaging rule does not use them
-        kw = dict(lambd=1e-4, asgd_alpha=0.75, t0=1e6, momentum=0.9, nesterov=False)
+        kw = dict(lambd=1e-4, asgd_alpha=0.75, t0=1e6)
     elif name == "NAdam":
         kw = dict(momentum_decay=0.0)
     elif name == "RMSprop":

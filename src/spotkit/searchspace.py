@@ -136,15 +136,6 @@ class ParamSpec:
         return raw
 
 
-def apply_transform(spec: ParamSpec, raw: float):
-    """Map an internal-scale value to natural units per the spec's transform.
-
-    Integer kinds are rounded before the bounds check; out-of-bounds values
-    raise. power_2_int maps k to 2**k, factors decode to their level string.
-    """
-    return spec.decode(raw)
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Ordered collection of parameter specs with derived active/fixed masks."""

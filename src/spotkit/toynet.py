@@ -6,7 +6,6 @@ objective that exercises every tuned hyperparameter without external data.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -35,14 +34,6 @@ class SyntheticDataset:
 
     def subset(self, idx) -> "SyntheticDataset":
         return SyntheticDataset(self.features[idx], self.labels[idx])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        cols = [f"x{i}" for i in range(self.input_dim)] + ["label"]
-        buf.write(",".join(cols) + "\n")
-        for row, lab in zip(self.features, self.labels):
-            buf.write(",".join(repr(v) for v in row) + f",{lab}\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -200,12 +191,6 @@ def log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -float(log_probs[np.arange(labels.size), labels].mean()), log_probs
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of raw logits, log-sum-exp stabilized."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    return log_softmax_loss(logits, np.asarray(labels, dtype=int))[0]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

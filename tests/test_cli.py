@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-from spotkit import surrogate as sg
+from spotkit import surrogate as sg, tuner as tn
 from spotkit.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ARTIFACTS = ["run_state.json", "events.csv", "results.csv",
              "importance.csv", "progress.csv", "parallel.csv"]
@@ -273,3 +276,45 @@ def test_unknown_builtin_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", objective="builtin:rastrigin")
     assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "rastrigin" in capsys.readouterr().err
+
+
+class TestRuntimeErrors:
+    """A failure inside a running command is reported with its exception
+    class, and with its traceback only when SPOTKIT_DEBUG=1."""
+
+    @pytest.mark.parametrize("debug", [None, "1"])
+    @pytest.mark.parametrize("command", ["tune", "bench"])
+    def test_class_and_traceback_on_demand(self, command, debug, sphere_config,
+                                           tmp_path, monkeypatch, capsys):
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(tn, "run", failing_run)
+        if debug is None:
+            monkeypatch.delenv("SPOTKIT_DEBUG", raising=False)
+        else:
+            monkeypatch.setenv("SPOTKIT_DEBUG", debug)
+        argv = [command, "--config", sphere_config, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--reps", "1"] if command == "bench" else [])) == 2
+        err = capsys.readouterr().err
+        assert "error: RuntimeError: boom" in err
+        assert ("Traceback (most recent call last)" in err) == (debug == "1")
+
+
+def test_events_independent_of_blas_threads(tmp_path):
+    """A short ToyNet tune writes the same events.csv with BLAS at one thread
+    and at two: gradient clipping and the net's matrix products must not
+    depend on how BLAS splits its work."""
+    events = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env.pop("SPOTKIT_SEED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "spotkit.cli", "tune", "--config",
+                        os.path.join(REPO, "configs", "toy.json"),
+                        "--fun-evals", "15", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        events.append((out / "events.csv").read_text())
+    assert events[0] == events[1]

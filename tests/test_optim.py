@@ -44,11 +44,6 @@ class TestHandler:
         with pytest.raises(ValueError, match="unknown optimizer"):
             optimizer_handler("Lion", 1.0, 0.0)
 
-    def test_asgd_records_unused_momentum_defaults(self):
-        cfg = optimizer_handler("ASGD", 1.0, 0.0)
-        assert cfg.momentum == 0.9
-        assert cfg.nesterov is False
-
 
 class TestSingleStepOracles:
     """Each expected value is the kind's published update expanded by hand

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spotkit.searchspace import (
-    ParamSpec, SearchSpace, apply_transform, gen_design_table,
+    ParamSpec, SearchSpace, gen_design_table,
     parse_hyper_dict, serialize_hyper_dict, table_to_csv,
 )
 
@@ -135,25 +135,25 @@ class TestModifyLevels:
 
 class TestTransforms:
     def test_power_of_two_widths(self, reference_space):
-        assert apply_transform(reference_space.spec("l1"), 5) == 32
-        assert apply_transform(reference_space.spec("batch_size"), 4) == 16
+        assert reference_space.spec("l1").decode(5) == 32
+        assert reference_space.spec("batch_size").decode(4) == 16
 
     def test_float_identity(self, reference_space):
-        assert apply_transform(reference_space.spec("sgd_momentum"), 0.3) == 0.3
+        assert reference_space.spec("sgd_momentum").decode(0.3) == 0.3
 
     def test_rounds_int_before_check(self, reference_space):
-        assert apply_transform(reference_space.spec("l1"), 6.6) == 2 ** 7
+        assert reference_space.spec("l1").decode(6.6) == 2 ** 7
 
     def test_out_of_bounds_rejected(self, reference_space):
         with pytest.raises(ValueError, match="outside"):
-            apply_transform(reference_space.spec("l1"), 11.0)
+            reference_space.spec("l1").decode(11.0)
 
     def test_factor_decode(self, reference_space):
-        assert apply_transform(reference_space.spec("optimizer"), 0) == "Adadelta"
+        assert reference_space.spec("optimizer").decode(0) == "Adadelta"
 
     def test_bijection_onto_powers(self, reference_space):
         spec = reference_space.spec("l1")
-        values = [apply_transform(spec, k) for k in range(2, 10)]
+        values = [spec.decode(k) for k in range(2, 10)]
         assert values == [4, 8, 16, 32, 64, 128, 256, 512]
 
 

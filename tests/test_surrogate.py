@@ -1,9 +1,14 @@
+import importlib.util
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from spotkit import surrogate as sg
 from spotkit.design import DesignControl, latin_hypercube
@@ -322,6 +327,84 @@ class TestPredict:
         inside = model.predict([1.0, 1.0])
         outside = model.predict([5.0, 5.0])
         assert inside == outside
+
+
+def solve_triangular_variance(model, X):
+    """The variance as ``predict_batch`` formed it through
+    ``scipy.linalg.solve_triangular``."""
+    psi = sg._kernel(model._normalize(X), model.Z, model.t10)
+    v = solve_triangular(model.chol, psi.T, lower=True)
+    return np.maximum(model.sigma2 * (1.0 + model.nugget - np.einsum("ij,ij->j", v, v)),
+                      0.0)
+
+
+class TestPredictVariance:
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_bit_equal_to_solve_triangular(self, noise):
+        rng = np.random.default_rng(11 + noise)
+        for d in range(1, 7):
+            for n in (3, 7, 20, 45, 90):
+                X = rng.random((n, d)) * rng.uniform(0.5, 20.0, d)
+                y = np.cos(3.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
+                model = fit(X, y, SurrogateControl(noise=noise, model_fun_evals=40),
+                            seed=int(rng.integers(1000)))
+                lo, hi = model.norm_min, model.norm_min + model.norm_span
+                span = hi - lo
+                probes = np.vstack([rng.uniform(lo, hi, (25, d)),       # inside
+                                    rng.uniform(lo - span, hi + span, (25, d)),
+                                    model.X[:3]])
+                var = model.predict_batch(probes)[1]
+                assert np.array_equal(var, solve_triangular_variance(model, probes)), (d, n)
+
+    def test_nan_query_raises(self):
+        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
+        model = fit(X, np.array([1.0, 2.0, 0.5]), SurrogateControl(model_fun_evals=50),
+                    seed=0)
+        with pytest.raises(ValueError, match="NaN"):
+            model.predict_batch(np.array([[0.2, 0.3], [np.nan, 0.5]]))
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter importing this checkout's spotkit."""
+    src = os.path.dirname(os.path.dirname(sg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLapackLoader:
+    def test_cli_import_skips_scipy_linalg(self):
+        out = run_fresh("import sys, spotkit.cli\n"
+                        "print(sorted(m for m in ('scipy.linalg', 'scipy._lib._array_api')"
+                        " if m in sys.modules))")
+        assert out.strip() == "[]"
+
+    def test_later_scipy_linalg_import_shares_module(self):
+        out = run_fresh("import numpy as np\n"
+                        "from spotkit import surrogate\n"
+                        "import scipy.linalg\n"
+                        "from scipy.linalg import _flapack\n"
+                        "print(scipy.linalg.lapack.dpotrs is surrogate.dpotrs,"
+                        " _flapack is surrogate._flapack,"
+                        " scipy.linalg.solve_triangular(np.eye(2), np.ones(2)).tolist())")
+        assert out.split() == ["True", "True", "[1.0,", "1.0]"]
+
+    def test_imported_module_reused(self):
+        from scipy.linalg import lapack
+
+        assert sg.dpotrs is lapack.dpotrs and sg.dtrtrs is lapack.dtrtrs
+
+    def test_missing_file_named(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        (tmp_path / "linalg").mkdir()
+        fake = importlib.util.spec_from_file_location(
+            "scipy", tmp_path / "__init__.py", submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+        with pytest.raises(ImportError, match=re.escape(os.path.join("linalg", "_flapack"))):
+            sg._load_flapack()
 
 
 class TestPredictMean:
