@@ -13,6 +13,7 @@ SPOTKIT_DEBUG=1 in the environment also its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -27,7 +28,7 @@ from .design import DesignControl
 from .evalharness import EvalResult, external_evaluate, make_toy_objective
 from .searchspace import (
     ParamSpec, SearchSpace, gen_design_table, parse_hyper_dict, render_table,
-    serialize_hyper_dict, table_to_csv,
+    serialize_hyper_dict,
 )
 from .toynet import HyperConfig, generate_dataset
 
@@ -184,7 +185,7 @@ def build_objective(exp: dict, seed: int):
     raise ConfigError(f"unknown objective selector {selector!r}")
 
 
-def _controls(exp: dict, space: SearchSpace, seed: int):
+def _controls(exp: dict, seed: int):
     try:
         tuner_kw = dict(exp.get("tuner", {}))
         if str(tuner_kw.get("fun_evals", "")).lower() in ("inf", "infinity"):
@@ -193,9 +194,7 @@ def _controls(exp: dict, space: SearchSpace, seed: int):
         design_kw = dict(exp.get("design", {}))
         design_kw.setdefault("seed", tn._child_seed(seed, 5))
         design_cfg = DesignControl(**design_kw)
-        surr_kw = dict(exp.get("surrogate", {}))
-        surr_kw.setdefault("n_theta", space.n_active)
-        surr_cfg = sg.SurrogateControl(**surr_kw)
+        surr_cfg = sg.SurrogateControl(**exp.get("surrogate", {}))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad control block: {err}") from None
     return tuner_cfg, design_cfg, surr_cfg
@@ -232,7 +231,7 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
                     for p in space.params])
 
     rows = gen_design_table(space, state, report)
-    tn.atomic_write(os.path.join(out_dir, "results.csv"), table_to_csv(rows))
+    tn.atomic_write(os.path.join(out_dir, "results.csv"), analysis.rows_to_csv(rows))
     tn.atomic_write(os.path.join(out_dir, "progress.csv"),
                     analysis.rows_to_csv(analysis.export_progress(state)))
     tn.atomic_write(os.path.join(out_dir, "importance.csv"),
@@ -258,7 +257,7 @@ def cmd_tune(args) -> int:
     _apply_budget_flags(exp, args)
     space = build_space(exp)
     objective = build_objective(exp, seed)
-    controls = _controls(exp, space, seed)
+    controls = _controls(exp, seed)
 
     print(render_table(gen_design_table(space)))
     return _run_and_report(exp, space, seed, objective, controls, out_dir,
@@ -268,10 +267,7 @@ def cmd_tune(args) -> int:
 def cmd_resume(args) -> int:
     try:
         state = tn.load_run_state(args.out)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     meta = state.meta
@@ -285,7 +281,7 @@ def cmd_resume(args) -> int:
     try:
         space = parse_hyper_dict(meta["space_json"], meta["model"])
         objective = build_objective(exp, seed)
-        controls = _controls(exp, space, seed)
+        controls = _controls(exp, seed)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -315,15 +311,16 @@ def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ConfigError("--reps must be >= 1")
     exp = load_experiment(args.config)
     seed = _resolve_seed(exp, args.seed)
     space = build_space(exp)
-    _, design_cfg, surr_cfg = _controls(exp, space, seed)
-    tuner_kw = dict(exp.get("tuner", {}))
-    if not math.isfinite(float(tuner_kw.get("fun_evals", math.inf))):
+    tuner_cfg, design_cfg, surr_cfg = _controls(exp, seed)
+    if not math.isfinite(tuner_cfg.fun_evals):
         print("error: bench needs a finite tuner.fun_evals budget", file=sys.stderr)
         return 1
-    budget = int(tuner_kw["fun_evals"])
+    budget = int(tuner_cfg.fun_evals)
     if design_cfg.init_size * design_cfg.repeats > budget:
         print("error: initial design exceeds the bench budget", file=sys.stderr)
         return 1
@@ -333,11 +330,10 @@ def cmd_bench(args) -> int:
         for rep in range(args.reps):
             rep_seed = tn._child_seed(seed, 100, rep)
             objective = build_objective(exp, rep_seed)
-            tuner_cfg = tn.TunerConfig(**{**tuner_kw, "seed": rep_seed})
-            design_rep = DesignControl(init_size=design_cfg.init_size,
-                                       repeats=design_cfg.repeats,
-                                       seed=tn._child_seed(rep_seed, 5))
-            spot_state = tn.run(objective, space, tuner_cfg, design_rep, surr_cfg)
+            spot_state = tn.run(
+                objective, space, dataclasses.replace(tuner_cfg, seed=rep_seed),
+                dataclasses.replace(design_cfg, seed=tn._child_seed(rep_seed, 5)),
+                surr_cfg)
             rand_state = tn.random_search(objective, space, budget,
                                           seed=tn._child_seed(rep_seed, 6))
             assert len(spot_state) == budget and len(rand_state) == budget
@@ -354,7 +350,8 @@ def cmd_bench(args) -> int:
     print(render_table(rows))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        tn.atomic_write(os.path.join(args.out, "bench.csv"), table_to_csv(rows))
+        tn.atomic_write(os.path.join(args.out, "bench.csv"),
+                        analysis.rows_to_csv(rows))
     return 0
 
 

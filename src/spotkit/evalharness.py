@@ -17,7 +17,7 @@ import numpy as np
 
 from .optim import OptimizerConfig, OptimizerState, init_state, optimizer_handler, step
 from .toynet import (
-    HyperConfig, SyntheticDataset, ToyNet, accuracy, generate_dataset, log_softmax_loss,
+    HyperConfig, SyntheticDataset, ToyNet, generate_dataset, log_softmax_loss,
 )
 
 EVAL_SETTINGS = ("train_hold_out", "test_hold_out", "train_cv", "test_cv")

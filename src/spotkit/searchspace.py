@@ -9,7 +9,6 @@ removed from the tuned dimensions, when its lower and upper bound coincide
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -432,21 +431,6 @@ def render_table(rows: list[dict]) -> str:
     for row in cells:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def table_to_csv(rows: list[dict]) -> str:
-    """CSV rendering of table rows (deterministic formatting)."""
-    import csv
-
-    buf = io.StringIO()
-    if not rows:
-        return ""
-    writer = csv.writer(buf, lineterminator="\n")
-    cols = list(rows[0].keys())
-    writer.writerow(cols)
-    for r in rows:
-        writer.writerow([_cell(r[c]) for c in cols])
-    return buf.getvalue()
 
 
 def _cell(v) -> str:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -96,7 +95,6 @@ class SurrogateControl:
     noise: bool = False
     min_theta: float = -4.0
     max_theta: float = 3.0
-    n_theta: int | None = None     # None: one per input column
     model_fun_evals: int = 10_000
 
     def __post_init__(self):
@@ -194,38 +192,6 @@ class KrigingModel:
         w *= diff
         psi = np.exp(-np.add.reduce(w, axis=0))
         return float(self.mu + (psi[None, :] @ self.weights)[0])
-
-    # -- persistence -------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "X": self.X.tolist(),
-            "y": self.y.tolist(),
-            "theta_log10": self.theta_log10.tolist(),
-            "nugget": self.nugget,
-            "mu": self.mu,
-            "sigma2": self.sigma2,
-            "norm_min": self.norm_min.tolist(),
-            "norm_span": self.norm_span.tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "KrigingModel":
-        doc = json.loads(text)
-        model = cls(
-            X=np.asarray(doc["X"], dtype=float),
-            y=np.asarray(doc["y"], dtype=float),
-            theta_log10=np.asarray(doc["theta_log10"], dtype=float),
-            nugget=float(doc["nugget"]),
-            mu=float(doc["mu"]),
-            sigma2=float(doc["sigma2"]),
-            norm_min=np.asarray(doc["norm_min"], dtype=float),
-            norm_span=np.asarray(doc["norm_span"], dtype=float),
-        )
-        if model.sigma2 > 0.0 or np.ptp(model.y) > 0.0:
-            _finalize(model)
-        return model
 
 
 # -- likelihood ------------------------------------------------------------
@@ -353,8 +319,6 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
         raise ValueError("need at least two observations")
     if y.size != n:
         raise ValueError("X and y row counts differ")
-    if control.n_theta is not None and control.n_theta != d:
-        raise ValueError(f"n_theta={control.n_theta} but X has {d} columns")
 
     norm_min = X.min(axis=0)
     norm_span = X.max(axis=0) - norm_min
@@ -480,8 +444,6 @@ def _budgeted_search(objective, lo, hi, budget: int, seed: int):
         improved = False
         for k in range(dims):
             per = min(max(6, remaining // dims), remaining)
-            if per < 6:
-                break
             v, f, spent = _golden_coordinate(objective, best_v, k, lo[k], hi[k], per)
             remaining -= spent
             if f < best_f:

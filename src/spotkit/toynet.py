@@ -192,11 +192,3 @@ def log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -float(log_probs[np.arange(labels.size), labels].mean()), log_probs
 
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax matches; ties resolve to the lowest class index."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.asarray(labels, dtype=int)
-    if logits.shape[0] != labels.size:
-        raise ValueError("row count mismatch")
-    return float(np.mean(np.argmax(logits, axis=1) == labels))

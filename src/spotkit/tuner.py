@@ -32,7 +32,6 @@ class TunerConfig:
     fun_repeats: int = 1
     max_time: float = math.inf       # minutes
     tolerance_x: float = DEFAULT_TOLERANCE_X
-    infill_criterion: str = "y"
     n_points: int = 1
     seed: int = 123
 
@@ -43,10 +42,10 @@ class TunerConfig:
             raise ValueError("fun_repeats must be >= 1")
         if self.tolerance_x < 0:
             raise ValueError("tolerance_x must be >= 0")
-        if self.infill_criterion != "y":
-            raise ValueError("only the predicted-mean criterion 'y' is supported")
         if not (self.fun_evals >= 1):
             raise ValueError("fun_evals must be >= 1")
+        if math.isfinite(self.fun_evals) and self.fun_evals != int(self.fun_evals):
+            raise ValueError("fun_evals must be a whole number")
         if math.isinf(self.fun_evals) and math.isinf(self.max_time):
             raise ValueError("need a finite fun_evals or max_time budget")
 
@@ -321,7 +320,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
                 break
             x, fun, nfev = _nelder_mead(model.mean_at, probes[i], lo, hi, fev)
             remaining -= nfev
-            pool.append((float(fun), np.clip(x, lo, hi)))
+            pool.append((float(fun), x))
             if remaining < min_fev:
                 break
     pool.extend((float(mu[i]), probes[i]) for i in order)
@@ -335,13 +334,11 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
         if len(chosen) == n_points:
             break
     tries = 0
-    while len(chosen) < n_points and tries < 200:
+    while len(chosen) < n_points:      # distinct draws; any draw after 200 tries
         cand = _random_full_point(space, rng)
-        if _is_distinct(cand, chosen, tolerance_x):
+        if tries >= 200 or _is_distinct(cand, chosen, tolerance_x):
             chosen = np.vstack([chosen, cand])
         tries += 1
-    while len(chosen) < n_points:      # tiny lattices may admit no more
-        chosen = np.vstack([chosen, _random_full_point(space, rng)])
     return chosen
 
 
@@ -367,8 +364,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
         design: DesignControl | None = None,
         surrogate_control: sg.SurrogateControl | None = None,
         X_start: dict | None = None, out_dir: str | None = None,
-        state: RunState | None = None, meta: dict | None = None,
-        infill_budget: int | None = None) -> RunState:
+        state: RunState | None = None, meta: dict | None = None) -> RunState:
     """Execute (or resume) the tuning loop; returns the final run state.
 
     A failed evaluation is recorded at a finite worst-case penalty and the
@@ -382,8 +378,6 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     surrogate_control = surrogate_control or sg.SurrogateControl()
     if space.n_active < 1:
         raise ValueError("search space has no active dimensions")
-    if infill_budget is None:
-        infill_budget = 200 + 100 * space.n_active
 
     state = state if state is not None else RunState()
     if meta:
@@ -427,7 +421,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
             np.random.SeedSequence(entropy=tuner.seed, spawn_key=(3, k)))
         if model is not None:
             cands = suggest_next(
-                state, model, space, tuner.n_points, infill_budget,
+                state, model, space, tuner.n_points, 200 + 100 * space.n_active,
                 seed=_child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,
             )
         else:

@@ -62,6 +62,12 @@ class TestTune:
             ({"tuner": {"fun_evals": 14, "noise": True}}, "noise"),
             # inputs are always min-max normalized; there is nothing to select
             ({"surrogate": {"model_fun_evals": 250, "cod_type": "norm"}}, "cod_type"),
+            # one theta per active column is the only count a fit accepts
+            ({"surrogate": {"model_fun_evals": 250, "n_theta": 3}}, "n_theta"),
+            # the predicted mean is the only infill criterion
+            ({"tuner": {"fun_evals": 14, "infill_criterion": "y"}}, "infill_criterion"),
+            # a fractional budget would overrun to the next whole evaluation
+            ({"tuner": {"fun_evals": 12.5}}, "fun_evals"),
         ]:
             cfg = write_config(tmp_path / "exp.json", **block)
             assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -270,6 +276,16 @@ class TestBench:
     def test_infinite_budget_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json", tuner={"max_time": 1})
         assert main(["bench", "--config", cfg, "--reps", "2"]) == 1
+
+    def test_fractional_budget_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json", tuner={"fun_evals": 12.5})
+        assert main(["bench", "--config", cfg, "--reps", "1"]) == 1
+        assert "fun_evals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_rejected(self, reps, sphere_config, capsys):
+        assert main(["bench", "--config", sphere_config, "--reps", reps]) == 1
+        assert "error: --reps must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_builtin_rejected(tmp_path, capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spotkit.analysis import rows_to_csv
 from spotkit.searchspace import (
     ParamSpec, SearchSpace, gen_design_table,
-    parse_hyper_dict, serialize_hyper_dict, table_to_csv,
+    parse_hyper_dict, serialize_hyper_dict,
 )
 
 
@@ -264,7 +265,7 @@ class TestDesignTable:
         ]
         assert rows[0]["importance"] == 100.0
         assert rows[0]["stars"] == "***"
-        csv_text = table_to_csv(rows)
+        csv_text = rows_to_csv(rows)
         assert csv_text.splitlines()[0].startswith("name,type,default")
 
 

@@ -1,5 +1,4 @@
 import importlib.util
-import json
 import math
 import os
 import re
@@ -13,7 +12,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from spotkit import surrogate as sg
 from spotkit.design import DesignControl, latin_hypercube
 from spotkit.surrogate import (
-    JITTER_FLOOR, KrigingModel, SurrogateControl, fit, neg_log_likelihood,
+    JITTER_FLOOR, SurrogateControl, fit, neg_log_likelihood,
 )
 
 
@@ -263,11 +262,6 @@ class TestFit:
         with pytest.raises(ValueError, match="two"):
             fit(np.array([[0.0]]), np.array([1.0]))
 
-    def test_n_theta_validated(self):
-        X = np.random.default_rng(0).random((5, 2))
-        with pytest.raises(ValueError, match="n_theta"):
-            fit(X, np.arange(5.0), SurrogateControl(n_theta=3, model_fun_evals=50))
-
     def test_fitted_theta_beats_64_random(self):
         # likelihood-consistency: the budgeted search must never lose to a
         # blind random draw at the same nugget
@@ -442,19 +436,16 @@ class TestMeanAt:
             # inside the data box, and outside it (clamped)
             probes = np.vstack([rng.random((20, d)) * 2.0 - 0.5,
                                 rng.random((20, d)) * 6.0 - 3.0])
-            loaded = KrigingModel.from_json(model.to_json())
-            for m in (model, loaded):
-                for p in probes:
-                    assert m.mean_at(p) == m.predict_mean(p[None, :])[0]
-                    assert type(m.mean_at(p)) is float
+            for p in probes:
+                assert model.mean_at(p) == model.predict_mean(p[None, :])[0]
+                assert type(model.mean_at(p)) is float
 
     def test_constant_data_model(self):
         X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
         model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
-        for m in (model, KrigingModel.from_json(model.to_json())):
-            for p in ([0.3, 0.3], [2.0, -1.0]):
-                p = np.array(p)
-                assert m.mean_at(p) == m.predict_mean(p[None, :])[0] == 3.5
+        for p in ([0.3, 0.3], [2.0, -1.0]):
+            p = np.array(p)
+            assert model.mean_at(p) == model.predict_mean(p[None, :])[0] == 3.5
 
     def test_input_left_unchanged(self):
         rng = np.random.default_rng(1)
@@ -507,19 +498,6 @@ def test_rescaled_column_leaves_ranking_unchanged():
     m2 = fit(X2, y, control, seed=4)
     best2 = int(np.argmin(m2.predict_batch(c2)[0]))
     assert best1 == best2
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(1)
-    X = rng.random((8, 2))
-    y = X[:, 0] * X[:, 1]
-    model = fit(X, y, SurrogateControl(model_fun_evals=300), seed=0)
-    clone = KrigingModel.from_json(model.to_json())
-    probes = rng.random((20, 2))
-    np.testing.assert_allclose(clone.predict_batch(probes)[0],
-                               model.predict_batch(probes)[0], rtol=1e-12)
-    doc = json.loads(model.to_json())
-    assert set(doc) >= {"theta_log10", "nugget", "mu", "sigma2", "norm_min", "norm_span"}
 
 
 def test_noise_free_nugget_stays_at_jitter_scale():

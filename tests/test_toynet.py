@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spotkit.evalharness import validate_one_epoch
 from spotkit.toynet import (
-    HyperConfig, NUM_CLASSES, ToyNet, accuracy, generate_dataset, log_softmax_loss,
+    HyperConfig, NUM_CLASSES, ToyNet, generate_dataset, log_softmax_loss,
 )
 
 
@@ -89,25 +90,12 @@ class TestForwardAndLoss:
 
 
 class TestAccuracy:
-    def test_all_correct(self):
-        logits = np.eye(NUM_CLASSES)
-        assert accuracy(logits, np.arange(NUM_CLASSES)) == 1.0
-
-    def test_all_wrong(self):
-        logits = np.zeros((3, NUM_CLASSES))
-        logits[:, 0] = 1.0
-        assert accuracy(logits, np.array([1, 2, 3])) == 0.0
-
-    def test_three_of_four(self):
-        logits = np.zeros((4, NUM_CLASSES))
-        for i, c in enumerate([1, 2, 3, 4]):
-            logits[i, c] = 1.0
-        assert accuracy(logits, np.array([1, 2, 3, 9])) == 0.75
-
     def test_tie_breaks_to_lowest_class(self):
-        logits = np.zeros((1, NUM_CLASSES))   # all equal
-        assert accuracy(logits, np.array([0])) == 1.0
-        assert accuracy(logits, np.array([5])) == 0.0
+        net = ToyNet(input_dim=3, l1=4, l2=4)
+        net.set_params(np.zeros(net.n_params))      # all logits equal
+        X = np.ones((1, 3))
+        assert validate_one_epoch(net, [(X, np.array([0]))])[0] == 1.0
+        assert validate_one_epoch(net, [(X, np.array([5]))])[0] == 0.0
 
 
 def reference_loss_and_grad(net, X, labels):

@@ -8,8 +8,9 @@ from spotkit.evalharness import EvalResult
 from spotkit.searchspace import ParamSpec, SearchSpace
 from spotkit.surrogate import SurrogateControl, fit
 from spotkit.tuner import (
-    RunState, TunerConfig, _fit_inputs, _nelder_mead, best, events_csv,
-    load_run_state, random_search, run, suggest_next, worst_sentinel,
+    RunState, TunerConfig, _embed_active, _fit_inputs, _is_distinct, _nelder_mead,
+    _random_full_point, best, events_csv, load_run_state, random_search, run,
+    suggest_next, worst_sentinel,
 )
 
 
@@ -347,6 +348,47 @@ class TestSuggestNext:
         assert np.all(arr[:, 2] == -2.0)
         assert len(np.unique(arr[:, 1])) == 4
 
+    @staticmethod
+    def two_loop_fill(chosen, space, rng, n_points, tolerance_x):
+        """The former random fill, kept as the reference: up to 200 draws
+        that must be distinct, then any draw."""
+        tries = 0
+        while len(chosen) < n_points and tries < 200:
+            cand = _random_full_point(space, rng)
+            if _is_distinct(cand, chosen, tolerance_x):
+                chosen = np.vstack([chosen, cand])
+            tries += 1
+        while len(chosen) < n_points:
+            chosen = np.vstack([chosen, _random_full_point(space, rng)])
+        return chosen
+
+    def test_random_fill_matches_two_loop_version(self):
+        # three binary dimensions: 8 lattice points for 9-12 candidates, so
+        # the fill runs out of distinct draws and takes any draw; 2 * n_points
+        # probes (no Nelder-Mead budget) leave some points to the fill
+        space = SearchSpace(tuple(
+            ParamSpec(name=f"b{i}", kind="int", default=0, lower=0.0, upper=1.0)
+            for i in range(3)
+        ))
+        X = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], float)
+        model = fit(X, X @ [1.0, 2.0, 0.5], FAST_SURROGATE, seed=0)
+        lo, hi = np.zeros(3), np.ones(3)
+        drew_new = drew_any = False
+        for seed in range(6):
+            for n_points in (9, 10, 12):
+                cands = suggest_next(RunState(), model, space, n_points=n_points,
+                                     budget=2 * n_points, seed=seed,
+                                     tolerance_x=1e-8)
+                rng = np.random.default_rng(np.random.SeedSequence(seed))
+                probes = rng.uniform(lo, hi, size=(2 * n_points, 3))
+                k = len(np.unique([_embed_active(space, p) for p in probes], axis=0))
+                ref = self.two_loop_fill(cands[:k], space, rng, n_points, 1e-8)
+                assert np.array_equal(cands, ref)
+                n_distinct = len(np.unique(cands, axis=0))
+                drew_new |= n_distinct > k
+                drew_any |= n_distinct < n_points
+        assert drew_new and drew_any
+
 
 def scipy_nelder_mead(f, x0, lo, hi, maxfev):
     from scipy.optimize import minimize
@@ -530,11 +572,11 @@ class TestPersistence:
         with pytest.raises(ValueError):
             TunerConfig(n_points=0)
         with pytest.raises(ValueError):
-            TunerConfig(infill_criterion="ei")
-        with pytest.raises(ValueError):
             TunerConfig(fun_evals=math.inf, max_time=math.inf)
         with pytest.raises(ValueError):
             TunerConfig(tolerance_x=-1.0)
+        with pytest.raises(ValueError, match="whole number"):
+            TunerConfig(fun_evals=12.5)
 
 
 def test_random_search_failures_map_to_sentinel():

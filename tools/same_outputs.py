@@ -1,0 +1,90 @@
+"""Check that the working tree writes the same outputs as a git revision.
+
+    python3 tools/same_outputs.py REV
+
+Extracts REV into a temporary directory (``git archive``), runs the
+reference commands below against both source trees with
+``OPENBLAS_NUM_THREADS=1``, and compares, per command, the exit code, the
+printed output (stdout and stderr) and every artifact byte for byte, except
+``run_state.json``, which holds wall-clock timings. Prints one line per
+command and exits 1 on any difference or failed command, 0 otherwise. The
+temporary directories are removed in either case.
+"""
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IGNORED = {"run_state.json"}
+MIXED4 = "configs/bench_mixed4.json"
+COMMANDS = {
+    "tune_toy": ["tune", "--config", "configs/toy.json"],
+    "tune_mixed4": ["tune", "--config", MIXED4],
+    "tune_mixed4_100_s1": ["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"],
+    "tune_mixed4_100_s97": ["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"],
+    "bench_mixed4_s1": ["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"],
+    "bench_mixed4_s97": ["bench", "--config", MIXED4, "--reps", "5", "--seed", "97"],
+}
+
+
+def extract(rev: str, dest: str) -> None:
+    tar = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(dest, filter="data")
+
+
+def run(tree: str, work: str, name: str, argv: list[str]) -> dict[str, bytes]:
+    """Run one command from ``tree`` with its outputs in ``work/name``; the
+    printed output and the artifacts, keyed by relative path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(tree, "src"))
+    env.pop("SPOTKIT_SEED", None)
+    env.pop("SPOTKIT_DEBUG", None)
+    argv = [a if not a.startswith("configs/") else os.path.join(tree, a) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "spotkit.cli", *argv, "--out", name],
+                          cwd=work, capture_output=True, env=env)
+    files = {"<exit code>": str(proc.returncode).encode(),
+             "<stdout>": proc.stdout, "<stderr>": proc.stderr}
+    out_dir = os.path.join(work, name)
+    for dirpath, _, names in os.walk(out_dir):
+        for fn in names:
+            if fn not in IGNORED:
+                path = os.path.join(dirpath, fn)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, out_dir)] = fh.read()
+    return files
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: same_outputs.py REV", file=sys.stderr)
+        return 64
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        base = os.path.join(tmp, "rev")
+        extract(argv[0], base)
+        ok = True
+        for name, command in COMMANDS.items():
+            sides = []
+            for tree, side in ((base, "rev"), (ROOT, "tree")):
+                work = os.path.join(tmp, f"work_{side}")
+                os.makedirs(work, exist_ok=True)
+                sides.append(run(tree, work, name, command))
+            old, new = sides
+            differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+            failed = new["<exit code>"] != b"0" or old["<exit code>"] != b"0"
+            ok = ok and not differ and not failed
+            verdict = ("differ: " + ", ".join(differ) if differ
+                       else "failed (identical)" if failed
+                       else f"identical ({len(new) - 3} artifacts)")
+            print(f"{name}: {verdict}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
