@@ -334,9 +334,13 @@ def cmd_bench(args) -> int:
                 objective, space, dataclasses.replace(tuner_cfg, seed=rep_seed),
                 dataclasses.replace(design_cfg, seed=tn._child_seed(rep_seed, 5)),
                 surr_cfg)
+            if len(spot_state) < budget:
+                print(f"error: tuner.max_time ended the tuned run after "
+                      f"{len(spot_state)} of {budget} evaluations; bench compares "
+                      "equal budgets", file=sys.stderr)
+                return 2
             rand_state = tn.random_search(objective, space, budget,
                                           seed=tn._child_seed(rep_seed, 6))
-            assert len(spot_state) == budget and len(rand_state) == budget
             spot_best.append(spot_state.best_y)
             rand_best.append(rand_state.best_y)
     except Exception as err:

@@ -16,10 +16,19 @@ class DesignControl:
     seed: int = 0
 
     def __post_init__(self):
-        if self.init_size < 1:
-            raise ValueError("init_size must be >= 1")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        require_counts(self, "init_size", "repeats")
+
+
+def require_counts(control, *names: str) -> None:
+    """Each named field of a frozen ``control`` must be a whole number >= 1;
+    a whole float (``10.0``) is stored as an int."""
+    for name in names:
+        value = getattr(control, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be a whole number")
+        object.__setattr__(control, name, int(value))
 
 
 def lhs_unit(rng: np.random.Generator, n: int, dims: int) -> np.ndarray:

@@ -103,21 +103,19 @@ def clip_gradient(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> np.ndar
 
 
 def train_one_epoch(net: ToyNet, batches, opt_config: OptimizerConfig,
-                    opt_state: OptimizerState, clip: float = GRAD_CLIP_NORM,
-                    loss_and_grad=None) -> float:
-    """One pass: per batch forward, loss, clip to ``clip``, optimizer step.
+                    opt_state: OptimizerState) -> float:
+    """One pass: per batch the net's cross-entropy and its gradient, a clip
+    to ``GRAD_CLIP_NORM``, one optimizer step.
 
-    Returns the final batch's loss. ``loss_and_grad(Xb, yb)`` defaults to
-    the net's own cross-entropy and is injectable for testing.
+    Returns the final batch's loss, or the first non-finite one, at which
+    the pass stops before stepping.
     """
-    loss_and_grad = loss_and_grad or net.loss_and_grad
     loss = math.nan
     for Xb, yb in batches:
-        loss, grad = loss_and_grad(Xb, yb)
+        loss, grad = net.loss_and_grad(Xb, yb)
         if not math.isfinite(loss):
             return loss
-        grad = clip_gradient(grad, clip)
-        net.weights = step(opt_config, opt_state, net.weights, grad)
+        net.weights = step(opt_config, opt_state, net.weights, clip_gradient(grad))
     return loss
 
 
@@ -173,13 +171,30 @@ def run_training_loop(epochs: int, patience: int, train_epoch, validate_epoch,
     return EvalResult(loss=loss, metric=metric, epochs_run=epoch, stopped_early=stopped)
 
 
+def _train(hp: HyperConfig, net: ToyNet, opt_config: OptimizerConfig,
+           tr: SyntheticDataset, val: SyntheticDataset,
+           rng: np.random.Generator | None, on_best=None) -> EvalResult:
+    """Early-stopped training of ``net`` on ``tr`` from a fresh optimizer
+    state, validated on ``val`` after every epoch; ``rng`` shuffles the
+    training batches, ``None`` keeps their order."""
+    opt_state = init_state(opt_config, net.n_params)
+
+    def train_epoch(_):
+        batches = make_batches(tr, hp.batch_size, rng)
+        return train_one_epoch(net, batches, opt_config, opt_state)
+
+    def validate_epoch(_):
+        return validate_one_epoch(net, make_batches(val, hp.batch_size))
+
+    return run_training_loop(hp.epochs, hp.patience, train_epoch, validate_epoch, on_best)
+
+
 # -- evaluation settings --------------------------------------------------------
 
 def evaluate_hold_out(hp: HyperConfig, train_dataset: SyntheticDataset,
                       setting: str = "train_hold_out", shuffle: bool = True,
                       seed: int = 0, test_dataset: SyntheticDataset | None = None,
-                      save_path: str | None = None,
-                      net: ToyNet | None = None) -> EvalResult:
+                      save_path: str | None = None) -> EvalResult:
     """Train with epoch-level early stopping; report the last epoch's loss.
 
     ``train_hold_out`` splits the training data 60/40 internally;
@@ -197,24 +212,14 @@ def evaluate_hold_out(hp: HyperConfig, train_dataset: SyntheticDataset,
         tr, val = create_train_val_split(train_dataset, split_seed)
     else:
         tr, val = train_dataset, test_dataset
-    if net is None:
-        net = ToyNet(tr.input_dim, hp.l1, hp.l2, seed=weight_seed)
     try:
         opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
     except ValueError:
         return failure_result()
-    opt_state = init_state(opt_config, net.n_params)
-    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed))
-
-    def train_epoch(_):
-        batches = make_batches(tr, hp.batch_size, rng if shuffle else None)
-        return train_one_epoch(net, batches, opt_config, opt_state)
-
-    def validate_epoch(_):
-        return validate_one_epoch(net, make_batches(val, hp.batch_size))
-
+    net = ToyNet(tr.input_dim, hp.l1, hp.l2, seed=weight_seed)
+    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed)) if shuffle else None
     on_best = (lambda: save_weights(net, save_path)) if save_path else None
-    return run_training_loop(hp.epochs, hp.patience, train_epoch, validate_epoch, on_best)
+    return _train(hp, net, opt_config, tr, val, rng, on_best)
 
 
 def evaluate_cv(hp: HyperConfig, dataset: SyntheticDataset,
@@ -232,38 +237,24 @@ def evaluate_cv(hp: HyperConfig, dataset: SyntheticDataset,
     fold_seed, weight_seed, shuffle_seed = (int(s.generate_state(1)[0])
                                             for s in root.spawn(3))
     try:
-        opt_template = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
+        opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
     except ValueError:
         return failure_result()
-    losses = []
-    metrics = []
-    epochs_total = 0
-    any_stop = False
     net = ToyNet(dataset.input_dim, hp.l1, hp.l2, seed=weight_seed)
-    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed)) if shuffle else None
+    folds = []
     for train_idx, val_idx in kfold_indices(len(dataset), k, fold_seed, shuffle):
         net.reset_weights(weight_seed)
-        opt_state = init_state(opt_template, net.n_params)
-        tr = dataset.subset(train_idx)
-        val = dataset.subset(val_idx)
-
-        def train_epoch(_):
-            batches = make_batches(tr, hp.batch_size, rng if shuffle else None)
-            return train_one_epoch(net, batches, opt_template, opt_state)
-
-        def validate_epoch(_):
-            return validate_one_epoch(net, make_batches(val, hp.batch_size))
-
-        res = run_training_loop(hp.epochs, hp.patience, train_epoch, validate_epoch)
+        res = _train(hp, net, opt_config, dataset.subset(train_idx),
+                     dataset.subset(val_idx), rng)
         if res.failed:
             return failure_result()
-        losses.append(res.loss)
-        metrics.append(res.metric)
-        epochs_total += res.epochs_run
-        any_stop = any_stop or res.stopped_early
+        folds.append(res)
     return EvalResult(
-        loss=float(np.mean(losses)), metric=float(np.mean(metrics)),
-        epochs_run=epochs_total, stopped_early=any_stop,
+        loss=float(np.mean([r.loss for r in folds])),
+        metric=float(np.mean([r.metric for r in folds])),
+        epochs_run=sum(r.epochs_run for r in folds),
+        stopped_early=any(r.stopped_early for r in folds),
     )
 
 
@@ -285,22 +276,17 @@ def evaluate(hp: HyperConfig, setting: str, train_dataset: SyntheticDataset,
 # -- final train/test of a tuned configuration ---------------------------------
 
 def train_tuned(hp: HyperConfig, train_dataset: SyntheticDataset, seed: int = 0,
-                save_path: str | None = None, net: ToyNet | None = None) -> EvalResult:
+                save_path: str | None = None) -> EvalResult:
     """Hold-out training of the tuned architecture, checkpointing each new best."""
-    return evaluate_hold_out(
-        hp, train_dataset, "train_hold_out", shuffle=True, seed=seed,
-        save_path=save_path, net=net,
-    )
+    return evaluate_hold_out(hp, train_dataset, "train_hold_out", shuffle=True,
+                             seed=seed, save_path=save_path)
 
 
 def test_tuned(hp: HyperConfig, test_dataset: SyntheticDataset,
-               weights_path: str | None = None,
-               net: ToyNet | None = None) -> EvalResult:
-    """Single unshuffled validation pass over the full test set."""
-    if net is None:
-        if weights_path is None:
-            raise ValueError("test_tuned needs trained weights (path or net)")
-        net = load_weights(weights_path)
+               weights_path: str) -> EvalResult:
+    """Single unshuffled validation pass of the saved weights over the full
+    test set."""
+    net = load_weights(weights_path)
     metric, loss = validate_one_epoch(net, make_batches(test_dataset, hp.batch_size))
     return EvalResult(loss=loss, metric=metric, epochs_run=0, stopped_early=False)
 

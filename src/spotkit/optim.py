@@ -2,8 +2,16 @@
 
 Ten kinds with their stock default constants; one learning-rate multiplier
 (`lr_mult`) spans the heterogeneous portfolio, and `sgd_momentum` feeds the
-SGD kind only. LBFGS, Rprop and SparseAdam are deliberately not part of
-the portfolio.
+SGD kind only. The constants live inside the rules: betas (0.9, 0.999) and
+eps 1e-8 for the Adam family (Adam, AdamW, Adamax, NAdam, RAdam), RMSprop
+alpha 0.99 and eps 1e-8, Adadelta rho 0.9, ASGD power 0.75, AdamW's
+decoupled weight decay 1e-2 and ASGD's lambd 1e-4; SGD has no dampening
+or Nesterov step and Adagrad no learning-rate decay. Three values are not
+the shared ones: Adadelta eps 1e-6 and Adagrad eps 1e-10 (torch's defaults
+for those kinds) and NAdam momentum_decay 0 (torch: 4e-3), which makes its
+momentum schedule the constant 0.45. ASGD's averaged iterate is not kept:
+torch stores it beside the parameters, and nothing here reads it. LBFGS,
+Rprop and SparseAdam are deliberately not part of the portfolio.
 """
 from __future__ import annotations
 
@@ -43,19 +51,9 @@ class OptimizerConfig:
     kind: str
     base_lr: float
     lr_mult: float = 1.0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    rho: float = 0.9              # Adadelta smoothing
-    alpha: float = 0.99           # RMSprop smoothing / ASGD power (see below)
-    momentum: float = 0.0         # SGD / RMSprop momentum
-    dampening: float = 0.0
-    nesterov: bool = False
-    lr_decay: float = 0.0         # Adagrad
+    momentum: float = 0.0         # SGD
+    weight_decay: float = 0.0     # AdamW, decoupled
     lambd: float = 1e-4           # ASGD decay term
-    t0: float = 1e6               # ASGD averaging start
-    asgd_alpha: float = 0.75      # ASGD eta power
-    momentum_decay: float = 0.0   # NAdam
 
     @property
     def lr(self) -> float:
@@ -90,18 +88,8 @@ def optimizer_handler(name: str, lr_mult: float = 1.0,
     if lr_mult <= 0.0:
         raise ValueError("lr_mult must be positive")
     kw: dict = {}
-    if name == "Adadelta":
-        kw = dict(rho=0.9, eps=1e-6)
-    elif name == "Adagrad":
-        kw = dict(eps=1e-10, lr_decay=0.0)
-    elif name == "AdamW":
+    if name == "AdamW":
         kw = dict(weight_decay=1e-2)
-    elif name == "ASGD":
-        kw = dict(lambd=1e-4, asgd_alpha=0.75, t0=1e6)
-    elif name == "NAdam":
-        kw = dict(momentum_decay=0.0)
-    elif name == "RMSprop":
-        kw = dict(alpha=0.99, momentum=0.0)
     elif name == "SGD":
         kw = dict(momentum=float(sgd_momentum))
     return OptimizerConfig(kind=name, base_lr=BASE_LR[name], lr_mult=lr_mult, **kw)
@@ -109,9 +97,6 @@ def optimizer_handler(name: str, lr_mult: float = 1.0,
 
 def init_state(config: OptimizerConfig, n: int) -> OptimizerState:
     state = OptimizerState(n=n)
-    if config.kind == "ASGD":
-        state.buffers["eta"] = config.lr
-        state.buffers["mu"] = 1.0
     if config.kind == "NAdam":
         state.buffers["mu_prod"] = 1.0
     return state
@@ -136,149 +121,106 @@ def step(config: OptimizerConfig, state: OptimizerState,
     return _RULES[config.kind](config, state, w, g)
 
 
+# stock constants of the Adam family (Adam, AdamW, Adamax, NAdam, RAdam)
+B1, B2, EPS = 0.9, 0.999, 1e-8
+
+
 def _sgd(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
     if c.momentum:
         if "momentum" in s.buffers:
             b = s.buffers["momentum"]
             b *= c.momentum
-            b += (1.0 - c.dampening) * g
+            b += g
         else:
             b = s.buffers["momentum"] = g.copy()
-        g = c.momentum * b + g if c.nesterov else b
+        g = b
     return w - c.lr * g
 
 
-def _adam_moments(c, s, g):
-    b1, b2 = c.betas
+def _adam_moments(s, g):
     m = s.buf("m")
     v = s.buf("v")
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
+    m *= B1
+    m += (1.0 - B1) * g
+    v *= B2
+    v += (1.0 - B2) * g * g
     return m, v
 
 
 def _adam(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
-    m, v = _adam_moments(c, s, g)
-    b1, b2 = c.betas
-    mhat = m / (1.0 - b1 ** s.step)
-    vhat = v / (1.0 - b2 ** s.step)
-    return w - c.lr * mhat / (np.sqrt(vhat) + c.eps)
+    m, v = _adam_moments(s, g)
+    mhat = m / (1.0 - B1 ** s.step)
+    vhat = v / (1.0 - B2 ** s.step)
+    return w - c.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 def _adamw(c, s, w, g):
     # decoupled decay: shrink first, then the plain Adam update on raw g
-    w = w * (1.0 - c.lr * c.weight_decay)
-    m, v = _adam_moments(c, s, g)
-    b1, b2 = c.betas
-    mhat = m / (1.0 - b1 ** s.step)
-    vhat = v / (1.0 - b2 ** s.step)
-    return w - c.lr * mhat / (np.sqrt(vhat) + c.eps)
+    return _adam(c, s, w * (1.0 - c.lr * c.weight_decay), g)
 
 
 def _adadelta(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
     sq = s.buf("square_avg")
     acc = s.buf("acc_delta")
-    sq *= c.rho
-    sq += (1.0 - c.rho) * g * g
-    delta = np.sqrt(acc + c.eps) / np.sqrt(sq + c.eps) * g
-    acc *= c.rho
-    acc += (1.0 - c.rho) * delta * delta
+    sq *= 0.9
+    sq += (1.0 - 0.9) * g * g
+    delta = np.sqrt(acc + 1e-6) / np.sqrt(sq + 1e-6) * g
+    acc *= 0.9
+    acc += (1.0 - 0.9) * delta * delta
     return w - c.lr * delta
 
 
 def _adagrad(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
-    clr = c.lr / (1.0 + (s.step - 1) * c.lr_decay)
     acc = s.buf("sum")
     acc += g * g
-    return w - clr * g / (np.sqrt(acc) + c.eps)
+    return w - c.lr * g / (np.sqrt(acc) + 1e-10)
 
 
 def _adamax(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
-    b1, b2 = c.betas
     m = s.buf("m")
-    m *= b1
-    m += (1.0 - b1) * g
+    m *= B1
+    m += (1.0 - B1) * g
     u = s.buf("u")
-    np.maximum(b2 * u, np.abs(g) + c.eps, out=u)
-    return w - (c.lr / (1.0 - b1 ** s.step)) * m / u
+    np.maximum(B2 * u, np.abs(g) + EPS, out=u)
+    return w - (c.lr / (1.0 - B1 ** s.step)) * m / u
 
 
 def _asgd(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
-    eta = s.buffers["eta"]
-    mu = s.buffers["mu"]
-    w = w * (1.0 - c.lambd * eta) - eta * g
-    ax = s.buf("ax")
-    if mu != 1.0:
-        ax += mu * (w - ax)
-    else:
-        ax[:] = w
-    s.buffers["eta"] = c.lr / (1.0 + c.lambd * c.lr * s.step) ** c.asgd_alpha
-    s.buffers["mu"] = 1.0 / max(1.0, s.step - c.t0)
-    return w
+    eta = c.lr / (1.0 + c.lambd * c.lr * (s.step - 1)) ** 0.75
+    return w * (1.0 - c.lambd * eta) - eta * g
 
 
 def _nadam(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
-    b1, b2 = c.betas
-    t = s.step
-    mu_t = b1 * (1.0 - 0.5 * 0.96 ** (t * c.momentum_decay))
-    mu_next = b1 * (1.0 - 0.5 * 0.96 ** ((t + 1) * c.momentum_decay))
-    mu_prod = s.buffers["mu_prod"] * mu_t
+    mu = B1 * 0.5                 # momentum_decay 0: the same mu every step
+    mu_prod = s.buffers["mu_prod"] * mu
     s.buffers["mu_prod"] = mu_prod
-    m, v = _adam_moments(c, s, g)
-    denom = np.sqrt(v / (1.0 - b2 ** t)) + c.eps
-    w = w - c.lr * (1.0 - mu_t) / (1.0 - mu_prod) * g / denom
-    w = w - c.lr * mu_next / (1.0 - mu_prod * mu_next) * m / denom
-    return w
+    m, v = _adam_moments(s, g)
+    denom = np.sqrt(v / (1.0 - B2 ** s.step)) + EPS
+    w = w - c.lr * (1.0 - mu) / (1.0 - mu_prod) * g / denom
+    return w - c.lr * mu / (1.0 - mu_prod * mu) * m / denom
 
 
 def _radam(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
-    b1, b2 = c.betas
     t = s.step
-    m, v = _adam_moments(c, s, g)
-    mhat = m / (1.0 - b1 ** t)
-    rho_inf = 2.0 / (1.0 - b2) - 1.0
-    rho_t = rho_inf - 2.0 * t * b2 ** t / (1.0 - b2 ** t)
+    m, v = _adam_moments(s, g)
+    mhat = m / (1.0 - B1 ** t)
+    rho_inf = 2.0 / (1.0 - B2) - 1.0
+    rho_t = rho_inf - 2.0 * t * B2 ** t / (1.0 - B2 ** t)
     if rho_t > 5.0:
         rect = np.sqrt(
             (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
             / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
         )
-        vhat = np.sqrt(v / (1.0 - b2 ** t))
-        return w - c.lr * rect * mhat / (vhat + c.eps)
+        vhat = np.sqrt(v / (1.0 - B2 ** t))
+        return w - c.lr * rect * mhat / (vhat + EPS)
     return w - c.lr * mhat
 
 
 def _rmsprop(c, s, w, g):
-    if c.weight_decay:
-        g = g + c.weight_decay * w
     v = s.buf("square_avg")
-    v *= c.alpha
-    v += (1.0 - c.alpha) * g * g
-    avg = np.sqrt(v) + c.eps
-    if c.momentum > 0.0:
-        b = s.buf("momentum")
-        b *= c.momentum
-        b += g / avg
-        return w - c.lr * b
-    return w - c.lr * g / avg
+    v *= 0.99
+    v += (1.0 - 0.99) * g * g
+    return w - c.lr * g / (np.sqrt(v) + EPS)
 
 
 _RULES = {

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import lhs_unit
+from .design import lhs_unit, require_counts
 
 
 def _load_flapack():
@@ -98,10 +98,11 @@ class SurrogateControl:
     model_fun_evals: int = 10_000
 
     def __post_init__(self):
+        if not isinstance(self.noise, bool):
+            raise ValueError("noise must be true or false")
         if self.min_theta >= self.max_theta:
             raise ValueError("min_theta must be below max_theta")
-        if self.model_fun_evals < 1:
-            raise ValueError("model_fun_evals must be >= 1")
+        require_counts(self, "model_fun_evals")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import surrogate as sg
-from .design import DesignControl, latin_hypercube
+from .design import DesignControl, latin_hypercube, require_counts
 from .searchspace import SearchSpace
 
 DEFAULT_TOLERANCE_X = float(np.sqrt(np.spacing(1.0)))
@@ -36,10 +36,7 @@ class TunerConfig:
     seed: int = 123
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if self.fun_repeats < 1:
-            raise ValueError("fun_repeats must be >= 1")
+        require_counts(self, "n_points", "fun_repeats")
         if self.tolerance_x < 0:
             raise ValueError("tolerance_x must be >= 0")
         if not (self.fun_evals >= 1):

@@ -68,6 +68,14 @@ class TestTune:
             ({"tuner": {"fun_evals": 14, "infill_criterion": "y"}}, "infill_criterion"),
             # a fractional budget would overrun to the next whole evaluation
             ({"tuner": {"fun_evals": 12.5}}, "fun_evals"),
+            # counts are whole numbers: a fraction crashed the run or was
+            # silently truncated
+            ({"design": {"init_size": 10.5}}, "init_size"),
+            ({"design": {"init_size": 4, "repeats": 1.5}}, "repeats"),
+            ({"tuner": {"fun_evals": 14, "fun_repeats": 1.5}}, "fun_repeats"),
+            ({"tuner": {"fun_evals": 14, "n_points": 1.5}}, "n_points"),
+            # the string "false" is truthy and would fit a noisy surrogate
+            ({"surrogate": {"model_fun_evals": 250, "noise": "false"}}, "noise"),
         ]:
             cfg = write_config(tmp_path / "exp.json", **block)
             assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -272,6 +280,15 @@ class TestBench:
         lines = open(os.path.join(out, "bench.csv")).read().strip().splitlines()
         assert float(lines[1].split(",")[3]) == 0.0
         assert float(lines[2].split(",")[3]) == 0.0
+
+    def test_max_time_cut_short_exits_2(self, tmp_path, capsys):
+        # the time limit ends the tuned run after its initial design; the
+        # random baseline would get the whole budget, so bench refuses
+        cfg = write_config(tmp_path / "exp.json",
+                           tuner={"fun_evals": 14, "max_time": 1e-9})
+        assert main(["bench", "--config", cfg, "--reps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "tuner.max_time" in err and "8 of 14 evaluations" in err
 
     def test_infinite_budget_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json", tuner={"max_time": 1})

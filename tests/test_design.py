@@ -89,6 +89,15 @@ def test_control_validated():
         DesignControl(init_size=0)
     with pytest.raises(ValueError):
         DesignControl(init_size=2, repeats=0)
+    with pytest.raises(ValueError, match="init_size must be a whole number"):
+        DesignControl(init_size=10.5)
+    with pytest.raises(ValueError, match="repeats must be a whole number"):
+        DesignControl(init_size=2, repeats=1.5)
+    # a whole float is a count: stored as an int, usable by the sampler
+    control = DesignControl(init_size=4.0, repeats=2.0, seed=1)
+    assert (control.init_size, control.repeats) == (4, 2)
+    assert type(control.init_size) is int and type(control.repeats) is int
+    assert latin_hypercube(control, dims=2).shape == (8, 2)
 
 
 @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))

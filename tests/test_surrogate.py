@@ -512,3 +512,10 @@ def test_control_validation():
         SurrogateControl(min_theta=3.0, max_theta=-4.0)
     with pytest.raises(ValueError):
         SurrogateControl(model_fun_evals=0)
+    with pytest.raises(ValueError, match="model_fun_evals must be a whole number"):
+        SurrogateControl(model_fun_evals=250.5)
+    # a JSON string would be truthy and silently turn the nugget on
+    for noise in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match="noise must be true or false"):
+            SurrogateControl(noise=noise)
+    assert SurrogateControl(noise=True).noise is True

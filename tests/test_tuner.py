@@ -577,6 +577,15 @@ class TestPersistence:
             TunerConfig(tolerance_x=-1.0)
         with pytest.raises(ValueError, match="whole number"):
             TunerConfig(fun_evals=12.5)
+        with pytest.raises(ValueError, match="n_points must be a whole number"):
+            TunerConfig(fun_evals=10, n_points=1.5)
+        with pytest.raises(ValueError, match="fun_repeats must be a whole number"):
+            TunerConfig(fun_evals=10, fun_repeats=1.5)
+        with pytest.raises(ValueError, match="whole number"):
+            TunerConfig(fun_evals=10, fun_repeats=math.inf)
+        cfg = TunerConfig(fun_evals=10, n_points=2.0, fun_repeats=3.0)
+        assert (cfg.n_points, cfg.fun_repeats) == (2, 3)
+        assert type(cfg.n_points) is int and type(cfg.fun_repeats) is int
 
 
 def test_random_search_failures_map_to_sentinel():

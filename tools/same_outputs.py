@@ -6,13 +6,16 @@ Extracts REV into a temporary directory (``git archive``), runs the
 reference commands below against both source trees with
 ``OPENBLAS_NUM_THREADS=1``, and compares, per command, the exit code, the
 printed output (stdout and stderr) and every artifact byte for byte, except
-``run_state.json``, which holds wall-clock timings. Prints one line per
+``run_state.json``, which holds wall-clock timings. ``tune_toy_cv`` runs
+``configs/toy.json`` under 2-3-fold cross validation from a derived config
+written into the temporary directory. Prints one line per
 command and exits 1 on any difference or failed command, 0 otherwise. The
 temporary directories are removed in either case.
 """
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -22,14 +25,27 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORED = {"run_state.json"}
 MIXED4 = "configs/bench_mixed4.json"
+# configs/toy.json evaluated by cross validation over 2-3 folds; main()
+# writes it into each side's working directory
+TOY_CV = "toy_cv.json"
 COMMANDS = {
     "tune_toy": ["tune", "--config", "configs/toy.json"],
+    "tune_toy_cv": ["tune", "--config", TOY_CV, "--fun-evals", "15"],
     "tune_mixed4": ["tune", "--config", MIXED4],
     "tune_mixed4_100_s1": ["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"],
     "tune_mixed4_100_s97": ["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"],
     "bench_mixed4_s1": ["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"],
     "bench_mixed4_s97": ["bench", "--config", MIXED4, "--reps", "5", "--seed", "97"],
 }
+
+
+def write_toy_cv(path: str) -> None:
+    with open(os.path.join(ROOT, "configs", "toy.json"), encoding="utf-8") as fh:
+        exp = json.load(fh)
+    exp["eval"] = "train_cv"
+    exp["modify"]["bounds"]["k_folds"] = [2, 3]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(exp, fh)
 
 
 def extract(rev: str, dest: str) -> None:
@@ -68,14 +84,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         base = os.path.join(tmp, "rev")
         extract(argv[0], base)
+        trees = ((base, os.path.join(tmp, "work_rev")),
+                 (ROOT, os.path.join(tmp, "work_tree")))
+        for _, work in trees:
+            os.makedirs(work)
+            write_toy_cv(os.path.join(work, TOY_CV))
         ok = True
         for name, command in COMMANDS.items():
-            sides = []
-            for tree, side in ((base, "rev"), (ROOT, "tree")):
-                work = os.path.join(tmp, f"work_{side}")
-                os.makedirs(work, exist_ok=True)
-                sides.append(run(tree, work, name, command))
-            old, new = sides
+            old, new = [run(tree, work, name, command) for tree, work in trees]
             differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
             failed = new["<exit code>"] != b"0" or old["<exit code>"] != b"0"
             ok = ok and not differ and not failed
