@@ -24,7 +24,7 @@ import traceback
 import numpy as np
 
 from . import analysis, evalharness, surrogate as sg, tuner as tn
-from .design import DesignControl
+from .design import DesignControl, child_seed
 from .evalharness import EvalResult, external_evaluate, make_toy_objective
 from .searchspace import (
     ParamSpec, SearchSpace, gen_design_table, parse_hyper_dict, render_table,
@@ -34,7 +34,6 @@ from .toynet import HyperConfig, generate_dataset
 
 SEED_ENV_VAR = "SPOTKIT_SEED"
 DEBUG_ENV_VAR = "SPOTKIT_DEBUG"
-IMPORTANCE_PAIR_THRESHOLD = 0.025
 
 
 class ConfigError(ValueError):
@@ -82,9 +81,9 @@ def _mixed4_objective(config: dict) -> EvalResult:
 
 
 BUILTIN_OBJECTIVES = {
-    "sphere2": (lambda: _sphere_space(2), lambda cfg, seed: _sphere_objective),
-    "sphere3": (lambda: _sphere_space(3), lambda cfg, seed: _sphere_objective),
-    "mixed4": (_mixed4_space, lambda cfg, seed: _mixed4_objective),
+    "sphere2": (lambda: _sphere_space(2), _sphere_objective),
+    "sphere3": (lambda: _sphere_space(3), _sphere_objective),
+    "mixed4": (_mixed4_space, _mixed4_objective),
 }
 
 
@@ -100,6 +99,7 @@ _DEFAULTS = {
     "input_dim": 20,
     "shuffle": True,
     "x_start": "default",
+    "out": "spotkit_run",
 }
 
 
@@ -117,7 +117,8 @@ def load_experiment(path: str) -> dict:
         raise ConfigError(f"experiment config {path} must be a JSON object")
     exp = dict(_DEFAULTS)
     exp.update(doc)
-    exp.setdefault("out", "spotkit_run")
+    if not isinstance(exp["objective"], str):
+        raise ConfigError(f"objective must be a string, got {exp['objective']!r}")
     exp["_config_dir"] = os.path.dirname(os.path.abspath(path))
     return exp
 
@@ -167,20 +168,27 @@ def apply_modifications(space: SearchSpace, modify: dict) -> SearchSpace:
 def build_objective(exp: dict, seed: int):
     selector = exp["objective"]
     if selector == "toynet":
-        return make_toy_objective(
-            eval_setting=exp["eval"], data_seed=exp["data_seed"],
-            eval_seed=exp.get("eval_seed", tn._child_seed(seed, 7)),
-            n=exp["n_samples"], input_dim=exp["input_dim"],
-            shuffle=exp["shuffle"],
-        )
+        try:
+            return make_toy_objective(
+                eval_setting=exp["eval"], data_seed=exp["data_seed"],
+                eval_seed=exp.get("eval_seed", child_seed(seed, 7)),
+                n=exp["n_samples"], input_dim=exp["input_dim"],
+                shuffle=exp["shuffle"],
+            )
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"toynet objective (eval, n_samples, input_dim, "
+                              f"data_seed): {err}") from None
     if selector.startswith("builtin:"):
         name = selector.split(":", 1)[1]
         if name not in BUILTIN_OBJECTIVES:
             raise ConfigError(f"unknown builtin objective {name!r}")
-        return BUILTIN_OBJECTIVES[name][1](exp, seed)
+        return BUILTIN_OBJECTIVES[name][1]
     if selector.startswith("external:"):
         command = selector.split(":", 1)[1]
-        timeout = float(exp.get("external_timeout", 60.0))
+        try:
+            timeout = float(exp.get("external_timeout", 60.0))
+        except (TypeError, ValueError):
+            raise ConfigError("external_timeout must be a number") from None
         return lambda config: external_evaluate(command, config, timeout)
     raise ConfigError(f"unknown objective selector {selector!r}")
 
@@ -192,7 +200,7 @@ def _controls(exp: dict, seed: int):
             tuner_kw["fun_evals"] = math.inf
         tuner_cfg = tn.TunerConfig(seed=seed, **tuner_kw)
         design_kw = dict(exp.get("design", {}))
-        design_kw.setdefault("seed", tn._child_seed(seed, 5))
+        design_kw.setdefault("seed", child_seed(seed, 5))
         design_cfg = DesignControl(**design_kw)
         surr_cfg = sg.SurrogateControl(**exp.get("surrogate", {}))
     except (TypeError, ValueError) as err:
@@ -203,13 +211,13 @@ def _controls(exp: dict, seed: int):
 def _resolve_seed(exp: dict, flag_seed: int | None) -> int:
     if flag_seed is not None:
         return flag_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return int(exp["seed"])
+    key, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
+    if value is None:
+        key, value = "seed", exp["seed"]
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
 # -- artifact writing -----------------------------------------------------------
@@ -221,7 +229,7 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
     model = None
     try:
         model = sg.fit(*tn._fit_inputs(state, space, surr_cfg.noise), surr_cfg,
-                       seed=tn._child_seed(seed, 1, len(state)))
+                       seed=child_seed(seed, 1, len(state)))
     except (ValueError, sg.FitError) as err:
         print(f"warning: surrogate refit for the artifacts failed "
               f"({type(err).__name__}: {err}); importance is written as 0 and "
@@ -240,7 +248,7 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
                     analysis.rows_to_csv(analysis.export_parallel(state, space)))
     if model is not None:
         best_config, _ = tn.best(state, space)
-        for a, b in analysis.select_important_pairs(report, IMPORTANCE_PAIR_THRESHOLD):
+        for a, b in analysis.select_important_pairs(report):
             rows = analysis.export_contour(model, space, (a, b), grid=30,
                                            fixed_at=best_config)
             tn.atomic_write(os.path.join(out_dir, f"contour_{a}_{b}.csv"),
@@ -267,24 +275,18 @@ def cmd_tune(args) -> int:
 def cmd_resume(args) -> int:
     try:
         state = tn.load_run_state(args.out)
+        meta = state.meta
+        seed = int(meta["seed"])
+        space = parse_hyper_dict(meta["space_json"], meta["experiment"]["model"])
+    except KeyError as err:
+        raise ConfigError(f"run state has no embedded {err.args[0]}") from None
     except (FileNotFoundError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    meta = state.meta
-    if "experiment" not in meta:
-        print("error: run state has no embedded experiment", file=sys.stderr)
-        return 1
+        raise ConfigError(str(err)) from None
     bumped = _apply_budget_flags(meta["experiment"], args)
     exp = dict(_DEFAULTS)
     exp.update(meta["experiment"])
-    seed = int(meta["seed"])
-    try:
-        space = parse_hyper_dict(meta["space_json"], meta["model"])
-        objective = build_objective(exp, seed)
-        controls = _controls(exp, seed)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    objective = build_objective(exp, seed)
+    controls = _controls(exp, seed)
     if bumped:      # a later plain resume keeps the new budget
         tn.atomic_write(os.path.join(args.out, "run_state.json"),
                         json.dumps(state.to_dict()))
@@ -298,9 +300,10 @@ def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
     report the best configuration and, for ToyNet, retrain and test it: the
     shared tail of ``tune`` and ``resume``. Returns the exit code."""
     tuner_cfg, design_cfg, surr_cfg = controls
+    x_start = _x_start(exp, space)
     try:
         state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
-                       X_start=_x_start(exp, space), out_dir=out_dir, **run_kw)
+                       X_start=x_start, out_dir=out_dir, **run_kw)
         write_artifacts(out_dir, space, state, surr_cfg, seed)
         _report_best(state, space)
         if exp["objective"] == "toynet":
@@ -318,21 +321,19 @@ def cmd_bench(args) -> int:
     space = build_space(exp)
     tuner_cfg, design_cfg, surr_cfg = _controls(exp, seed)
     if not math.isfinite(tuner_cfg.fun_evals):
-        print("error: bench needs a finite tuner.fun_evals budget", file=sys.stderr)
-        return 1
+        raise ConfigError("bench needs a finite tuner.fun_evals budget")
     budget = int(tuner_cfg.fun_evals)
     if design_cfg.init_size * design_cfg.repeats > budget:
-        print("error: initial design exceeds the bench budget", file=sys.stderr)
-        return 1
+        raise ConfigError("initial design exceeds the bench budget")
 
     spot_best, rand_best = [], []
     try:
         for rep in range(args.reps):
-            rep_seed = tn._child_seed(seed, 100, rep)
+            rep_seed = child_seed(seed, 100, rep)
             objective = build_objective(exp, rep_seed)
             spot_state = tn.run(
                 objective, space, dataclasses.replace(tuner_cfg, seed=rep_seed),
-                dataclasses.replace(design_cfg, seed=tn._child_seed(rep_seed, 5)),
+                dataclasses.replace(design_cfg, seed=child_seed(rep_seed, 5)),
                 surr_cfg)
             if len(spot_state) < budget:
                 print(f"error: tuner.max_time ended the tuned run after "
@@ -340,7 +341,7 @@ def cmd_bench(args) -> int:
                       "equal budgets", file=sys.stderr)
                 return 2
             rand_state = tn.random_search(objective, space, budget,
-                                          seed=tn._child_seed(rep_seed, 6))
+                                          seed=child_seed(rep_seed, 6))
             spot_best.append(spot_state.best_y)
             rand_best.append(rand_state.best_y)
     except Exception as err:
@@ -394,20 +395,24 @@ def _meta(exp: dict, space: SearchSpace, seed: int) -> dict:
     return {
         "experiment": experiment,
         "space_json": serialize_hyper_dict(space, exp["model"]),
-        "model": exp["model"],
         "seed": seed,
     }
 
 
 def _x_start(exp: dict, space: SearchSpace):
+    """The start configuration, checked to map onto ``space``; None for none."""
     x0 = exp.get("x_start")
     if x0 is None:
         return None
     if x0 == "default":
         return space.default_config()
-    if isinstance(x0, dict):
-        return x0
-    raise ConfigError(f"x_start must be null, \"default\" or a configuration, got {x0!r}")
+    if not isinstance(x0, dict):
+        raise ConfigError(f"x_start must be null, \"default\" or a configuration, got {x0!r}")
+    try:
+        space.from_internal(space.to_internal(x0))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"x_start: {err}") from None
+    return x0
 
 
 def _report_best(state: tn.RunState, space: SearchSpace) -> None:
@@ -424,7 +429,7 @@ def _final_train_test(exp: dict, space: SearchSpace, state: tn.RunState,
     train, test = generate_dataset(exp["n_samples"], exp["input_dim"],
                                    exp["data_seed"])
     weights_path = os.path.join(out_dir, "tuned_model.json")
-    train_res = evalharness.train_tuned(hp, train, seed=tn._child_seed(seed, 9),
+    train_res = evalharness.train_tuned(hp, train, seed=child_seed(seed, 9),
                                         save_path=weights_path)
     if train_res.failed:
         print("final training failed", file=sys.stderr)

@@ -31,6 +31,12 @@ def require_counts(control, *names: str) -> None:
         object.__setattr__(control, name, int(value))
 
 
+def child_seed(seed: int, *key: int) -> int:
+    """Integer seed of the stream ``key`` under ``seed``; ``child_seed(s, i)``
+    is the first state word of ``SeedSequence(s).spawn(i + 1)[i]``."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
+
+
 def lhs_unit(rng: np.random.Generator, n: int, dims: int) -> np.ndarray:
     """Latin hypercube of ``n`` points in [0, 1)^dims drawn from ``rng``.
 

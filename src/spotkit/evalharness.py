@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import child_seed
 from .optim import OptimizerConfig, OptimizerState, init_state, optimizer_handler, step
 from .toynet import (
     HyperConfig, SyntheticDataset, ToyNet, generate_dataset, log_softmax_loss,
@@ -205,9 +206,7 @@ def evaluate_hold_out(hp: HyperConfig, train_dataset: SyntheticDataset,
         raise ValueError(f"unsupported hold-out setting {setting!r}")
     if setting == "test_hold_out" and test_dataset is None:
         raise ValueError("test_hold_out needs an explicit test dataset")
-    root = np.random.SeedSequence(seed)
-    split_seed, weight_seed, shuffle_seed = (int(s.generate_state(1)[0])
-                                             for s in root.spawn(3))
+    split_seed, weight_seed, shuffle_seed = (child_seed(seed, i) for i in range(3))
     if setting == "train_hold_out":
         tr, val = create_train_val_split(train_dataset, split_seed)
     else:
@@ -233,9 +232,7 @@ def evaluate_cv(hp: HyperConfig, dataset: SyntheticDataset,
     k = hp.k_folds if k_folds is None else k_folds
     if k < 2:
         raise ValueError("cross validation needs k_folds >= 2")
-    root = np.random.SeedSequence(seed)
-    fold_seed, weight_seed, shuffle_seed = (int(s.generate_state(1)[0])
-                                            for s in root.spawn(3))
+    fold_seed, weight_seed, shuffle_seed = (child_seed(seed, i) for i in range(3))
     try:
         opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
     except ValueError:

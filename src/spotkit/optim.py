@@ -19,11 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-OPTIMIZER_KINDS = (
-    "Adadelta", "Adagrad", "Adam", "AdamW", "Adamax",
-    "ASGD", "NAdam", "RAdam", "RMSprop", "SGD",
-)
-
 _EXCLUDED = {
     "LBFGS": "LBFGS needs closure-style re-evaluation and is excluded",
     "Rprop": "Rprop is excluded from the portfolio",
@@ -44,6 +39,7 @@ BASE_LR = {
     "RMSprop": 1e-2,
     "SGD": 1e-3,
 }
+OPTIMIZER_KINDS = tuple(BASE_LR)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ class ParamSpec:
     lower: float = 0.0
     upper: float = 0.0
     levels: tuple[str, ...] = ()
-    value_type: str = ""   # factor value tag, e.g. "str"
-    class_name: str = ""   # carried through from the JSON, unused here
 
     def __post_init__(self):
         if self.kind not in PARAM_KINDS:
@@ -310,8 +308,9 @@ def parse_hyper_dict(text: str, model_name: str) -> SearchSpace:
 
     The document is an object keyed by model name; each entry maps a
     parameter name to an object with "type", "default", "transform",
-    "lower" and "upper" (factors add "levels" and optionally
-    "core_model_parameter_type" / "class_name"). Document order is kept.
+    "lower" and "upper" (factors add "levels"). Other keys, such as
+    spotPython's "core_model_parameter_type" and "class_name", are accepted
+    and ignored. Document order is kept.
     """
     try:
         doc = json.loads(text)
@@ -351,8 +350,6 @@ def _parse_entry(name: str, entry) -> ParamSpec:
         lower=float(lower),
         upper=float(upper),
         levels=tuple(entry.get("levels", ())),
-        value_type=entry.get("core_model_parameter_type", ""),
-        class_name=entry.get("class_name", ""),
     )
 
 
@@ -369,10 +366,6 @@ def serialize_hyper_dict(space: SearchSpace, model_name: str) -> str:
         }
         if p.kind == "factor":
             entry["levels"] = list(p.levels)
-            if p.value_type:
-                entry["core_model_parameter_type"] = p.value_type
-            if p.class_name:
-                entry["class_name"] = p.class_name
         block[p.name] = dict(sorted(entry.items()))
     return json.dumps({model_name: block}, indent=2)
 

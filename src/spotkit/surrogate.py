@@ -100,6 +100,9 @@ class SurrogateControl:
     def __post_init__(self):
         if not isinstance(self.noise, bool):
             raise ValueError("noise must be true or false")
+        for name in ("min_theta", "max_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.min_theta >= self.max_theta:
             raise ValueError("min_theta must be below max_theta")
         require_counts(self, "model_fun_evals")
@@ -113,7 +116,8 @@ class KrigingModel:
     alone, and ``mean_at`` the mean at one point as a float, for the infill
     search's Nelder-Mead and the contour export; all three build the
     cross-correlations the way ``_kernel`` does, so their means agree bit
-    for bit. ``_finalize`` caches the per-model arrays they share.
+    for bit. ``_finalize`` builds the model with the per-model arrays they
+    share.
     """
 
     X: np.ndarray                 # raw training inputs, n x d
@@ -381,12 +385,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     # final noise-free factorization re-tries from zero so training targets
     # are reproduced exactly whenever the kernel matrix allows it
     nugget = 10.0 ** best_v[d] if control.noise else 0.0
-    model = KrigingModel(
-        X=X, y=y, theta_log10=theta, nugget=float(nugget), mu=0.0, sigma2=0.0,
-        norm_min=norm_min, norm_span=norm_span,
-    )
-    _finalize(model)
-    return model
+    return _finalize(X, y, theta, float(nugget), norm_min, norm_span)
 
 
 def _has_duplicate_rows(Z: np.ndarray) -> bool:
@@ -395,16 +394,18 @@ def _has_duplicate_rows(Z: np.ndarray) -> bool:
     return bool(np.any(np.all(S[1:] == S[:-1], axis=1)))
 
 
-def _finalize(model: KrigingModel) -> None:
-    """Factor R at the chosen parameters, escalating jitter if needed.
+def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,
+              norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
+    """The model at the chosen parameters: factor R, escalating jitter if
+    needed.
 
     Any jitter the factorization needs is absorbed into the stored nugget,
     so the model always describes the matrix actually factored.
     """
-    Z = model._normalize(model.X)
+    Z = (X - norm_min) / norm_span
     jitter = 0.0
     while True:
-        R = _correlation(Z, model.theta_log10, model.nugget + jitter)
+        R = _correlation(Z, theta_log10, nugget + jitter)
         try:
             L = np.linalg.cholesky(R)
             break
@@ -414,15 +415,13 @@ def _finalize(model: KrigingModel) -> None:
                 raise FitError(
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
-    model.nugget = float(model.nugget + jitter)
-    _, mu, sigma2, rinv_r = _likelihood(L[None], _rhs(model.y))
-    model.Z = Z
-    model.ZT = np.ascontiguousarray(Z.T)
-    model.t10 = 10.0 ** model.theta_log10
-    model.chol = L
-    model.mu = float(mu[0])
-    model.sigma2 = float(max(sigma2[0], 0.0))
-    model.weights = rinv_r[0]
+    _, mu, sigma2, rinv_r = _likelihood(L[None], _rhs(y))
+    return KrigingModel(
+        X=X, y=y, theta_log10=theta_log10, nugget=float(nugget + jitter),
+        mu=float(mu[0]), sigma2=float(max(sigma2[0], 0.0)), norm_min=norm_min,
+        norm_span=norm_span, chol=L, weights=rinv_r[0], Z=Z,
+        ZT=np.ascontiguousarray(Z.T), t10=10.0 ** theta_log10,
+    )
 
 
 def _budgeted_search(objective, lo, hi, budget: int, seed: int):

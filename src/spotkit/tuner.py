@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import surrogate as sg
-from .design import DesignControl, latin_hypercube, require_counts
+from .design import DesignControl, child_seed, latin_hypercube, require_counts
 from .searchspace import SearchSpace
 
 DEFAULT_TOLERANCE_X = float(np.sqrt(np.spacing(1.0)))
@@ -37,8 +37,10 @@ class TunerConfig:
 
     def __post_init__(self):
         require_counts(self, "n_points", "fun_repeats")
-        if self.tolerance_x < 0:
-            raise ValueError("tolerance_x must be >= 0")
+        if not (0 <= self.tolerance_x < math.inf):
+            raise ValueError("tolerance_x must be a finite number >= 0")
+        if not (self.max_time >= 0):
+            raise ValueError("max_time must be >= 0")
         if not (self.fun_evals >= 1):
             raise ValueError("fun_evals must be >= 1")
         if math.isfinite(self.fun_evals) and self.fun_evals != int(self.fun_evals):
@@ -56,7 +58,6 @@ class RunState:
     metrics: list = field(default_factory=list)
     phases: list = field(default_factory=list)     # "initial" | "sequential"
     elapsed: list = field(default_factory=list)    # wall seconds per evaluation
-    elapsed_total: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -83,7 +84,6 @@ class RunState:
         self.metrics.append(float(metric))
         self.phases.append(phase)
         self.elapsed.append(float(seconds))
-        self.elapsed_total += float(seconds)
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +94,6 @@ class RunState:
             "metrics": list(self.metrics),
             "phases": list(self.phases),
             "elapsed": list(self.elapsed),
-            "elapsed_total": self.elapsed_total,
         }
 
     @classmethod
@@ -106,7 +105,6 @@ class RunState:
                 metrics=[float(v) for v in doc["metrics"]],
                 phases=list(doc["phases"]),
                 elapsed=[float(v) for v in doc["elapsed"]],
-                elapsed_total=float(doc["elapsed_total"]),
                 meta=dict(doc.get("meta", {})),
             )
         except (KeyError, TypeError, ValueError) as err:
@@ -151,11 +149,6 @@ def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
     if not math.isfinite(loss):
         loss = worst_sentinel(state.y)
     state.append(vec, loss, metric, phase, time.monotonic() - t0)
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-               .generate_state(1)[0])
 
 
 def _embed_active(space: SearchSpace, v_active: np.ndarray) -> np.ndarray:
@@ -381,7 +374,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
         state.meta = dict(meta)
     writer = _RunWriter(out_dir, space) if out_dir else None
     started = time.monotonic()
-    budget_consumed = state.elapsed_total
+    budget_consumed = sum(state.elapsed)
 
     def elapsed_minutes() -> float:
         return (budget_consumed + (time.monotonic() - started)) / 60.0
@@ -392,16 +385,10 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
             writer.write(state)
 
     # -- initial phase: start point plus the whole design, no time checks
-    n_initial_target = (1 if X_start is not None else 0) + design.init_size * design.repeats
-    if state.n_initial < n_initial_target:
-        done = state.n_initial
-        if X_start is not None and done == 0:
-            evaluate(space.to_internal(X_start), "initial")
-            done += 1
-        design_done = done - (1 if X_start is not None else 0)
-        unit = latin_hypercube(design, space.n_active)
-        for row in space.embed_unit(unit)[design_done:]:
-            evaluate(row, "initial")
+    initial = [] if X_start is None else [space.to_internal(X_start)]
+    initial += list(space.embed_unit(latin_hypercube(design, space.n_active)))
+    for vec in initial[state.n_initial:]:
+        evaluate(vec, "initial")
 
     # -- sequential phase
     while len(state) < tuner.fun_evals and elapsed_minutes() < tuner.max_time:
@@ -411,7 +398,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
             try:
                 model = sg.fit(*_fit_inputs(state, space, surrogate_control.noise),
                                surrogate_control,
-                               seed=_child_seed(tuner.seed, 1, k))
+                               seed=child_seed(tuner.seed, 1, k))
             except (ValueError, sg.FitError):
                 model = None
         rng = np.random.default_rng(
@@ -419,7 +406,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
         if model is not None:
             cands = suggest_next(
                 state, model, space, tuner.n_points, 200 + 100 * space.n_active,
-                seed=_child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,
+                seed=child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,
             )
         else:
             cands = np.asarray([_random_full_point(space, rng)

@@ -76,6 +76,14 @@ class TestTune:
             ({"tuner": {"fun_evals": 14, "n_points": 1.5}}, "n_points"),
             # the string "false" is truthy and would fit a noisy surrogate
             ({"surrogate": {"model_fun_evals": 250, "noise": "false"}}, "noise"),
+            # JSON NaN passes the < / >= checks: every distance test was false,
+            # so each proposal was swapped for a random point
+            ({"tuner": {"fun_evals": 14, "tolerance_x": float("nan")}}, "tolerance_x"),
+            # every fit failed, so the run was a silent random search
+            ({"surrogate": {"model_fun_evals": 250, "min_theta": float("nan")}},
+             "min_theta"),
+            # the sequential phase never ran
+            ({"tuner": {"fun_evals": 14, "max_time": float("nan")}}, "max_time"),
         ]:
             cfg = write_config(tmp_path / "exp.json", **block)
             assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -247,6 +255,31 @@ class TestResume:
                   for d in (full, bumped)]
         assert models[0] == models[1]
 
+    def test_older_run_state_resumes(self, tmp_path):
+        # keys that earlier versions wrote and nothing reads are ignored
+        cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4",
+                           model="mixed4", design={"init_size": 10},
+                           tuner={"fun_evals": 20})
+        full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+        assert main(["tune", "--config", cfg, "--out", full]) == 0
+        assert main(["tune", "--config", cfg, "--out", cut]) == 0
+        path = os.path.join(cut, "run_state.json")
+        doc = json.load(open(path))
+        for key in ("X", "y", "metrics", "phases", "elapsed"):
+            doc[key] = doc[key][:13]
+        doc["elapsed_total"] = sum(doc["elapsed"])
+        doc["meta"]["model"] = "mixed4"
+        space = json.loads(doc["meta"]["space_json"])
+        space["mixed4"]["kind"].update(class_name="torch.optim",
+                                       core_model_parameter_type="str")
+        doc["meta"]["space_json"] = json.dumps(space)
+        json.dump(doc, open(path, "w"))
+
+        assert main(["resume", "--out", cut]) == 0
+        events = [open(os.path.join(d, "events.csv")).read() for d in (full, cut)]
+        assert events[0] == events[1]
+        assert events[0].count("\n") == 21
+
     def test_missing_dir_exits_1(self, tmp_path, capsys):
         assert main(["resume", "--out", str(tmp_path / "void")]) == 1
 
@@ -303,6 +336,26 @@ class TestBench:
     def test_reps_below_one_rejected(self, reps, sphere_config, capsys):
         assert main(["bench", "--config", sphere_config, "--reps", reps]) == 1
         assert "error: --reps must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    # the start point is resolved against the space before the run starts
+    ({"x_start": 5}, "x_start"),
+    ({"x_start": {"x0": 0.5}}, "x_start"),
+    ({"seed": "abc"}, "seed"),
+    ({"objective": 5}, "objective"),
+    ({"objective": "toynet", "model": "ToyNet", "eval": "bogus"}, "eval"),
+    ({"objective": "toynet", "model": "ToyNet", "n_samples": 10}, "n_samples"),
+    ({"objective": "external:true", "model": "ToyNet",
+      "hyper_dict": "builtin:toynet", "external_timeout": "abc"}, "external_timeout"),
+])
+def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.json", **overrides)
+    assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")
+            and key in line]
 
 
 def test_unknown_builtin_rejected(tmp_path, capsys):

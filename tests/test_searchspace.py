@@ -22,8 +22,6 @@ def test_parse_reference_model(reference_space):
     assert opt.kind == "factor"
     assert (opt.lower, opt.upper) == (0, 12)
     assert len(opt.levels) == 13
-    assert opt.value_type == "str"
-    assert opt.class_name == "torch.optim"
 
 
 def test_parse_missing_model_key(reference_hyper_dict_text):

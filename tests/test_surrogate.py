@@ -302,10 +302,10 @@ class TestPredict:
         X = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [1.0, 1.0]])
         y = np.array([1.0, 2.0, 3.0, 4.0])
         model = fit(X, y, SurrogateControl(model_fun_evals=200), seed=0)
-        model.theta_log10 = np.array([3.0, 3.0])
         from spotkit.surrogate import _finalize
 
-        _finalize(model)
+        model = _finalize(model.X, model.y, np.array([3.0, 3.0]), model.nugget,
+                          model.norm_min, model.norm_span)
         mean, var = model.predict([1.0, 0.0])
         assert mean == pytest.approx(model.mu, abs=1e-6)
         assert var == pytest.approx(model.sigma2 * (1 + model.nugget), rel=1e-6)
@@ -519,3 +519,8 @@ def test_control_validation():
         with pytest.raises(ValueError, match="noise must be true or false"):
             SurrogateControl(noise=noise)
     assert SurrogateControl(noise=True).noise is True
+    # a NaN bound passes the ordering check and fails every fit
+    for kw in ({"min_theta": math.nan}, {"min_theta": -math.inf},
+               {"max_theta": math.nan}, {"max_theta": math.inf}):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be finite"):
+            SurrogateControl(**kw)

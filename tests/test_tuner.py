@@ -583,6 +583,14 @@ class TestPersistence:
             TunerConfig(fun_evals=10, fun_repeats=1.5)
         with pytest.raises(ValueError, match="whole number"):
             TunerConfig(fun_evals=10, fun_repeats=math.inf)
+        # a NaN passes < / >= checks; an infinite tolerance counts every point
+        # as a duplicate
+        for kw in ({"tolerance_x": math.nan}, {"tolerance_x": math.inf},
+                   {"max_time": math.nan}, {"max_time": -1.0}):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                TunerConfig(fun_evals=10, **kw)
+        TunerConfig(fun_evals=10, tolerance_x=0.0, max_time=0.0)
+        TunerConfig(fun_evals=10, max_time=math.inf)
         cfg = TunerConfig(fun_evals=10, n_points=2.0, fun_repeats=3.0)
         assert (cfg.n_points, cfg.fun_repeats) == (2, 3)
         assert type(cfg.n_points) is int and type(cfg.fun_repeats) is int

@@ -8,9 +8,11 @@ reference commands below against both source trees with
 printed output (stdout and stderr) and every artifact byte for byte, except
 ``run_state.json``, which holds wall-clock timings. ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation from a derived config
-written into the temporary directory. Prints one line per
-command and exits 1 on any difference or failed command, 0 otherwise. The
-temporary directories are removed in either case.
+written into the temporary directory. ``resume_mixed4`` is two steps in one
+output directory, a 20-evaluation ``tune`` and a ``resume`` to 30; the
+printed output of each step and the final artifacts are compared. Prints
+one line per command and exits 1 on any difference or failed step, 0
+otherwise. The temporary directories are removed in either case.
 """
 from __future__ import annotations
 
@@ -28,14 +30,17 @@ MIXED4 = "configs/bench_mixed4.json"
 # configs/toy.json evaluated by cross validation over 2-3 folds; main()
 # writes it into each side's working directory
 TOY_CV = "toy_cv.json"
+# each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
-    "tune_toy": ["tune", "--config", "configs/toy.json"],
-    "tune_toy_cv": ["tune", "--config", TOY_CV, "--fun-evals", "15"],
-    "tune_mixed4": ["tune", "--config", MIXED4],
-    "tune_mixed4_100_s1": ["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"],
-    "tune_mixed4_100_s97": ["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"],
-    "bench_mixed4_s1": ["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"],
-    "bench_mixed4_s97": ["bench", "--config", MIXED4, "--reps", "5", "--seed", "97"],
+    "tune_toy": [["tune", "--config", "configs/toy.json"]],
+    "tune_toy_cv": [["tune", "--config", TOY_CV, "--fun-evals", "15"]],
+    "tune_mixed4": [["tune", "--config", MIXED4]],
+    "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
+    "tune_mixed4_100_s97": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"]],
+    "bench_mixed4_s1": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"]],
+    "bench_mixed4_s97": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "97"]],
+    "resume_mixed4": [["tune", "--config", MIXED4, "--fun-evals", "20", "--seed", "1"],
+                      ["resume", "--fun-evals", "30"]],
 }
 
 
@@ -55,18 +60,23 @@ def extract(rev: str, dest: str) -> None:
         fh.extractall(dest, filter="data")
 
 
-def run(tree: str, work: str, name: str, argv: list[str]) -> dict[str, bytes]:
-    """Run one command from ``tree`` with its outputs in ``work/name``; the
-    printed output and the artifacts, keyed by relative path."""
+def run(tree: str, work: str, name: str, steps: list[list[str]]) -> dict[str, bytes]:
+    """Run one command's steps from ``tree`` with their outputs in
+    ``work/name``; the printed output of each step (keys ``<exit code>``,
+    ``<stdout>``, ``<stderr>``, numbered from the second step on) and the
+    final artifacts, keyed by relative path."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(tree, "src"))
     env.pop("SPOTKIT_SEED", None)
     env.pop("SPOTKIT_DEBUG", None)
-    argv = [a if not a.startswith("configs/") else os.path.join(tree, a) for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "spotkit.cli", *argv, "--out", name],
-                          cwd=work, capture_output=True, env=env)
-    files = {"<exit code>": str(proc.returncode).encode(),
-             "<stdout>": proc.stdout, "<stderr>": proc.stderr}
+    files = {}
+    for i, argv in enumerate(steps):
+        argv = [a if not a.startswith("configs/") else os.path.join(tree, a) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "spotkit.cli", *argv, "--out", name],
+                              cwd=work, capture_output=True, env=env)
+        tag = f" {i + 1}" if i else ""
+        files.update({f"<exit code{tag}>": str(proc.returncode).encode(),
+                      f"<stdout{tag}>": proc.stdout, f"<stderr{tag}>": proc.stderr})
     out_dir = os.path.join(work, name)
     for dirpath, _, names in os.walk(out_dir):
         for fn in names:
@@ -93,11 +103,13 @@ def main(argv: list[str]) -> int:
         for name, command in COMMANDS.items():
             old, new = [run(tree, work, name, command) for tree, work in trees]
             differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-            failed = new["<exit code>"] != b"0" or old["<exit code>"] != b"0"
+            failed = any(k.startswith("<exit code") and v != b"0"
+                         for files in (old, new) for k, v in files.items())
             ok = ok and not differ and not failed
+            n_artifacts = sum(1 for k in new if not k.startswith("<"))
             verdict = ("differ: " + ", ".join(differ) if differ
                        else "failed (identical)" if failed
-                       else f"identical ({len(new) - 3} artifacts)")
+                       else f"identical ({n_artifacts} artifacts)")
             print(f"{name}: {verdict}", flush=True)
     return 0 if ok else 1
 
