@@ -107,7 +107,7 @@ def export_contour(model: KrigingModel, space: SearchSpace,
             v[ia], v[ib] = va, vb
             # per-point prediction keeps the export bit-equal to direct calls;
             # a batched product sums each mean in another order
-            mean = model.mean_at(v)
+            mean = model.predict(v)
             rows.append({name_a: float(va), name_b: float(vb), "mean": mean})
     return rows
 

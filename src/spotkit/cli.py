@@ -18,6 +18,7 @@ import importlib.resources
 import json
 import math
 import os
+import shlex
 import sys
 import traceback
 
@@ -165,15 +166,19 @@ def apply_modifications(space: SearchSpace, modify: dict) -> SearchSpace:
     return space
 
 
-def build_objective(exp: dict, seed: int):
+def build_objective(exp: dict, seed: int, space: SearchSpace):
+    """The objective the experiment names. Every key it reads is checked
+    here, the fold counts against ``space``, so a bad value raises
+    ``ConfigError`` before the first evaluation."""
     selector = exp["objective"]
     if selector == "toynet":
         try:
+            k = space.spec("k_folds")
             return make_toy_objective(
                 eval_setting=exp["eval"], data_seed=exp["data_seed"],
                 eval_seed=exp.get("eval_seed", child_seed(seed, 7)),
                 n=exp["n_samples"], input_dim=exp["input_dim"],
-                shuffle=exp["shuffle"],
+                shuffle=exp["shuffle"], k_folds=(k.decode(k.lower), k.decode(k.upper)),
             )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"toynet objective (eval, n_samples, input_dim, "
@@ -186,9 +191,18 @@ def build_objective(exp: dict, seed: int):
     if selector.startswith("external:"):
         command = selector.split(":", 1)[1]
         try:
+            words = shlex.split(command)
+        except ValueError as err:       # an unbalanced quote
+            raise ConfigError(f"objective {selector!r}: {err}") from None
+        if not words:
+            raise ConfigError(f"objective {selector!r} names no command")
+        try:
             timeout = float(exp.get("external_timeout", 60.0))
         except (TypeError, ValueError):
-            raise ConfigError("external_timeout must be a number") from None
+            timeout = math.nan
+        if not 0.0 < timeout < math.inf:
+            raise ConfigError(f"external_timeout must be a positive number of seconds, "
+                              f"got {exp['external_timeout']!r}")
         return lambda config: external_evaluate(command, config, timeout)
     raise ConfigError(f"unknown objective selector {selector!r}")
 
@@ -264,7 +278,7 @@ def cmd_tune(args) -> int:
     out_dir = args.out or exp["out"]
     _apply_budget_flags(exp, args)
     space = build_space(exp)
-    objective = build_objective(exp, seed)
+    objective = build_objective(exp, seed, space)
     controls = _controls(exp, seed)
 
     print(render_table(gen_design_table(space)))
@@ -285,7 +299,7 @@ def cmd_resume(args) -> int:
     bumped = _apply_budget_flags(meta["experiment"], args)
     exp = dict(_DEFAULTS)
     exp.update(meta["experiment"])
-    objective = build_objective(exp, seed)
+    objective = build_objective(exp, seed, space)
     controls = _controls(exp, seed)
     if bumped:      # a later plain resume keeps the new budget
         tn.atomic_write(os.path.join(args.out, "run_state.json"),
@@ -330,7 +344,7 @@ def cmd_bench(args) -> int:
     try:
         for rep in range(args.reps):
             rep_seed = child_seed(seed, 100, rep)
-            objective = build_objective(exp, rep_seed)
+            objective = build_objective(exp, rep_seed, space)
             spot_state = tn.run(
                 objective, space, dataclasses.replace(tuner_cfg, seed=rep_seed),
                 dataclasses.replace(design_cfg, seed=child_seed(rep_seed, 5)),
@@ -344,6 +358,8 @@ def cmd_bench(args) -> int:
                                           seed=child_seed(rep_seed, 6))
             spot_best.append(spot_state.best_y)
             rand_best.append(rand_state.best_y)
+    except ConfigError:        # from the first rep's build_objective
+        raise
     except Exception as err:
         return _runtime_error(err)
 

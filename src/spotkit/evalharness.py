@@ -347,11 +347,26 @@ def external_evaluate(command: str, config: dict, timeout: float = 60.0) -> Eval
 
 def make_toy_objective(eval_setting: str = "train_hold_out", data_seed: int = 7,
                        eval_seed: int = 0, n: int = 1000, input_dim: int = 20,
-                       shuffle: bool = True):
-    """Objective closure mapping a configuration dict to an EvalResult."""
+                       shuffle: bool = True, k_folds: tuple[int, int] = (2, 2)):
+    """Objective closure mapping a configuration dict to an EvalResult.
+
+    ``k_folds`` is the lowest and highest fold count the configurations
+    take; under cross validation both must lie between 2 and the row count
+    of the cross-validated split. A bad argument raises ``ValueError`` here
+    rather than failing every evaluation.
+    """
     if eval_setting not in EVAL_SETTINGS:
         raise ValueError(f"unknown evaluation setting {eval_setting!r}")
+    if type(eval_seed) is not int or eval_seed < 0:
+        raise ValueError(f"eval_seed must be a non-negative integer, got {eval_seed!r}")
+    if type(shuffle) is not bool:
+        raise ValueError(f"shuffle must be true or false, got {shuffle!r}")
     train, test = generate_dataset(n, input_dim, data_seed)
+    if eval_setting.endswith("_cv"):
+        rows = len(train if eval_setting == "train_cv" else test)
+        if not 2 <= k_folds[0] <= k_folds[1] <= rows:
+            raise ValueError(f"k_folds bounds {list(k_folds)} must lie in [2, {rows}], "
+                             f"the rows that {eval_setting} splits")
 
     def objective(config: dict) -> EvalResult:
         hp = HyperConfig.from_config(config)

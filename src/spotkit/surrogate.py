@@ -13,15 +13,13 @@ training targets.
 ``fit`` evaluates the likelihood over blocks of parameter vectors, each
 value with the bits of evaluating its vector alone.
 
-A fitted ``KrigingModel`` predicts the mean and variance with
-``predict_batch``; ``predict_mean`` returns the same mean bits without the
-variance solve, and ``mean_at`` the same bits at a single point with no
-per-call set-up, for infill search and contour exports that read only the
-mean.
+A fitted ``KrigingModel`` predicts only the mean: ``predict_batch`` at
+each row of an array, and ``predict`` the same bits at a single point with
+no per-call set-up, for the infill search and the contour export.
 
-LAPACK is called through scipy's compiled wrappers ``dpotrs`` (likelihood
-and weights) and ``dtrtrs`` (variance), which ``_load_flapack`` loads from
-their extension file instead of importing ``scipy.linalg``. That package's
+The only LAPACK wrapper taken from scipy is ``dpotrs`` (likelihood and
+weights); ``_load_flapack`` loads scipy's compiled wrappers from their
+extension file instead of importing ``scipy.linalg``. That package's
 ``__init__`` brings in about 310 more modules (its array-API layer loads
 ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``), paid at the start of
 every command: ``import spotkit.cli`` takes 0.15 s, 241 modules and 33 MB
@@ -72,7 +70,6 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpotrs = _flapack.dpotrs
-dtrtrs = _flapack.dtrtrs
 
 JITTER_FLOOR = 1e-12
 JITTER_CEIL = 1e-6
@@ -112,12 +109,11 @@ class SurrogateControl:
 class KrigingModel:
     """Fitted surrogate; immutable in practice, safe to share across threads.
 
-    ``predict_batch`` gives mean and variance, ``predict_mean`` the mean
-    alone, and ``mean_at`` the mean at one point as a float, for the infill
-    search's Nelder-Mead and the contour export; all three build the
-    cross-correlations the way ``_kernel`` does, so their means agree bit
-    for bit. ``_finalize`` builds the model with the per-model arrays they
-    share.
+    ``predict_batch`` gives the mean at each row, and ``predict`` the mean at
+    one point as a float, for the infill search's Nelder-Mead and the
+    contour export; both build the cross-correlations the way ``_kernel``
+    does, so they agree bit for bit. ``_finalize`` builds the model with the
+    per-model arrays they share; a constant-data model has none of them.
     """
 
     X: np.ndarray                 # raw training inputs, n x d
@@ -125,10 +121,8 @@ class KrigingModel:
     theta_log10: np.ndarray       # d activity exponents
     nugget: float
     mu: float
-    sigma2: float
     norm_min: np.ndarray          # per-dim normalization offsets
     norm_span: np.ndarray         # per-dim spans (zeros replaced by 1)
-    chol: np.ndarray | None = None          # lower Cholesky factor of R
     weights: np.ndarray | None = None       # R^-1 (y - mu)
     Z: np.ndarray | None = field(default=None, repr=False)  # normalized inputs
     ZT: np.ndarray | None = field(default=None, repr=False)   # Z.T, contiguous
@@ -138,58 +132,24 @@ class KrigingModel:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    def _normalize(self, X: np.ndarray) -> np.ndarray:
-        Z = (np.atleast_2d(np.asarray(X, dtype=float)) - self.norm_min) / self.norm_span
-        return np.minimum(np.maximum(Z, 0.0), 1.0)
-
-    def predict(self, x) -> tuple[float, float]:
-        """Kriging mean and variance at one point (clamped into the data box)."""
-        mean, var = self.predict_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-        return float(mean[0]), float(var[0])
-
-    def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Kriging mean and variance at each row of ``X`` (clamped into the
-        data box).
-
-        The variance solves ``L v = psi'`` with LAPACK ``dtrtrs`` on the
-        C-ordered factor read as its upper transpose, the call that
-        ``scipy.linalg.solve_triangular(L, psi', lower=True)`` makes, so its
-        bits are scipy's. A NaN in ``X`` raises ``ValueError``, as scipy's
-        finiteness check did; a singular factor raises ``LinAlgError``.
-        """
-        Q = self._normalize(X)
-        m = Q.shape[0]
-        if self.chol is None:      # constant-data model
-            return np.full(m, self.mu), np.zeros(m)
-        psi = _kernel(Q, self.Z, self.t10)
-        if not np.isfinite(psi).all():
-            raise ValueError("array must not contain infs or NaNs")
-        mean = self.mu + psi @ self.weights
-        v, info = dtrtrs(self.chol.T, psi.T, lower=0, trans=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: resolution failed at diagonal {info - 1}")
-        var = self.sigma2 * (1.0 + self.nugget - np.einsum("ij,ij->j", v, v))
-        return mean, np.maximum(var, 0.0)
-
-    def predict_mean(self, X) -> np.ndarray:
-        """Kriging mean at each row of ``X``: ``predict_batch(X)[0]`` without
-        the triangular solve for the variance."""
-        Q = self._normalize(X)
-        if self.chol is None:      # constant-data model
+    def predict_batch(self, X) -> np.ndarray:
+        """Kriging mean at each row of ``X`` (clamped into the data box)."""
+        Q = np.atleast_2d(np.asarray(X, dtype=float))
+        Q = np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
+        if self.weights is None:   # constant-data model
             return np.full(Q.shape[0], self.mu)
         return self.mu + _kernel(Q, self.Z, self.t10) @ self.weights
 
-    def mean_at(self, x: np.ndarray) -> float:
-        """Kriging mean at one float point ``x`` (a 1-D array of length d).
+    def predict(self, x) -> float:
+        """Kriging mean at one point ``x`` (a 1-D list or array of length d).
 
-        The same arithmetic in the same order as ``predict_mean(x[None, :])[0]``,
+        The same arithmetic in the same order as ``predict_batch([x])[0]``,
         so the same bits: clamp, the weighted squared differences as one
         C-ordered d x n array summed over its outer axis (dimension order,
         as in ``_kernel``), ``exp`` and a (1, n) @ (n,) product; only the
         per-call set-up is gone. Does not modify ``x``.
         """
-        if self.chol is None:      # constant-data model
+        if self.weights is None:   # constant-data model
             return self.mu
         q = np.minimum(np.maximum((x - self.norm_min) / self.norm_span, 0.0), 1.0)
         diff = q[:, None] - self.ZT
@@ -265,9 +225,9 @@ def _nll(R: np.ndarray, rhs: np.ndarray) -> list[float]:
 
 
 def _likelihood(L: np.ndarray, rhs: np.ndarray):
-    """NLL, mu, sigma2 and R^-1 (y - mu) of each lower Cholesky factor in
-    the stack ``L`` (b x n x n): NLL and sigma2 as lists of b floats, mu as
-    a b-vector, R^-1 (y - mu) as a b x n array.
+    """NLL, mu and R^-1 (y - mu) of each lower Cholesky factor in the stack
+    ``L`` (b x n x n): NLL as a list of b floats, mu as a b-vector,
+    R^-1 (y - mu) as a b x n array.
 
     ``rhs`` holds ``y`` and ones as ``_rhs`` builds them, once per fit. One
     LAPACK solve per matrix serves both; passed the factor's transpose as
@@ -295,7 +255,7 @@ def _likelihood(L: np.ndarray, rhs: np.ndarray):
     half_logdet = np.add.reduce(np.log(L.diagonal(axis1=1, axis2=2)), axis=1)
     sigma2 = [max(s / n, 1e-300) for s in q.tolist()]
     nll = [n * math.log(s) + 2.0 * h for s, h in zip(sigma2, half_logdet.tolist())]
-    return nll, mu.ravel(), sigma2, rinv_r[:, 0]
+    return nll, mu.ravel(), rinv_r[:, 0]
 
 
 # -- fitting ----------------------------------------------------------------
@@ -334,7 +294,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
         # constant observations: degenerate model that predicts the constant
         return KrigingModel(
             X=X, y=y, theta_log10=np.zeros(d), nugget=0.0, mu=float(y[0]),
-            sigma2=0.0, norm_min=norm_min, norm_span=norm_span,
+            norm_min=norm_min, norm_span=norm_span,
         )
 
     if not control.noise:
@@ -415,12 +375,11 @@ def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
                 raise FitError(
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
-    _, mu, sigma2, rinv_r = _likelihood(L[None], _rhs(y))
+    _, mu, rinv_r = _likelihood(L[None], _rhs(y))
     return KrigingModel(
         X=X, y=y, theta_log10=theta_log10, nugget=float(nugget + jitter),
-        mu=float(mu[0]), sigma2=float(max(sigma2[0], 0.0)), norm_min=norm_min,
-        norm_span=norm_span, chol=L, weights=rinv_r[0], Z=Z,
-        ZT=np.ascontiguousarray(Z.T), t10=10.0 ** theta_log10,
+        mu=float(mu[0]), norm_min=norm_min, norm_span=norm_span,
+        weights=rinv_r[0], Z=Z, ZT=np.ascontiguousarray(Z.T), t10=10.0 ** theta_log10,
     )
 
 

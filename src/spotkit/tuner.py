@@ -281,11 +281,12 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     """Candidates minimizing the surrogate mean over the active box.
 
     Random multistart probes take half the budget, scored in one
-    ``predict_mean`` batch; bounded Nelder-Mead (``_nelder_mead``, scipy
-    1.17.1's algorithm) refines the best probes on the continuous relaxation
-    with the rest, calling ``model.mean_at`` once per vertex. Integer and
-    factor coordinates snap to their lattice before returning. Candidates
-    are mutually distinct beyond ``tolerance_x`` in max-norm where possible.
+    ``model.predict_batch`` call; bounded Nelder-Mead (``_nelder_mead``,
+    scipy 1.17.1's algorithm) refines the best probes on the continuous
+    relaxation with the rest, calling ``model.predict`` once per vertex.
+    Integer and factor coordinates snap to their lattice before returning.
+    Candidates are mutually distinct beyond ``tolerance_x`` in max-norm
+    where possible.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     active = space.active
@@ -295,7 +296,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
 
     n_probe = max(2 * n_points, budget // 2)
     probes = rng.uniform(lo, hi, size=(n_probe, d))
-    mu = model.predict_mean(probes)
+    mu = model.predict_batch(probes)
     order = np.argsort(mu, kind="stable")
 
     pool: list[tuple[float, np.ndarray]] = []
@@ -308,7 +309,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
             fev = min(per_start, remaining)
             if fev < min_fev:
                 break
-            x, fun, nfev = _nelder_mead(model.mean_at, probes[i], lo, hi, fev)
+            x, fun, nfev = _nelder_mead(model.predict, probes[i], lo, hi, fev)
             remaining -= nfev
             pool.append((float(fun), x))
             if remaining < min_fev:

@@ -42,7 +42,7 @@ def test_c01_surrogate_exactness():
     y = np.sin(4.0 * X[:, 0]) + (2.0 * X[:, 1] - 1.0) ** 2 + 0.5 * X[:, 2]
     model = sg.fit(X, y, sg.SurrogateControl(noise=False, model_fun_evals=2000),
                    seed=11)
-    pred = model.predict_batch(X)[0]
+    pred = model.predict_batch(X)
     rel = float(np.max(np.abs(pred - y) / (1.0 + np.abs(y))))
     elapsed = time.monotonic() - t0
     check("C01 surrogate exactness", rel <= 1e-6 and elapsed < 1.0,

@@ -175,7 +175,7 @@ class TestContour:
         ))
         rows = export_contour(model, space, ("a", "b"), grid=5)
         for r in rows:
-            mean, _ = model.predict([r["a"], r["b"]])
+            mean = model.predict_batch(np.array([[r["a"], r["b"]]]))[0]
             assert r["mean"] == pytest.approx(mean, abs=1e-12)
 
     def test_factor_axis_snaps_to_lattice(self):

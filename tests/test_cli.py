@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,11 @@ def write_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config))
     return str(path)
+
+
+# overrides that turn write_config's experiment into a toynet or an external one
+TOYNET = {"objective": "toynet", "model": "ToyNet"}
+EXTERNAL = {"objective": "external:true", "model": "ToyNet", "hyper_dict": "builtin:toynet"}
 
 
 @pytest.fixture
@@ -323,6 +329,12 @@ class TestBench:
         err = capsys.readouterr().err
         assert "tuner.max_time" in err and "8 of 14 evaluations" in err
 
+    def test_objective_key_checked_before_evaluating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.json", **TOYNET, eval_seed="abc")
+        assert main(["bench", "--config", cfg, "--reps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: " in err and "eval_seed" in err
+
     def test_infinite_budget_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "exp.json", tuner={"max_time": 1})
         assert main(["bench", "--config", cfg, "--reps", "2"]) == 1
@@ -348,6 +360,19 @@ class TestBench:
     ({"objective": "toynet", "model": "ToyNet", "n_samples": 10}, "n_samples"),
     ({"objective": "external:true", "model": "ToyNet",
       "hyper_dict": "builtin:toynet", "external_timeout": "abc"}, "external_timeout"),
+    # keys the objective reads only when it evaluates are checked up front
+    # too, so a bad value is no run of failed evaluations
+    ({**TOYNET, "eval_seed": "abc"}, "eval_seed"),
+    ({**TOYNET, "shuffle": "no"}, "shuffle"),
+    ({**TOYNET, "eval": "train_cv", "modify": {"bounds": {"k_folds": [1, 1]}}}, "k_folds"),
+    ({**TOYNET, "eval": "train_cv",       # more folds than the 800 training rows
+      "modify": {"bounds": {"k_folds": [900, 900]}}}, "k_folds"),
+    ({**EXTERNAL, "objective": "external:"}, "objective"),
+    ({**EXTERNAL, "objective": "external:   "}, "objective"),
+    ({**EXTERNAL, "objective": "external:python3 -c 'print(1)"}, "objective"),
+    ({**EXTERNAL, "external_timeout": math.nan}, "external_timeout"),
+    ({**EXTERNAL, "external_timeout": -1}, "external_timeout"),
+    ({**EXTERNAL, "external_timeout": 0}, "external_timeout"),
 ])
 def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", **overrides)

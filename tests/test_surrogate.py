@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from spotkit import surrogate as sg
 from spotkit.design import DesignControl, latin_hypercube
@@ -217,24 +217,20 @@ class TestFit:
         y = np.array([0.0, 1.0])
         model = fit(X, y, SurrogateControl(model_fun_evals=200), seed=0)
         for xi, yi in zip(X, y):
-            mean, _ = model.predict(xi)
-            assert mean == pytest.approx(yi, abs=1e-6)
+            assert model.predict(xi) == pytest.approx(yi, abs=1e-6)
 
     def test_constant_data(self):
         X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
         y = np.full(3, 3.5)
         model = fit(X, y, SurrogateControl(model_fun_evals=50), seed=0)
-        assert model.sigma2 == 0.0
-        mean, var = model.predict([0.3, 0.3])
-        assert mean == 3.5
-        assert var == 0.0
+        assert model.predict([0.3, 0.3]) == 3.5
 
     def test_noise_free_interpolation_12_points(self):
         rng = np.random.default_rng(5)
         X = rng.random((12, 3))
         y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 - X[:, 2]
         model = fit(X, y, SurrogateControl(model_fun_evals=2000), seed=1)
-        pred = model.predict_batch(X)[0]
+        pred = model.predict_batch(X)
         rel = np.abs(pred - y) / (1.0 + np.abs(y))
         assert np.max(rel) <= 1e-6
 
@@ -246,7 +242,7 @@ class TestFit:
         for i in range(20):
             keep = np.arange(20) != i
             model = fit(unit[keep], y[keep], control, seed=3)
-            errs.append(model.predict(unit[i])[0] - y[i])
+            errs.append(model.predict(unit[i]) - y[i])
         rmse = float(np.sqrt(np.mean(np.square(errs))))
         assert rmse < 0.05 * np.ptp(y)
 
@@ -287,14 +283,7 @@ class TestPredict:
 
     def test_training_site_variance_tiny(self, model):
         for xi, yi in zip(model.X, model.y):
-            mean, var = model.predict(xi)
-            assert mean == pytest.approx(yi, abs=1e-6)
-            assert var <= 1e-8
-
-    def test_variance_nonnegative_on_probes(self, model):
-        probes = np.random.default_rng(3).random((200, 2))
-        var = model.predict_batch(probes)[1]
-        assert np.all(var >= 0.0)
+            assert model.predict(xi) == pytest.approx(yi, abs=1e-6)
 
     def test_far_point_reverts_to_prior(self):
         # with strong per-dim activity, a probe distant from every training
@@ -306,56 +295,18 @@ class TestPredict:
 
         model = _finalize(model.X, model.y, np.array([3.0, 3.0]), model.nugget,
                           model.norm_min, model.norm_span)
-        mean, var = model.predict([1.0, 0.0])
-        assert mean == pytest.approx(model.mu, abs=1e-6)
-        assert var == pytest.approx(model.sigma2 * (1 + model.nugget), rel=1e-6)
+        assert model.predict([1.0, 0.0]) == pytest.approx(model.mu, abs=1e-6)
 
     def test_symmetry_midpoint(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([2.0, 2.0])
         model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=300), seed=0)
-        mean, _ = model.predict([0.5])
-        assert mean == pytest.approx(2.0, abs=1e-9)
+        assert model.predict([0.5]) == pytest.approx(2.0, abs=1e-9)
 
     def test_points_clamped_into_box(self, model):
         inside = model.predict([1.0, 1.0])
         outside = model.predict([5.0, 5.0])
         assert inside == outside
-
-
-def solve_triangular_variance(model, X):
-    """The variance as ``predict_batch`` formed it through
-    ``scipy.linalg.solve_triangular``."""
-    psi = sg._kernel(model._normalize(X), model.Z, model.t10)
-    v = solve_triangular(model.chol, psi.T, lower=True)
-    return np.maximum(model.sigma2 * (1.0 + model.nugget - np.einsum("ij,ij->j", v, v)),
-                      0.0)
-
-
-class TestPredictVariance:
-    @pytest.mark.parametrize("noise", [False, True])
-    def test_bit_equal_to_solve_triangular(self, noise):
-        rng = np.random.default_rng(11 + noise)
-        for d in range(1, 7):
-            for n in (3, 7, 20, 45, 90):
-                X = rng.random((n, d)) * rng.uniform(0.5, 20.0, d)
-                y = np.cos(3.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
-                model = fit(X, y, SurrogateControl(noise=noise, model_fun_evals=40),
-                            seed=int(rng.integers(1000)))
-                lo, hi = model.norm_min, model.norm_min + model.norm_span
-                span = hi - lo
-                probes = np.vstack([rng.uniform(lo, hi, (25, d)),       # inside
-                                    rng.uniform(lo - span, hi + span, (25, d)),
-                                    model.X[:3]])
-                var = model.predict_batch(probes)[1]
-                assert np.array_equal(var, solve_triangular_variance(model, probes)), (d, n)
-
-    def test_nan_query_raises(self):
-        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
-        model = fit(X, np.array([1.0, 2.0, 0.5]), SurrogateControl(model_fun_evals=50),
-                    seed=0)
-        with pytest.raises(ValueError, match="NaN"):
-            model.predict_batch(np.array([[0.2, 0.3], [np.nan, 0.5]]))
 
 
 def run_fresh(code: str) -> str:
@@ -389,7 +340,7 @@ class TestLapackLoader:
     def test_imported_module_reused(self):
         from scipy.linalg import lapack
 
-        assert sg.dpotrs is lapack.dpotrs and sg.dtrtrs is lapack.dtrtrs
+        assert sg.dpotrs is lapack.dpotrs
 
     def test_missing_file_named(self, monkeypatch, tmp_path):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
@@ -402,26 +353,11 @@ class TestLapackLoader:
 
 
 class TestPredictMean:
-    def test_bit_equal_to_predict_batch_mean(self):
-        rng = np.random.default_rng(5)
-        for n, d, noise in [(5, 1, False), (20, 3, False), (30, 2, True)]:
-            X = rng.random((n, d))
-            y = np.sin(4.0 * X).sum(axis=1) + 0.05 * rng.normal(size=n)
-            model = fit(X, y, SurrogateControl(noise=noise, model_fun_evals=100),
-                        seed=1)
-            probes = rng.random((50, d)) * 1.4 - 0.2
-            assert np.array_equal(model.predict_mean(probes),
-                                  model.predict_batch(probes)[0])
-            for p in probes[:10]:
-                assert model.predict_mean(p)[0] == model.predict(p)[0]
-
     def test_constant_data_model(self):
         X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
         model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
         probes = np.array([[0.3, 0.3], [2.0, -1.0]])
-        assert np.array_equal(model.predict_mean(probes),
-                              model.predict_batch(probes)[0])
-        assert np.array_equal(model.predict_mean(probes), [3.5, 3.5])
+        assert np.array_equal(model.predict_batch(probes), [3.5, 3.5])
 
 
 class TestMeanAt:
@@ -437,22 +373,22 @@ class TestMeanAt:
             probes = np.vstack([rng.random((20, d)) * 2.0 - 0.5,
                                 rng.random((20, d)) * 6.0 - 3.0])
             for p in probes:
-                assert model.mean_at(p) == model.predict_mean(p[None, :])[0]
-                assert type(model.mean_at(p)) is float
+                assert model.predict(p) == model.predict_batch(p[None, :])[0]
+                assert type(model.predict(p)) is float
 
     def test_constant_data_model(self):
         X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
         model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
         for p in ([0.3, 0.3], [2.0, -1.0]):
             p = np.array(p)
-            assert model.mean_at(p) == model.predict_mean(p[None, :])[0] == 3.5
+            assert model.predict(p) == model.predict_batch(p[None, :])[0] == 3.5
 
     def test_input_left_unchanged(self):
         rng = np.random.default_rng(1)
         X = rng.random((10, 2))
         model = fit(X, X.sum(axis=1), SurrogateControl(model_fun_evals=50), seed=0)
         x = np.array([1.5, -0.2])
-        model.mean_at(x)
+        model.predict(x)
         assert np.array_equal(x, [1.5, -0.2])
 
 
@@ -490,13 +426,13 @@ def test_rescaled_column_leaves_ranking_unchanged():
     control = SurrogateControl(model_fun_evals=600)
 
     m1 = fit(X, y, control, seed=4)
-    best1 = int(np.argmin(m1.predict_batch(cands)[0]))
+    best1 = int(np.argmin(m1.predict_batch(cands)))
 
     X2, c2 = X.copy(), cands.copy()
     X2[:, 1] = 100.0 * X2[:, 1] - 7.0     # affine rescale of one input column
     c2[:, 1] = 100.0 * c2[:, 1] - 7.0
     m2 = fit(X2, y, control, seed=4)
-    best2 = int(np.argmin(m2.predict_batch(c2)[0]))
+    best2 = int(np.argmin(m2.predict_batch(c2)))
     assert best1 == best2
 
 

@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from spotkit import tuner
+from spotkit.analysis import export_contour
 from spotkit.design import DesignControl
 from spotkit.evalharness import EvalResult
 from spotkit.searchspace import ParamSpec, SearchSpace
-from spotkit.surrogate import SurrogateControl, fit
+from spotkit.surrogate import KrigingModel, SurrogateControl, fit
 from spotkit.tuner import (
     RunState, TunerConfig, _embed_active, _fit_inputs, _is_distinct, _nelder_mead,
     _random_full_point, best, events_csv, load_run_state, random_search, run,
@@ -316,7 +319,7 @@ class TestSuggestNext:
         cands = suggest_next(state, model, space, n_points=1, budget=600, seed=1)
         # dense-grid oracle on the surrogate mean itself
         grid = np.linspace(0, 1, 2001)[:, None]
-        oracle = grid[int(np.argmin(model.predict_batch(grid)[0])), 0]
+        oracle = grid[int(np.argmin(model.predict_batch(grid))), 0]
         assert abs(cands[0][0] - oracle) <= 0.05
         assert abs(cands[0][0] - 0.7) <= 0.05
 
@@ -390,6 +393,58 @@ class TestSuggestNext:
         assert drew_new and drew_any
 
 
+class RecordingModel(KrigingModel):
+    """A fitted model that records its ``predict`` and ``predict_batch`` calls."""
+
+    @classmethod
+    def of(cls, model):
+        rec = cls(**{f.name: getattr(model, f.name) for f in fields(model)})
+        rec.calls = []
+        return rec
+
+    def predict(self, x):
+        self.calls.append(("predict", np.array(x)))
+        return super().predict(x)
+
+    def predict_batch(self, X):
+        self.calls.append(("predict_batch", np.array(X)))
+        return super().predict_batch(X)
+
+
+class TestPredictorNames:
+    """The infill search and the contour export reach the model through
+    ``predict_batch`` and ``predict``, the names the benchmark's counters
+    wrap."""
+
+    def test_suggest_next_one_batch_then_one_predict_per_vertex(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, size=(12, 2))
+        model = RecordingModel.of(fit(X, (X ** 2).sum(axis=1), FAST_SURROGATE, seed=0))
+        nfevs = []
+
+        def counted(*args):
+            out = _nelder_mead(*args)
+            nfevs.append(out[2])
+            return out
+
+        monkeypatch.setattr(tuner, "_nelder_mead", counted)
+        suggest_next(RunState(), model, float_space(2), n_points=2, budget=300, seed=4)
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        probes = rng.uniform(-1.0, 1.0, size=(150, 2))
+        names = [name for name, _ in model.calls]
+        assert names[0] == "predict_batch"
+        assert np.array_equal(model.calls[0][1], probes)
+        assert len(nfevs) == 3 and names[1:] == ["predict"] * sum(nfevs)
+
+    def test_export_contour_one_predict_per_grid_point(self):
+        rng = np.random.default_rng(4)
+        X = rng.random((10, 2))
+        model = RecordingModel.of(fit(X, X.sum(axis=1), FAST_SURROGATE, seed=0))
+        rows = export_contour(model, float_space(2, 0.0, 1.0), ("x0", "x1"), grid=4)
+        assert [name for name, _ in model.calls] == ["predict"] * 16
+        assert [list(v) for _, v in model.calls] == [[r["x0"], r["x1"]] for r in rows]
+
+
 def scipy_nelder_mead(f, x0, lo, hi, maxfev):
     from scipy.optimize import minimize
 
@@ -421,13 +476,13 @@ class TestNelderMead:
                                                model_fun_evals=60), seed=case)
             lo, hi = np.full(d, -2.0), np.full(d, 2.0)
             maxfev = int(rng.integers(3 * (d + 1), 250))
-            assert_same_as_scipy(model.mean_at, rng.uniform(lo, hi), lo, hi, maxfev)
+            assert_same_as_scipy(model.predict, rng.uniform(lo, hi), lo, hi, maxfev)
 
     def test_constant_data_model(self):
         X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
         model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
         lo, hi = np.zeros(3), np.ones(3)
-        assert_same_as_scipy(model.mean_at, np.array([0.2, 0.7, 0.4]), lo, hi, 400)
+        assert_same_as_scipy(model.predict, np.array([0.2, 0.7, 0.4]), lo, hi, 400)
 
     def test_maxfev_cuts_a_shrink(self):
         # a constant surface ties every vertex, so each iteration reflects,
@@ -439,12 +494,12 @@ class TestNelderMead:
         lo, hi = np.zeros(3), np.ones(3)
         x0 = np.array([0.2, 0.7, 0.4])
         for k in range(3):
-            assert_same_as_scipy(model.mean_at, x0, lo, hi, 4 + 2 * 5 + 2 + k)
+            assert_same_as_scipy(model.predict, x0, lo, hi, 4 + 2 * 5 + 2 + k)
         rng = np.random.default_rng(4)
         X = rng.random((12, 3))
         model = fit(X, (X ** 2).sum(axis=1), FAST_SURROGATE, seed=0)
         for maxfev in range(1, 120):
-            assert_same_as_scipy(model.mean_at, x0, lo, hi, maxfev)
+            assert_same_as_scipy(model.predict, x0, lo, hi, maxfev)
 
     def test_start_on_bound_and_zero_coordinate(self):
         rng = np.random.default_rng(9)
@@ -453,9 +508,9 @@ class TestNelderMead:
         lo, hi = np.full(3, -1.0), np.ones(3)
         for x0 in ([1.0, 1.0, 1.0], [-1.0, 0.5, 1.0], [0.0, 0.0, 0.4],
                    [0.0, 1.0, -1.0]):
-            assert_same_as_scipy(model.mean_at, np.array(x0), lo, hi, 200)
+            assert_same_as_scipy(model.predict, np.array(x0), lo, hi, 200)
         # zero lower bounds: a zero start coordinate gets the 0.00025 step
-        assert_same_as_scipy(model.mean_at, np.array([0.0, 0.0, 0.0]),
+        assert_same_as_scipy(model.predict, np.array([0.0, 0.0, 0.0]),
                              np.zeros(3), hi, 200)
 
     def test_converges_inside_box(self):

@@ -6,11 +6,14 @@ Extracts REV into a temporary directory (``git archive``), runs the
 reference commands below against both source trees with
 ``OPENBLAS_NUM_THREADS=1``, and compares, per command, the exit code, the
 printed output (stdout and stderr) and every artifact byte for byte, except
-``run_state.json``, which holds wall-clock timings. ``tune_toy_cv`` runs
-``configs/toy.json`` under 2-3-fold cross validation from a derived config
-written into the temporary directory. ``resume_mixed4`` is two steps in one
-output directory, a 20-evaluation ``tune`` and a ``resume`` to 30; the
-printed output of each step and the final artifacts are compared. Prints
+``run_state.json``, which holds wall-clock timings. Two commands run
+derived configs written into the temporary directory: ``tune_toy_cv`` runs
+``configs/toy.json`` under 2-3-fold cross validation, and
+``tune_mixed4_noise`` runs ``configs/bench_mixed4.json`` with a fitted
+nugget, two points per iteration and two repeats per point.
+``resume_mixed4`` is two steps in one output directory, a 20-evaluation
+``tune`` and a ``resume`` to 30; the printed output of each step and the
+final artifacts are compared. Prints
 one line per command and exits 1 on any difference or failed step, 0
 otherwise. The temporary directories are removed in either case.
 """
@@ -27,14 +30,15 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 IGNORED = {"run_state.json"}
 MIXED4 = "configs/bench_mixed4.json"
-# configs/toy.json evaluated by cross validation over 2-3 folds; main()
-# writes it into each side's working directory
+# derived configs; main() writes them into each side's working directory
 TOY_CV = "toy_cv.json"
+MIXED4_NOISE = "mixed4_noise.json"
 # each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
     "tune_toy_cv": [["tune", "--config", TOY_CV, "--fun-evals", "15"]],
     "tune_mixed4": [["tune", "--config", MIXED4]],
+    "tune_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--seed", "3"]],
     "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
     "tune_mixed4_100_s97": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"]],
     "bench_mixed4_s1": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"]],
@@ -44,13 +48,20 @@ COMMANDS = {
 }
 
 
-def write_toy_cv(path: str) -> None:
-    with open(os.path.join(ROOT, "configs", "toy.json"), encoding="utf-8") as fh:
-        exp = json.load(fh)
-    exp["eval"] = "train_cv"
-    exp["modify"]["bounds"]["k_folds"] = [2, 3]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(exp, fh)
+def write_derived(work: str) -> None:
+    def load(name: str) -> dict:
+        with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    toy_cv = load("toy.json")
+    toy_cv["eval"] = "train_cv"
+    toy_cv["modify"]["bounds"]["k_folds"] = [2, 3]
+    mixed4_noise = load("bench_mixed4.json")
+    mixed4_noise["tuner"] = {"fun_evals": 30, "n_points": 2, "fun_repeats": 2}
+    mixed4_noise["surrogate"] = {"noise": True, "model_fun_evals": 300}
+    for name, exp in ((TOY_CV, toy_cv), (MIXED4_NOISE, mixed4_noise)):
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            json.dump(exp, fh)
 
 
 def extract(rev: str, dest: str) -> None:
@@ -98,7 +109,7 @@ def main(argv: list[str]) -> int:
                  (ROOT, os.path.join(tmp, "work_tree")))
         for _, work in trees:
             os.makedirs(work)
-            write_toy_cv(os.path.join(work, TOY_CV))
+            write_derived(work)
         ok = True
         for name, command in COMMANDS.items():
             old, new = [run(tree, work, name, command) for tree, work in trees]
