@@ -223,15 +223,19 @@ def _controls(exp: dict, seed: int):
 
 
 def _resolve_seed(exp: dict, flag_seed: int | None) -> int:
+    """The ``--seed`` flag, else ``SPOTKIT_SEED``, else the config's ``seed``;
+    anything but a non-negative integer is a ``ConfigError`` naming its
+    source."""
     if flag_seed is not None:
-        return flag_seed
-    key, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR)
-    if value is None:
+        key, value = "--seed", flag_seed
+    elif SEED_ENV_VAR in os.environ:
+        key, value = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+        value = int(value) if value.strip().isdecimal() else value
+    else:
         key, value = "seed", exp["seed"]
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
 
 
 # -- artifact writing -----------------------------------------------------------

@@ -7,6 +7,7 @@ rather than an exception so callers can map it to a penalty value.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import shlex
@@ -18,7 +19,7 @@ import numpy as np
 from .design import child_seed
 from .optim import OptimizerConfig, OptimizerState, init_state, optimizer_handler, step
 from .toynet import (
-    HyperConfig, SyntheticDataset, ToyNet, generate_dataset, log_softmax_loss,
+    NUM_CLASSES, HyperConfig, SyntheticDataset, ToyNet, generate_dataset, log_softmax_loss,
 )
 
 EVAL_SETTINGS = ("train_hold_out", "test_hold_out", "train_cv", "test_cv")
@@ -79,14 +80,12 @@ def kfold_indices(n: int, k: int, seed: int = 0, shuffle: bool = True):
 
 def make_batches(dataset: SyntheticDataset, batch_size: int,
                  rng: np.random.Generator | None = None):
-    """Batch index plan; a trailing short batch is kept. ``rng`` shuffles."""
+    """Consecutive row slices of one gathered copy of the dataset; a trailing
+    short batch is kept. ``rng`` shuffles the rows first."""
     n = len(dataset)
     order = rng.permutation(n) if rng is not None else np.arange(n)
-    return [
-        (dataset.features[order[i:i + batch_size]],
-         dataset.labels[order[i:i + batch_size]])
-        for i in range(0, n, batch_size)
-    ]
+    X, y = dataset.features[order], dataset.labels[order]
+    return [(X[i:i + batch_size], y[i:i + batch_size]) for i in range(0, n, batch_size)]
 
 
 # -- single-epoch passes ------------------------------------------------------
@@ -121,19 +120,36 @@ def train_one_epoch(net: ToyNet, batches, opt_config: OptimizerConfig,
 
 
 def validate_one_epoch(net: ToyNet, batches) -> tuple[float, float]:
-    """Mean of per-batch losses plus the accuracy accumulated over all batches."""
+    """Mean of per-batch losses plus the accuracy accumulated over all batches.
+
+    Each run of equal-sized batches goes through one ``net.forward`` as a
+    stacked array (a lone batch as it is), whose matrix products numpy
+    makes as one BLAS call per batch, of that batch's shape. So every row
+    gets the bits it gets from a forward pass of its batch alone; the rows
+    of one concatenated 2-D array would not, since a BLAS routine's result
+    for a row can depend on how many rows share the call. The log-softmax
+    works row by row, and ``np.add.reduce`` over a batch's slice divided by
+    its size is what ``ndarray.mean`` computes, so the per-batch losses and
+    their mean keep their bits as well.
+    """
     if not batches:
         raise ValueError("empty validation loader")
+    parts = []
+    for _, run in itertools.groupby(batches, key=lambda batch: batch[0].shape):
+        Xs = [Xb for Xb, _ in run]
+        X = Xs[0] if len(Xs) == 1 else np.stack(Xs)
+        parts.append(net.forward(X).reshape(-1, NUM_CLASSES))
+    logits = np.concatenate(parts)
+    labels = np.concatenate([yb for _, yb in batches])
+    _, log_probs = log_softmax_loss(logits, labels)
+    picked = log_probs[np.arange(labels.size), labels]
     total_loss = 0.0
-    correct = 0
-    seen = 0
-    for Xb, yb in batches:
-        logits = net.forward(Xb)
-        loss, _ = log_softmax_loss(logits, yb)
-        total_loss += loss
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-        seen += yb.size
-    return correct / seen, total_loss / len(batches)
+    pos = 0
+    for _, yb in batches:
+        total_loss += -float(np.add.reduce(picked[pos:pos + yb.size]) / yb.size)
+        pos += yb.size
+    correct = int(np.sum(np.argmax(logits, axis=1) == labels))
+    return correct / labels.size, total_loss / len(batches)
 
 
 # -- early-stopping epoch loop ------------------------------------------------
@@ -179,13 +195,14 @@ def _train(hp: HyperConfig, net: ToyNet, opt_config: OptimizerConfig,
     state, validated on ``val`` after every epoch; ``rng`` shuffles the
     training batches, ``None`` keeps their order."""
     opt_state = init_state(opt_config, net.n_params)
+    val_batches = make_batches(val, hp.batch_size)
 
     def train_epoch(_):
         batches = make_batches(tr, hp.batch_size, rng)
         return train_one_epoch(net, batches, opt_config, opt_state)
 
     def validate_epoch(_):
-        return validate_one_epoch(net, make_batches(val, hp.batch_size))
+        return validate_one_epoch(net, val_batches)
 
     return run_training_loop(hp.epochs, hp.patience, train_epoch, validate_epoch, on_best)
 

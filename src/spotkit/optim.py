@@ -102,104 +102,135 @@ def step(config: OptimizerConfig, state: OptimizerState,
          params, grads) -> np.ndarray:
     """Apply one update of the configured rule.
 
-    Returns a new array; ``params`` is not modified (no rule writes into
-    its ``w`` argument), so callers need not copy it.
+    Returns the new weights in a vector the state owns (``state.buf("w")``),
+    which the next step overwrites. Passed back in as ``params``, that
+    vector is updated in place; any other ``params`` is copied into it and
+    never written, so callers need not copy it.
     """
-    w = np.asarray(params, dtype=float)
+    w = state.buf("w")
+    p = w if params is w else np.asarray(params, dtype=float)
     g = np.asarray(grads, dtype=float)
-    if w.shape != g.shape:
-        raise ValueError(f"params/grads length mismatch: {w.shape} vs {g.shape}")
-    if w.size != state.n:
-        raise ValueError(f"state initialized for {state.n} parameters, got {w.size}")
-    if not np.all(np.isfinite(g)):
+    if p.shape != g.shape:
+        raise ValueError(f"params/grads length mismatch: {p.shape} vs {g.shape}")
+    if p.shape != w.shape:
+        raise ValueError(f"state initialized for {state.n} parameters, got {p.size}")
+    if not np.isfinite(g).all():
         raise ValueError("non-finite gradient components")
+    if p is not w:
+        w[:] = p
+    if np.may_share_memory(g, w):
+        g = g.copy()
     state.step += 1
-    return _RULES[config.kind](config, state, w, g)
+    _RULES[config.kind](config, state, w, g, state.buf("a"), state.buf("b"))
+    return w
 
 
 # stock constants of the Adam family (Adam, AdamW, Adamax, NAdam, RAdam)
 B1, B2, EPS = 0.9, 0.999, 1e-8
 
+# Each rule updates ``w`` (the state's vector) in place with the operations,
+# in the order, of its out-of-place formula; ``a`` and ``b`` are the state's
+# two scratch vectors. Only ``scalar * array`` is written ``array * scalar``.
 
-def _sgd(c, s, w, g):
+
+def _decay_add(x, k, g, a, h=None):
+    """``x = k * x + (1 - k) * g``, times ``h`` too if given, in place via ``a``."""
+    x *= k
+    np.multiply(g, 1.0 - k, out=a)
+    if h is not None:
+        a *= h
+    x += a
+
+
+def _root(x, eps, out):
+    """``sqrt(x) + eps`` into ``out``."""
+    np.sqrt(x, out=out)
+    out += eps
+    return out
+
+
+def _sgd(c, s, w, g, a, b):
     if c.momentum:
         if "momentum" in s.buffers:
-            b = s.buffers["momentum"]
-            b *= c.momentum
-            b += g
+            mom = s.buffers["momentum"]
+            mom *= c.momentum
+            mom += g
         else:
-            b = s.buffers["momentum"] = g.copy()
-        g = b
-    return w - c.lr * g
+            mom = s.buffers["momentum"] = g.copy()
+        g = mom
+    w -= np.multiply(g, c.lr, out=a)
 
 
-def _adam_moments(s, g):
-    m = s.buf("m")
-    v = s.buf("v")
-    m *= B1
-    m += (1.0 - B1) * g
-    v *= B2
-    v += (1.0 - B2) * g * g
+def _adam_moments(s, g, a):
+    m, v = s.buf("m"), s.buf("v")
+    _decay_add(m, B1, g, a)
+    _decay_add(v, B2, g, a, g)
     return m, v
 
 
-def _adam(c, s, w, g):
-    m, v = _adam_moments(s, g)
-    mhat = m / (1.0 - B1 ** s.step)
-    vhat = v / (1.0 - B2 ** s.step)
-    return w - c.lr * mhat / (np.sqrt(vhat) + EPS)
+def _adam(c, s, w, g, a, b):
+    m, v = _adam_moments(s, g, a)
+    np.divide(m, 1.0 - B1 ** s.step, out=a)          # mhat
+    a *= c.lr
+    _root(np.divide(v, 1.0 - B2 ** s.step, out=b), EPS, b)
+    w -= np.divide(a, b, out=a)
 
 
-def _adamw(c, s, w, g):
+def _adamw(c, s, w, g, a, b):
     # decoupled decay: shrink first, then the plain Adam update on raw g
-    return _adam(c, s, w * (1.0 - c.lr * c.weight_decay), g)
+    w *= 1.0 - c.lr * c.weight_decay
+    _adam(c, s, w, g, a, b)
 
 
-def _adadelta(c, s, w, g):
-    sq = s.buf("square_avg")
-    acc = s.buf("acc_delta")
-    sq *= 0.9
-    sq += (1.0 - 0.9) * g * g
-    delta = np.sqrt(acc + 1e-6) / np.sqrt(sq + 1e-6) * g
-    acc *= 0.9
-    acc += (1.0 - 0.9) * delta * delta
-    return w - c.lr * delta
+def _adadelta(c, s, w, g, a, b):
+    sq, acc = s.buf("square_avg"), s.buf("acc_delta")
+    _decay_add(sq, 0.9, g, a, g)
+    np.sqrt(np.add(acc, 1e-6, out=a), out=a)
+    np.sqrt(np.add(sq, 1e-6, out=b), out=b)
+    np.multiply(np.divide(a, b, out=a), g, out=a)    # delta
+    _decay_add(acc, 0.9, a, b, a)
+    w -= np.multiply(a, c.lr, out=a)
 
 
-def _adagrad(c, s, w, g):
+def _adagrad(c, s, w, g, a, b):
     acc = s.buf("sum")
-    acc += g * g
-    return w - c.lr * g / (np.sqrt(acc) + 1e-10)
+    acc += np.multiply(g, g, out=a)
+    np.multiply(g, c.lr, out=a)
+    w -= np.divide(a, _root(acc, 1e-10, b), out=a)
 
 
-def _adamax(c, s, w, g):
-    m = s.buf("m")
-    m *= B1
-    m += (1.0 - B1) * g
-    u = s.buf("u")
-    np.maximum(B2 * u, np.abs(g) + EPS, out=u)
-    return w - (c.lr / (1.0 - B1 ** s.step)) * m / u
+def _adamax(c, s, w, g, a, b):
+    m, u = s.buf("m"), s.buf("u")
+    _decay_add(m, B1, g, a)
+    u *= B2
+    np.add(np.abs(g, out=a), EPS, out=a)
+    np.maximum(u, a, out=u)
+    np.multiply(m, c.lr / (1.0 - B1 ** s.step), out=a)
+    w -= np.divide(a, u, out=a)
 
 
-def _asgd(c, s, w, g):
+def _asgd(c, s, w, g, a, b):
     eta = c.lr / (1.0 + c.lambd * c.lr * (s.step - 1)) ** 0.75
-    return w * (1.0 - c.lambd * eta) - eta * g
+    w *= 1.0 - c.lambd * eta
+    w -= np.multiply(g, eta, out=a)
 
 
-def _nadam(c, s, w, g):
+def _nadam(c, s, w, g, a, b):
     mu = B1 * 0.5                 # momentum_decay 0: the same mu every step
     mu_prod = s.buffers["mu_prod"] * mu
     s.buffers["mu_prod"] = mu_prod
-    m, v = _adam_moments(s, g)
-    denom = np.sqrt(v / (1.0 - B2 ** s.step)) + EPS
-    w = w - c.lr * (1.0 - mu) / (1.0 - mu_prod) * g / denom
-    return w - c.lr * mu / (1.0 - mu_prod * mu) * m / denom
+    m, v = _adam_moments(s, g, a)
+    denom = _root(np.divide(v, 1.0 - B2 ** s.step, out=b), EPS, b)
+    np.multiply(g, c.lr * (1.0 - mu) / (1.0 - mu_prod), out=a)
+    w -= np.divide(a, denom, out=a)
+    np.multiply(m, c.lr * mu / (1.0 - mu_prod * mu), out=a)
+    w -= np.divide(a, denom, out=a)
 
 
-def _radam(c, s, w, g):
+def _radam(c, s, w, g, a, b):
     t = s.step
-    m, v = _adam_moments(s, g)
-    mhat = m / (1.0 - B1 ** t)
+    m, v = _adam_moments(s, g, a)
+    np.divide(m, 1.0 - B1 ** t, out=a)              # mhat
     rho_inf = 2.0 / (1.0 - B2) - 1.0
     rho_t = rho_inf - 2.0 * t * B2 ** t / (1.0 - B2 ** t)
     if rho_t > 5.0:
@@ -207,16 +238,18 @@ def _radam(c, s, w, g):
             (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
             / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
         )
-        vhat = np.sqrt(v / (1.0 - B2 ** t))
-        return w - c.lr * rect * mhat / (vhat + EPS)
-    return w - c.lr * mhat
+        a *= c.lr * rect
+        _root(np.divide(v, 1.0 - B2 ** t, out=b), EPS, b)
+        w -= np.divide(a, b, out=a)
+    else:
+        w -= np.multiply(a, c.lr, out=a)
 
 
-def _rmsprop(c, s, w, g):
+def _rmsprop(c, s, w, g, a, b):
     v = s.buf("square_avg")
-    v *= 0.99
-    v += (1.0 - 0.99) * g * g
-    return w - c.lr * g / (np.sqrt(v) + EPS)
+    _decay_add(v, 0.99, g, a, g)
+    np.multiply(g, c.lr, out=a)
+    w -= np.divide(a, _root(v, EPS, b), out=a)
 
 
 _RULES = {

@@ -92,9 +92,11 @@ def generate_dataset(n: int = DEFAULT_N_SAMPLES, input_dim: int = DEFAULT_INPUT_
 class ToyNet:
     """input -> l1 -> l2 -> 10 rectifier stack over a flat weight vector.
 
-    ``weights`` is that vector itself: a training loop may replace it with a
-    new array but must not write into it. ``get_params``/``set_params``
-    hand out and take in copies.
+    ``weights`` is that vector itself. After a training step it is the
+    optimizer state's vector (``optim.step``), which the next step
+    overwrites in place, so keep a copy, not a reference, to hold on to a
+    set of weights. ``get_params``/``set_params`` hand out and take in
+    copies.
     """
 
     def __init__(self, input_dim: int, l1: int, l2: int, seed: int = 0):
@@ -113,6 +115,7 @@ class ToyNet:
             size = math.prod(shape)
             self._layout.append((pos, pos + size, shape))
             pos += size
+        self._views_of = None       # the array that _views were cut from
         self.reset_weights(seed)
 
     @property
@@ -143,14 +146,31 @@ class ToyNet:
         """Views of ``w`` shaped as the layer tensors, in ``shapes`` order."""
         return [w[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
+    def _layers(self):
+        """``_unpack(self.weights)``, cut again only when ``weights`` is a new
+        array; the optimizer updates its vector in place, so a training run
+        cuts it once."""
+        if self._views_of is not self.weights:
+            self._views_of, self._views = self.weights, self._unpack(self.weights)
+        return self._views
+
     def forward(self, X: np.ndarray) -> np.ndarray:
+        """Logits of the rows of ``X``, shaped ``(..., input_dim)``; a stack
+        of batches gets one matrix product per batch."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.input_dim:
-            raise ValueError(f"expected {self.input_dim} features, got {X.shape[1]}")
-        W1, b1, W2, b2, W3, b3 = self._unpack(self.weights)
-        h1 = np.maximum(X @ W1 + b1, 0.0)
-        h2 = np.maximum(h1 @ W2 + b2, 0.0)
-        return h2 @ W3 + b3
+        if X.shape[-1] != self.input_dim:
+            raise ValueError(f"expected {self.input_dim} features, got {X.shape[-1]}")
+        W1, b1, W2, b2, W3, b3 = self._layers()
+        # the operations of np.maximum(X @ W1 + b1, 0.0) etc., in place
+        h1 = X @ W1
+        h1 += b1
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ W2
+        h2 += b2
+        np.maximum(h2, 0.0, out=h2)
+        logits = h2 @ W3
+        logits += b3
+        return logits
 
     def loss_and_grad(self, X: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean softmax cross-entropy and its gradient w.r.t. the flat weights."""
@@ -158,7 +178,7 @@ class ToyNet:
         labels = np.asarray(labels, dtype=int)
         if X.shape[0] != labels.size:
             raise ValueError("feature/label row counts differ")
-        W1, b1, W2, b2, W3, b3 = self._unpack(self.weights)
+        W1, b1, W2, b2, W3, b3 = self._layers()
         z1 = X @ W1 + b1
         h1 = np.maximum(z1, 0.0)
         z2 = h1 @ W2 + b2
@@ -174,14 +194,14 @@ class ToyNet:
         dW3 = h2.T @ dlogits
         db3 = dlogits.sum(axis=0)
         dh2 = dlogits @ W3.T
-        dh2[z2 <= 0.0] = 0.0
+        np.putmask(dh2, z2 <= 0.0, 0.0)
         dW2 = h1.T @ dh2
         db2 = dh2.sum(axis=0)
         dh1 = dh2 @ W2.T
-        dh1[z1 <= 0.0] = 0.0
+        np.putmask(dh1, z1 <= 0.0, 0.0)
         dW1 = X.T @ dh1
         db1 = dh1.sum(axis=0)
-        grad = np.concatenate([a.ravel() for a in (dW1, db1, dW2, db2, dW3, db3)])
+        grad = np.concatenate((dW1, db1, dW2, db2, dW3, db3), axis=None)
         return loss, grad
 
 
@@ -190,5 +210,7 @@ def log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     the log-sum-exp stabilized log-probabilities it was taken from."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -float(log_probs[np.arange(labels.size), labels].mean()), log_probs
+    # np.add.reduce / size is ndarray.mean's arithmetic without its Python wrapper
+    picked = log_probs[np.arange(labels.size), labels]
+    return -float(np.add.reduce(picked) / labels.size), log_probs
 

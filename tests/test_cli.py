@@ -373,6 +373,10 @@ class TestBench:
     ({**EXTERNAL, "external_timeout": math.nan}, "external_timeout"),
     ({**EXTERNAL, "external_timeout": -1}, "external_timeout"),
     ({**EXTERNAL, "external_timeout": 0}, "external_timeout"),
+    # a seed is a non-negative integer: no bool, no float, no negative value
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", **overrides)
@@ -381,6 +385,21 @@ def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")
             and key in line]
+
+
+@pytest.mark.parametrize("command", ["tune", "bench"])
+@pytest.mark.parametrize("source, value", [
+    ("--seed", "-1"), ("SPOTKIT_SEED", "-3"), ("SPOTKIT_SEED", "1.5")])
+def test_bad_seed_names_its_source(command, source, value, sphere_config, tmp_path,
+                                   monkeypatch, capsys):
+    argv = [command, "--config", sphere_config, "--out", str(tmp_path / "o")]
+    argv += ["--reps", "1"] if command == "bench" else []
+    if source == "--seed":
+        argv += ["--seed", value]
+    else:
+        monkeypatch.setenv(source, value)
+    assert main(argv) == 1
+    assert f"error: {source} must be a non-negative integer, got " in capsys.readouterr().err
 
 
 def test_unknown_builtin_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -89,23 +90,43 @@ class TestClip:
 
 
 class TestEpochPasses:
-    def test_validate_means_batch_losses(self, toy_data):
+    def test_validate_means_batch_losses(self):
+        # bit for bit, also for batch sizes that are no multiple of 4 and for
+        # one-row batches, where a BLAS result for a row depends on how many
+        # rows share the matrix product; 20 features as in the toy objective
+        train, _ = generate_dataset(300, 20, seed=4)
+        for (l1, l2), (rows, batch_size) in itertools.product(
+                [(4, 8), (32, 16), (16, 128), (128, 64)],
+                [(30, 10), (70, 16), (9, 4), (41, 5), (37, 3), (100, 1)]):
+            net = ToyNet(train.input_dim, l1, l2, seed=0)
+            batches = make_batches(train.subset(np.arange(rows)), batch_size)
+            metric, loss = validate_one_epoch(net, batches)
+            # manual per-batch accumulation oracle
+            total_loss = 0.0
+            correct = total = 0
+            for Xb, yb in batches:
+                logits = net.forward(Xb)
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                lp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+                total_loss += -float(lp[np.arange(yb.size), yb].mean())
+                correct += int((np.argmax(logits, axis=1) == yb).sum())
+                total += yb.size
+            case = (l1, l2, rows, batch_size)
+            assert loss == total_loss / len(batches), case
+            assert metric == correct / total, case
+
+    def test_one_forward_per_run_of_equal_batches(self, toy_data):
         train, _ = toy_data
-        net = ToyNet(train.input_dim, 8, 8, seed=0)
-        batches = make_batches(train.subset(np.arange(30)), 10)
-        metric, loss = validate_one_epoch(net, batches)
-        # manual per-batch accumulation oracle
-        losses = []
-        correct = total = 0
-        for Xb, yb in batches:
-            logits = net.forward(Xb)
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            lp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            losses.append(-float(lp[np.arange(yb.size), yb].mean()))
-            correct += int((np.argmax(logits, axis=1) == yb).sum())
-            total += yb.size
-        assert loss == pytest.approx(float(np.mean(losses)), abs=1e-12)
-        assert metric == pytest.approx(correct / total, abs=1e-12)
+        shapes = []
+
+        class Counting(ToyNet):
+            def forward(self, X):
+                shapes.append(X.shape)
+                return super().forward(X)
+
+        net = Counting(train.input_dim, 8, 8, seed=0)
+        validate_one_epoch(net, make_batches(train.subset(np.arange(70)), 16))
+        assert shapes == [(4, 16, train.input_dim), (6, train.input_dim)]
 
     def test_two_batch_mean(self):
         # scripted: batch losses 1.0 and 3.0 -> mean 2.0

@@ -167,6 +167,26 @@ def test_params_argument_not_modified(kind):
     assert w.tobytes() == kept
 
 
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_step_updates_returned_vector_in_place(kind):
+    # the vector a step returns, passed back, is the next step's output too,
+    # with the bits of a run that passes a fresh copy every step
+    rng = np.random.default_rng(9)
+    cfg = optimizer_handler(kind, 2.5, 0.9 if kind == "SGD" else 0.0)
+    state, fresh_state = init_state(cfg, 50), init_state(cfg, 50)
+    w = fresh = rng.normal(size=50)
+    for t in range(40):
+        g = np.zeros(50) if t % 6 == 2 else rng.normal(scale=0.5, size=50)
+        new = step(cfg, state, w, g)
+        assert t == 0 or new is w
+        w = new
+        fresh = step(cfg, fresh_state, fresh.copy(), g).copy()
+        assert w.tobytes() == fresh.tobytes(), (kind, t)
+    # the vector passed back as its own gradient is read before it is written
+    w = step(cfg, state, w, w)
+    assert w.tobytes() == step(cfg, fresh_state, fresh.copy(), fresh.copy()).tobytes()
+
+
 def test_step_counter_increments():
     cfg = optimizer_handler("Adam", 1.0, 0.0)
     state = init_state(cfg, 1)

@@ -6,9 +6,10 @@ Extracts REV into a temporary directory (``git archive``), runs the
 reference commands below against both source trees with
 ``OPENBLAS_NUM_THREADS=1``, and compares, per command, the exit code, the
 printed output (stdout and stderr) and every artifact byte for byte, except
-``run_state.json``, which holds wall-clock timings. Two commands run
+``run_state.json``, which holds wall-clock timings. Three commands run
 derived configs written into the temporary directory: ``tune_toy_cv`` runs
-``configs/toy.json`` under 2-3-fold cross validation, and
+``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
+runs it validating on the explicit test split (``test_hold_out``), and
 ``tune_mixed4_noise`` runs ``configs/bench_mixed4.json`` with a fitted
 nugget, two points per iteration and two repeats per point.
 ``resume_mixed4`` is two steps in one output directory, a 20-evaluation
@@ -32,11 +33,13 @@ IGNORED = {"run_state.json"}
 MIXED4 = "configs/bench_mixed4.json"
 # derived configs; main() writes them into each side's working directory
 TOY_CV = "toy_cv.json"
+TOY_TEST = "toy_test.json"
 MIXED4_NOISE = "mixed4_noise.json"
 # each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
     "tune_toy_cv": [["tune", "--config", TOY_CV, "--fun-evals", "15"]],
+    "tune_toy_test": [["tune", "--config", TOY_TEST, "--fun-evals", "15"]],
     "tune_mixed4": [["tune", "--config", MIXED4]],
     "tune_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--seed", "3"]],
     "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
@@ -56,10 +59,11 @@ def write_derived(work: str) -> None:
     toy_cv = load("toy.json")
     toy_cv["eval"] = "train_cv"
     toy_cv["modify"]["bounds"]["k_folds"] = [2, 3]
+    toy_test = dict(load("toy.json"), eval="test_hold_out")
     mixed4_noise = load("bench_mixed4.json")
     mixed4_noise["tuner"] = {"fun_evals": 30, "n_points": 2, "fun_repeats": 2}
     mixed4_noise["surrogate"] = {"noise": True, "model_fun_evals": 300}
-    for name, exp in ((TOY_CV, toy_cv), (MIXED4_NOISE, mixed4_noise)):
+    for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (MIXED4_NOISE, mixed4_noise)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(exp, fh)
 
