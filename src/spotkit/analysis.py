@@ -80,6 +80,8 @@ def export_contour(model: KrigingModel, space: SearchSpace,
     All other dimensions sit at ``fixed_at`` (a natural-unit configuration,
     default: the space's defaults). Lattice axes snap to their grid, which
     yields the step-shaped landscapes integer and factor parameters induce.
+    One ``model.predict`` call scores the ``grid**2`` points, the first
+    axis outer, each mean with the bits of predicting its point alone.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -99,17 +101,14 @@ def export_contour(model: KrigingModel, space: SearchSpace,
         return vals
 
     base_full = space.to_internal(fixed_at) if fixed_at else space.default_internal()
-    base = base_full[space.active_mask]
-    rows = []
-    for va in axis(spec_a):
-        for vb in axis(spec_b):
-            v = base.copy()
-            v[ia], v[ib] = va, vb
-            # per-point prediction keeps the export bit-equal to direct calls;
-            # a batched product sums each mean in another order
-            mean = model.predict(v)
-            rows.append({name_a: float(va), name_b: float(vb), "mean": mean})
-    return rows
+    grid_a, grid_b = np.repeat(axis(spec_a), grid), np.tile(axis(spec_b), grid)
+    V = np.tile(base_full[space.active_mask], (grid * grid, 1))
+    V[:, ia], V[:, ib] = grid_a, grid_b
+    # predict, not predict_batch: each mean keeps the bits of a direct call
+    # at its point, which predict_batch's matrix-vector product does not
+    means = model.predict(V)
+    return [{name_a: va, name_b: vb, "mean": mean}
+            for va, vb, mean in zip(grid_a.tolist(), grid_b.tolist(), means.tolist())]
 
 
 def export_parallel(state: RunState, space: SearchSpace) -> list[dict]:

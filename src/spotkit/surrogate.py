@@ -14,8 +14,9 @@ training targets.
 value with the bits of evaluating its vector alone.
 
 A fitted ``KrigingModel`` predicts only the mean: ``predict_batch`` at
-each row of an array, and ``predict`` the same bits at a single point with
-no per-call set-up, for the infill search and the contour export.
+each row of an array, and ``predict`` at a point or at rows, each value with
+the bits of predicting its point alone, for the infill search and the
+contour export.
 
 The only LAPACK wrapper taken from scipy is ``dpotrs`` (likelihood and
 weights); ``_load_flapack`` loads scipy's compiled wrappers from their
@@ -109,10 +110,11 @@ class SurrogateControl:
 class KrigingModel:
     """Fitted surrogate; immutable in practice, safe to share across threads.
 
-    ``predict_batch`` gives the mean at each row, and ``predict`` the mean at
-    one point as a float, for the infill search's Nelder-Mead and the
-    contour export; both build the cross-correlations the way ``_kernel``
-    does, so they agree bit for bit. ``_finalize`` builds the model with the
+    ``predict_batch`` gives the mean at each row, scoring the infill
+    probes; ``predict`` the mean at a point or at each row with the bits of
+    that point alone, for the infill search's Nelder-Mead and the contour
+    export. Both build the cross-correlations with ``_kernel``, so they
+    agree bit for bit on one point. ``_finalize`` builds the model with the
     per-model arrays they share; a constant-data model has none of them.
     """
 
@@ -125,38 +127,41 @@ class KrigingModel:
     norm_span: np.ndarray         # per-dim spans (zeros replaced by 1)
     weights: np.ndarray | None = None       # R^-1 (y - mu)
     Z: np.ndarray | None = field(default=None, repr=False)  # normalized inputs
-    ZT: np.ndarray | None = field(default=None, repr=False)   # Z.T, contiguous
     t10: np.ndarray | None = field(default=None, repr=False)  # 10**theta_log10
 
     @property
     def dim(self) -> int:
         return self.X.shape[1]
 
+    def _unit(self, X) -> np.ndarray:
+        """The rows of ``X`` normalized and clamped into the unit box."""
+        Q = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
+
     def predict_batch(self, X) -> np.ndarray:
         """Kriging mean at each row of ``X`` (clamped into the data box)."""
-        Q = np.atleast_2d(np.asarray(X, dtype=float))
-        Q = np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
+        Q = self._unit(X)
         if self.weights is None:   # constant-data model
             return np.full(Q.shape[0], self.mu)
         return self.mu + _kernel(Q, self.Z, self.t10) @ self.weights
 
-    def predict(self, x) -> float:
-        """Kriging mean at one point ``x`` (a 1-D list or array of length d).
+    def predict(self, x):
+        """Kriging mean at one point ``x`` (a 1-D list or array of length d),
+        as a float, or at each row of an m x d array, as an m-vector.
 
-        The same arithmetic in the same order as ``predict_batch([x])[0]``,
-        so the same bits: clamp, the weighted squared differences as one
-        C-ordered d x n array summed over its outer axis (dimension order,
-        as in ``_kernel``), ``exp`` and a (1, n) @ (n,) product; only the
-        per-call set-up is gone. Does not modify ``x``.
+        Every value has the bits of ``predict_batch`` at that point alone:
+        the cross-correlations come from ``_kernel``, and one stacked
+        (m, 1, n) @ (n,) product makes one BLAS call per row, the call a
+        one-row product makes (a plain (m, n) @ (n,) product sums in
+        another order). Does not modify ``x``.
         """
+        Q = self._unit(x)
         if self.weights is None:   # constant-data model
-            return self.mu
-        q = np.minimum(np.maximum((x - self.norm_min) / self.norm_span, 0.0), 1.0)
-        diff = q[:, None] - self.ZT
-        w = diff * self.t10[:, None]
-        w *= diff
-        psi = np.exp(-np.add.reduce(w, axis=0))
-        return float(self.mu + (psi[None, :] @ self.weights)[0])
+            mean = np.full(Q.shape[0], self.mu)
+        else:
+            psi = _kernel(Q, self.Z, self.t10)
+            mean = self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
+        return float(mean[0]) if np.ndim(x) == 1 else mean
 
 
 # -- likelihood ------------------------------------------------------------
@@ -379,7 +384,7 @@ def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
     return KrigingModel(
         X=X, y=y, theta_log10=theta_log10, nugget=float(nugget + jitter),
         mu=float(mu[0]), norm_min=norm_min, norm_span=norm_span,
-        weights=rinv_r[0], Z=Z, ZT=np.ascontiguousarray(Z.T), t10=10.0 ** theta_log10,
+        weights=rinv_r[0], Z=Z, t10=10.0 ** theta_log10,
     )
 
 

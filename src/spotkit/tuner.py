@@ -189,90 +189,108 @@ def _random_full_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarr
     return space.embed_unit(unit)[0]
 
 
-def _nelder_mead(f, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 maxfev: int) -> tuple[np.ndarray, float, int]:
-    """Bounded Nelder-Mead minimization of ``f`` from ``x0``.
+# the reflection, expansion, outside and inside contraction as
+# A * centroid + B * worst; a + (-b) is IEEE a - b, signed zeros included
+_STEP_A = np.array([[2.0], [3.0], [1.5], [0.5]])
+_STEP_B = np.array([[-1.0], [-2.0], [-0.5], [0.5]])
+
+
+def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 maxfev: int) -> list[tuple[np.ndarray, float, int]]:
+    """Bounded Nelder-Mead minimization of ``f`` from each row of ``X0``.
 
     A port of scipy 1.17.1's ``minimize(method="Nelder-Mead", bounds=...)``
     with ``xatol=1e-8``, ``fatol=1e-12`` and ``maxfev``: the same initial
     simplex (reflected into the box, then clipped), coefficients, centroid,
-    re-sorting and stopping tests, so it returns the same ``(x, fun, nfev)``
-    bits. A budget that runs out mid-iteration, a shrink included, leaves
-    that iteration as scipy does. Calls ``f`` directly, without scipy's
-    per-call wrapper and per-iteration result object; ``f`` must not modify
-    its argument.
+    re-sorting and stopping tests. A budget that runs out mid-iteration, a
+    shrink included, leaves that iteration as scipy does.
+
+    The starts run in lockstep: their simplices form one k x (N+1) x N
+    array, and each iteration scores all live starts' four candidate
+    vertices (reflection, expansion, outside and inside contraction) in one
+    call, then takes each start's branch in Python floats; the candidates
+    scipy would not have evaluated are discarded and do not count in
+    ``nfev``. The initial simplices share one call, and so do the vertices
+    of all shrinking simplices. ``f`` maps an m x N array to m values, each
+    with the bits of scoring its row alone, and must not modify its
+    argument; then every start's ``(x, fun, nfev)`` has the bits scipy
+    returns for that start run alone.
     """
-    N = x0.size
-    x0 = np.minimum(np.maximum(x0, lo), hi)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for k in range(N):
-        y = x0.copy()
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    sim = np.where(sim > hi, 2 * hi - sim, sim)
-    sim = np.minimum(np.maximum(sim, lo), hi)
+    k, N = X0.shape
+    X0 = np.minimum(np.maximum(X0, lo), hi)
+    S = np.repeat(X0[:, None, :], N + 1, axis=1)
+    diag = np.arange(N)
+    S[:, diag + 1, diag] = np.where(X0 != 0, (1 + 0.05) * X0, 0.00025)
+    S = np.where(S > hi, 2 * hi - S, S)
+    S = np.minimum(np.maximum(S, lo), hi)
 
-    fsim = np.full(N + 1, np.inf)
-    nfev = min(N + 1, maxfev)
-    for k in range(nfev):
-        fsim[k] = f(sim[k])
+    F = np.full((k, N + 1), np.inf)
+    nfev0 = min(N + 1, maxfev)
+    F[:, :nfev0] = np.reshape(f(S[:, :nfev0].reshape(-1, N)), (k, nfev0))
+    rows = np.arange(k)[:, None]
     for _ in range(2):          # scipy sorts twice; ties may move the second time
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
+        ind = F.argsort(axis=1)
+        S, F = S[rows, ind], F[rows, ind]
 
-    while nfev < maxfev:
-        if (np.abs(sim[1:] - sim[0]).max() <= 1e-8
-                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = np.minimum(np.maximum(2 * xbar - sim[-1], lo), hi)
-        fxr = f(xr)
-        nfev += 1
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = np.minimum(np.maximum(3 * xbar - 2 * sim[-1], lo), hi)
-                fxe = f(xe)
-                nfev += 1
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:      # outside contraction
-                xc = np.minimum(np.maximum(1.5 * xbar - 0.5 * sim[-1], lo), hi)
-                fxc = f(xc)
-                nfev += 1
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1] = xc
-                    fsim[-1] = fxc
-            else:                   # inside contraction
-                xcc = np.minimum(np.maximum(0.5 * xbar + 0.5 * sim[-1], lo), hi)
-                fxcc = f(xcc)
-                nfev += 1
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1] = xcc
-                    fsim[-1] = fxcc
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = np.minimum(
-                        np.maximum(sim[0] + 0.5 * (sim[j] - sim[0]), lo), hi)
-                    if nfev >= maxfev:
-                        break
-                    fsim[j] = f(sim[j])
-                    nfev += 1
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
-    return sim[0], fsim.min(), nfev
+    live = list(range(k))       # the start each row of S and F belongs to
+    nfev = [nfev0] * k
+    out = [None] * k
+    while True:
+        done = (np.abs(S[:, 1:] - S[:, :1]).max(axis=(1, 2)) <= 1e-8).tolist()
+        if any(done):           # the value test only where the x test passes
+            fdone = (np.abs(F[:, :1] - F[:, 1:]).max(axis=1) <= 1e-12).tolist()
+            done = [a and b for a, b in zip(done, fdone)]
+        keep = []
+        for j, start in enumerate(live):
+            if nfev[j] < maxfev and not done[j]:
+                keep.append(j)
+            else:
+                out[start] = (S[j, 0].copy(), F[j].min(), nfev[j])
+        if len(keep) < len(live):
+            if not keep:
+                return out
+            S, F = S[keep], F[keep]
+            live, nfev = [live[j] for j in keep], [nfev[j] for j in keep]
+            rows = np.arange(len(live))[:, None]
+        xbar = np.add.reduce(S[:, :-1], 1) / N
+        C = np.minimum(np.maximum(_STEP_A * xbar[:, None] + _STEP_B * S[:, -1:], lo), hi)
+        fc = np.reshape(f(C.reshape(-1, N)), (len(live), 4))
+        moved, steps, shrink = [], [], []
+        for j, ((fr, fe, foc, fic), fs) in enumerate(zip(fc.tolist(), F.tolist())):
+            n = nfev[j] + 1
+            step = None
+            if fr < fs[0]:
+                if n < maxfev:
+                    n += 1
+                    step = 1 if fe < fr else 0
+            elif fr < fs[-2]:
+                step = 0
+            elif n < maxfev:
+                n += 1
+                if fr < fs[-1]:     # outside contraction
+                    step = 2 if foc <= fr else None
+                else:               # inside contraction
+                    step = 3 if fic < fs[-1] else None
+                if step is None:
+                    shrink.append(j)
+            nfev[j] = n
+            if step is not None:
+                moved.append(j)
+                steps.append(step)
+        if moved:
+            S[moved, -1] = C[moved, steps]
+            F[moved, -1] = fc[moved, steps]
+        if shrink:
+            B = S[shrink]
+            V = np.minimum(np.maximum(B[:, :1] + 0.5 * (B[:, 1:] - B[:, :1]), lo), hi)
+            fv = np.reshape(f(V.reshape(-1, N)), (len(shrink), N))
+            for t, j in enumerate(shrink):
+                r = maxfev - nfev[j]    # the cut leaves vertex r + 1 moved, unscored
+                S[j, 1:r + 2] = V[t, :r + 1]
+                F[j, 1:r + 1] = fv[t, :r]
+                nfev[j] += min(r, N)
+        ind = F.argsort(axis=1)
+        S, F = S[rows, ind], F[rows, ind]
 
 
 def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
@@ -283,7 +301,11 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     Random multistart probes take half the budget, scored in one
     ``model.predict_batch`` call; bounded Nelder-Mead (``_nelder_mead``,
     scipy 1.17.1's algorithm) refines the best probes on the continuous
-    relaxation with the rest, calling ``model.predict`` once per vertex.
+    relaxation with the rest. Its starts run in lockstep, one
+    ``model.predict`` call on the rows of all their candidate vertices per
+    round, and their results enter the pool as if the starts had run one
+    after another, each on ``per_start`` evaluations while at least
+    ``min_fev`` of the budget remained.
     Integer and factor coordinates snap to their lattice before returning.
     Candidates are mutually distinct beyond ``tolerance_x`` in max-norm
     where possible.
@@ -304,12 +326,12 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     min_fev = 3 * (d + 1)
     n_starts = max(n_points, 3)
     if remaining >= min_fev:
+        # each start run one after another would get exactly per_start, and
+        # the next one only while remaining >= min_fev: run them all side by
+        # side, then keep the results in start order up to that cut
         per_start = max(min_fev, remaining // n_starts)
-        for i in order[:n_starts]:
-            fev = min(per_start, remaining)
-            if fev < min_fev:
-                break
-            x, fun, nfev = _nelder_mead(model.predict, probes[i], lo, hi, fev)
+        starts = probes[order[:n_starts]]
+        for x, fun, nfev in _nelder_mead(model.predict, starts, lo, hi, per_start):
             remaining -= nfev
             pool.append((float(fun), x))
             if remaining < min_fev:

@@ -431,11 +431,9 @@ class TestRuntimeErrors:
         assert ("Traceback (most recent call last)" in err) == (debug == "1")
 
 
-def test_events_independent_of_blas_threads(tmp_path):
-    """A short ToyNet tune writes the same events.csv with BLAS at one thread
-    and at two: gradient clipping and the net's matrix products must not
-    depend on how BLAS splits its work."""
-    events = []
+def tune_at_blas_threads(tmp_path, config, fun_evals):
+    """Output directories of one tune run with BLAS at one thread and at two."""
+    outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env.pop("SPOTKIT_SEED", None)
@@ -443,8 +441,28 @@ def test_events_independent_of_blas_threads(tmp_path):
             p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
         out = tmp_path / f"threads{threads}"
         subprocess.run([sys.executable, "-m", "spotkit.cli", "tune", "--config",
-                        os.path.join(REPO, "configs", "toy.json"),
-                        "--fun-evals", "15", "--out", str(out)],
+                        os.path.join(REPO, "configs", config),
+                        "--fun-evals", str(fun_evals), "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
-        events.append((out / "events.csv").read_text())
-    assert events[0] == events[1]
+        outs.append(out)
+    return outs
+
+
+def test_events_independent_of_blas_threads(tmp_path):
+    """A short ToyNet tune writes the same events.csv with BLAS at one thread
+    and at two: gradient clipping and the net's matrix products must not
+    depend on how BLAS splits its work."""
+    one, two = tune_at_blas_threads(tmp_path, "toy.json", 15)
+    assert (one / "events.csv").read_text() == (two / "events.csv").read_text()
+
+
+def test_kriging_outputs_independent_of_blas_threads(tmp_path):
+    """A mixed4 tune writes the same events.csv and contour grids with BLAS at
+    one thread and at two: the surrogate's stacked products (the infill
+    search's and the contour export's predictions) must not depend on how
+    BLAS splits its work."""
+    one, two = tune_at_blas_threads(tmp_path, "bench_mixed4.json", 30)
+    names = sorted(p.name for p in one.glob("contour_*.csv"))
+    assert names and names == sorted(p.name for p in two.glob("contour_*.csv"))
+    for name in ["events.csv", *names]:
+        assert (one / name).read_bytes() == (two / name).read_bytes()

@@ -392,6 +392,45 @@ class TestMeanAt:
         assert np.array_equal(x, [1.5, -0.2])
 
 
+class TestPredictRows:
+    """``predict`` on an m x d array: each entry has the bits of ``predict``
+    at that row alone, across ``_kernel``'s row blocks."""
+
+    def test_bit_equal_to_one_point_calls(self):
+        rng = np.random.default_rng(11)
+        for d in range(1, 7):
+            # n = 40: _kernel takes 409 // d rows per block, so 1,000 rows
+            # span 3 to 15 blocks
+            for n, m in [(2, 1), (7, 3), (40, 1000), (120, 2), (int(rng.integers(2, 121)),
+                                                               int(rng.integers(1, 1001)))]:
+                X = rng.random((n, d)) * 2.0 - 0.5
+                y = np.cos(3.0 * X).sum(axis=1) + 0.05 * rng.normal(size=n)
+                model = fit(X, y, SurrogateControl(noise=n > 100 or d % 2 == 0,
+                                                   model_fun_evals=40), seed=d)
+                # inside the data box, and outside it (clamped)
+                Q = rng.random((m, d)) * 6.0 - 3.0
+                Q[::2] = rng.random((Q[::2].shape[0], d)) * 2.0 - 0.5
+                means = model.predict(Q)
+                assert means.shape == (m,)
+                assert [model.predict(q) for q in Q] == means.tolist()
+                assert np.array_equal(np.signbit(means),
+                                      [np.signbit(model.predict(q)) for q in Q])
+
+    def test_constant_data_model(self):
+        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
+        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        means = model.predict(np.array([[0.3, 0.3], [2.0, -1.0], [0.0, 0.0]]))
+        assert means.tolist() == [3.5, 3.5, 3.5]
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(1)
+        X = rng.random((10, 2))
+        model = fit(X, X.sum(axis=1), SurrogateControl(model_fun_evals=50), seed=0)
+        Q = np.array([[1.5, -0.2], [0.3, 0.4]])
+        model.predict(Q)
+        assert np.array_equal(Q, [[1.5, -0.2], [0.3, 0.4]])
+
+
 class TestLhsScreen:
     @staticmethod
     def old_lhs_unit(rng, n, dims):

@@ -416,15 +416,21 @@ class TestPredictorNames:
     ``predict_batch`` and ``predict``, the names the benchmark's counters
     wrap."""
 
-    def test_suggest_next_one_batch_then_one_predict_per_vertex(self, monkeypatch):
+    def test_suggest_next_one_batch_then_one_predict_per_round(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, size=(12, 2))
         model = RecordingModel.of(fit(X, (X ** 2).sum(axis=1), FAST_SURROGATE, seed=0))
-        nfevs = []
+        runs = []
 
-        def counted(*args):
-            out = _nelder_mead(*args)
-            nfevs.append(out[2])
+        def counted(f, X0, *args):
+            calls = []
+
+            def g(rows):
+                calls.append(rows.copy())
+                return f(rows)
+
+            out = _nelder_mead(g, X0, *args)
+            runs.append((calls, [r[2] for r in out]))
             return out
 
         monkeypatch.setattr(tuner, "_nelder_mead", counted)
@@ -434,15 +440,106 @@ class TestPredictorNames:
         names = [name for name, _ in model.calls]
         assert names[0] == "predict_batch"
         assert np.array_equal(model.calls[0][1], probes)
-        assert len(nfevs) == 3 and names[1:] == ["predict"] * sum(nfevs)
+        # one lockstep run of three starts: the initial simplices in one
+        # call, then one call per round (plus one per round that shrinks),
+        # each on 2-D rows
+        [(calls, nfevs)] = runs
+        assert len(nfevs) == 3 and names[1:] == ["predict"] * len(calls)
+        assert all(np.array_equal(v, rows) for (_, v), rows in zip(model.calls[1:], calls))
+        assert calls[0].shape == (3 * 3, 2)
+        assert all(rows.ndim == 2 and rows.shape[1] == 2 for rows in calls)
+        assert len(calls) <= max(nfevs) < sum(nfevs)
 
-    def test_export_contour_one_predict_per_grid_point(self):
+    def test_export_contour_one_predict_for_the_grid(self):
         rng = np.random.default_rng(4)
         X = rng.random((10, 2))
         model = RecordingModel.of(fit(X, X.sum(axis=1), FAST_SURROGATE, seed=0))
         rows = export_contour(model, float_space(2, 0.0, 1.0), ("x0", "x1"), grid=4)
-        assert [name for name, _ in model.calls] == ["predict"] * 16
-        assert [list(v) for _, v in model.calls] == [[r["x0"], r["x1"]] for r in rows]
+        [(name, V)] = model.calls
+        assert name == "predict" and V.shape == (16, 2)
+        assert V.tolist() == [[r["x0"], r["x1"]] for r in rows]
+
+
+def sequential_nelder_mead(f, x0, lo, hi, maxfev) -> tuple[np.ndarray, float, int]:
+    """The one-start port of scipy 1.17.1's bounded Nelder-Mead that
+    ``_nelder_mead`` replaced, kept verbatim as its reference: one ``f``
+    call per vertex, on a 1-D point."""
+    N = x0.size
+    x0 = np.minimum(np.maximum(x0, lo), hi)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    sim = np.where(sim > hi, 2 * hi - sim, sim)
+    sim = np.minimum(np.maximum(sim, lo), hi)
+
+    fsim = np.full(N + 1, np.inf)
+    nfev = min(N + 1, maxfev)
+    for k in range(nfev):
+        fsim[k] = f(sim[k])
+    for _ in range(2):          # scipy sorts twice; ties may move the second time
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+
+    while nfev < maxfev:
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-8
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-12):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.minimum(np.maximum(2 * xbar - sim[-1], lo), hi)
+        fxr = f(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = np.minimum(np.maximum(3 * xbar - 2 * sim[-1], lo), hi)
+                fxe = f(xe)
+                nfev += 1
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:      # outside contraction
+                xc = np.minimum(np.maximum(1.5 * xbar - 0.5 * sim[-1], lo), hi)
+                fxc = f(xc)
+                nfev += 1
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+            else:                   # inside contraction
+                xcc = np.minimum(np.maximum(0.5 * xbar + 0.5 * sim[-1], lo), hi)
+                fxcc = f(xcc)
+                nfev += 1
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = np.minimum(
+                        np.maximum(sim[0] + 0.5 * (sim[j] - sim[0]), lo), hi)
+                    if nfev >= maxfev:
+                        break
+                    fsim[j] = f(sim[j])
+                    nfev += 1
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return sim[0], fsim.min(), nfev
+
+
+def rows_of(f):
+    """``f`` of one point, as the function of rows ``_nelder_mead`` calls."""
+    return lambda X: np.array([f(x) for x in X])
 
 
 def scipy_nelder_mead(f, x0, lo, hi, maxfev):
@@ -454,7 +551,7 @@ def scipy_nelder_mead(f, x0, lo, hi, maxfev):
 
 
 def assert_same_as_scipy(f, x0, lo, hi, maxfev):
-    x, fun, nfev = _nelder_mead(f, x0, lo, hi, maxfev)
+    [(x, fun, nfev)] = _nelder_mead(rows_of(f), x0[None, :], lo, hi, maxfev)
     ref_x, ref_fun, ref_nfev = scipy_nelder_mead(f, x0, lo, hi, maxfev)
     assert np.array_equal(x, ref_x)
     assert np.array_equal(np.signbit(x), np.signbit(ref_x))
@@ -462,8 +559,22 @@ def assert_same_as_scipy(f, x0, lo, hi, maxfev):
     assert nfev == ref_nfev
 
 
+def assert_same_as_sequential(model, X0, lo, hi, maxfev):
+    """Each lockstep start, ``model.predict`` scoring rows, equals the
+    sequential port run from that start alone on single points."""
+    out = _nelder_mead(model.predict, X0, lo, hi, maxfev)
+    assert len(out) == len(X0)
+    for (x, fun, nfev), x0 in zip(out, X0):
+        ref_x, ref_fun, ref_nfev = sequential_nelder_mead(model.predict, x0, lo, hi, maxfev)
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(np.signbit(x), np.signbit(ref_x))
+        assert fun == ref_fun and np.signbit(fun) == np.signbit(ref_fun)
+        assert nfev == ref_nfev
+
+
 class TestNelderMead:
-    """The in-repo port against scipy's bounded Nelder-Mead, bit for bit."""
+    """The in-repo port against scipy's bounded Nelder-Mead, bit for bit,
+    one start at a time."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_random_fitted_models(self, d):
@@ -515,10 +626,129 @@ class TestNelderMead:
 
     def test_converges_inside_box(self):
         lo, hi = np.zeros(2), np.ones(2)
-        x, fun, nfev = _nelder_mead(lambda v: float(((v - 0.3) ** 2).sum()),
-                                    np.array([0.9, 0.1]), lo, hi, 1000)
+        [(x, fun, nfev)] = _nelder_mead(rows_of(lambda v: float(((v - 0.3) ** 2).sum())),
+                                        np.array([[0.9, 0.1]]), lo, hi, 1000)
         assert np.allclose(x, 0.3, atol=1e-6)
         assert fun < 1e-12 and nfev < 1000
+
+
+class TestLockstepNelderMead:
+    """Starts run side by side give, per start, the bits of the sequential
+    port run from that start alone."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_every_maxfev_and_start_count(self, d):
+        rng = np.random.default_rng(200 + d)
+        X = rng.random((int(rng.integers(d + 3, 31)), d)) * 2.0 - 1.0
+        model = fit(X, np.cos(2.0 * X).sum(axis=1), FAST_SURROGATE, seed=d)
+        lo, hi = np.full(d, -1.0), np.ones(d)
+        for maxfev in range(1, 121):
+            X0 = rng.uniform(lo, hi, size=(1 + maxfev % 6, d))
+            assert_same_as_sequential(model, X0, lo, hi, maxfev)
+
+    def test_constant_data_model(self):
+        # every vertex ties: each round reflects, contracts and shrinks, and
+        # the starts' shrinks share a call
+        X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
+        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        lo, hi = np.zeros(3), np.ones(3)
+        X0 = np.random.default_rng(5).random((6, 3))
+        for maxfev in range(1, 121):
+            assert_same_as_sequential(model, X0[:1 + maxfev % 6], lo, hi, maxfev)
+
+    def test_starts_on_bounds_and_at_zero(self):
+        rng = np.random.default_rng(9)
+        X = rng.random((15, 3)) * 2.0 - 1.0
+        model = fit(X, (X - 0.3).sum(axis=1) ** 2, FAST_SURROGATE, seed=1)
+        X0 = np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 1.0], [0.0, 0.0, 0.4],
+                       [0.0, 1.0, -1.0], [-0.0, 0.0, -0.0], [0.5, -0.0, 1.0]])
+        for lo in (np.full(3, -1.0), np.zeros(3)):
+            for maxfev in (1, 4, 5, 30, 200):
+                assert_same_as_sequential(model, X0, lo, np.ones(3), maxfev)
+
+
+def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x):
+    """``suggest_next`` as it was with one Nelder-Mead start after another,
+    kept as the reference for the lockstep starts and their stop rule."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    active = space.active
+    lo = np.array([p.lower for p in active])
+    hi = np.array([p.upper for p in active])
+    d = len(active)
+
+    n_probe = max(2 * n_points, budget // 2)
+    probes = rng.uniform(lo, hi, size=(n_probe, d))
+    mu = model.predict_batch(probes)
+    order = np.argsort(mu, kind="stable")
+
+    pool: list[tuple[float, np.ndarray]] = []
+    remaining = budget - n_probe
+    min_fev = 3 * (d + 1)
+    n_starts = max(n_points, 3)
+    if remaining >= min_fev:
+        per_start = max(min_fev, remaining // n_starts)
+        for i in order[:n_starts]:
+            fev = min(per_start, remaining)
+            if fev < min_fev:
+                break
+            x, fun, nfev = sequential_nelder_mead(model.predict, probes[i], lo, hi, fev)
+            remaining -= nfev
+            pool.append((float(fun), x))
+            if remaining < min_fev:
+                break
+    pool.extend((float(mu[i]), probes[i]) for i in order)
+    pool.sort(key=lambda t: t[0])
+
+    chosen = np.empty((0, space.dim))
+    for _, v in pool:
+        cand = _embed_active(space, v)
+        if _is_distinct(cand, chosen, tolerance_x):
+            chosen = np.vstack([chosen, cand])
+        if len(chosen) == n_points:
+            break
+    tries = 0
+    while len(chosen) < n_points:      # distinct draws; any draw after 200 tries
+        cand = _random_full_point(space, rng)
+        if tries >= 200 or _is_distinct(cand, chosen, tolerance_x):
+            chosen = np.vstack([chosen, cand])
+        tries += 1
+    return chosen
+
+
+class TestSuggestNextStopRule:
+    """The lockstep starts reach the pool as the sequential starts did: each
+    on ``per_start`` evaluations, the next only while ``min_fev`` remain."""
+
+    @staticmethod
+    def compare(d, n_points, budget, seeds):
+        rng = np.random.default_rng(d)
+        X = rng.random((4 * d + 4, d)) * 2.0 - 1.0
+        model = fit(X, np.sin(3.0 * X).sum(axis=1), FAST_SURROGATE, seed=0)
+        space = float_space(d)
+        for seed in seeds:
+            cands = suggest_next(RunState(), model, space, n_points, budget, seed, 1e-8)
+            ref = sequential_suggest_next(model, space, n_points, budget, seed, 1e-8)
+            assert np.array_equal(cands, ref)
+
+    def test_every_start_runs(self):
+        # remaining // n_starts >= min_fev: the budget covers every start
+        self.compare(4, 1, 600, range(8))
+        self.compare(2, 3, 400, range(8))
+
+    def test_truncated_prefix(self, monkeypatch):
+        # d = 6, 25 points: 400 probes leave 400 evaluations, so per_start =
+        # min_fev = 21 and only a prefix of the 25 starts reaches the pool
+        nfevs = []
+
+        def counted(*args):
+            out = _nelder_mead(*args)
+            nfevs.append([r[2] for r in out])
+            return out
+
+        monkeypatch.setattr(tuner, "_nelder_mead", counted)
+        self.compare(6, 25, 800, range(3))
+        assert len(nfevs) == 3
+        assert all(len(n) == 25 and max(n) == 21 and sum(n) > 400 for n in nfevs)
 
 
 class TestBest:

@@ -11,7 +11,9 @@ derived configs written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
 runs it validating on the explicit test split (``test_hold_out``), and
 ``tune_mixed4_noise`` runs ``configs/bench_mixed4.json`` with a fitted
-nugget, two points per iteration and two repeats per point.
+nugget, two points per iteration and two repeats per point, and
+``tune_mixed4_points4`` with four points per iteration, so the infill search
+runs four Nelder-Mead starts and de-duplicates a four-point batch.
 ``resume_mixed4`` is two steps in one output directory, a 20-evaluation
 ``tune`` and a ``resume`` to 30; the printed output of each step and the
 final artifacts are compared. Prints
@@ -35,6 +37,7 @@ MIXED4 = "configs/bench_mixed4.json"
 TOY_CV = "toy_cv.json"
 TOY_TEST = "toy_test.json"
 MIXED4_NOISE = "mixed4_noise.json"
+MIXED4_POINTS4 = "mixed4_points4.json"
 # each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
@@ -42,6 +45,7 @@ COMMANDS = {
     "tune_toy_test": [["tune", "--config", TOY_TEST, "--fun-evals", "15"]],
     "tune_mixed4": [["tune", "--config", MIXED4]],
     "tune_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--seed", "3"]],
+    "tune_mixed4_points4": [["tune", "--config", MIXED4_POINTS4, "--fun-evals", "40"]],
     "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
     "tune_mixed4_100_s97": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"]],
     "bench_mixed4_s1": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"]],
@@ -63,7 +67,10 @@ def write_derived(work: str) -> None:
     mixed4_noise = load("bench_mixed4.json")
     mixed4_noise["tuner"] = {"fun_evals": 30, "n_points": 2, "fun_repeats": 2}
     mixed4_noise["surrogate"] = {"noise": True, "model_fun_evals": 300}
-    for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (MIXED4_NOISE, mixed4_noise)):
+    mixed4_points4 = load("bench_mixed4.json")
+    mixed4_points4["tuner"]["n_points"] = 4
+    for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (MIXED4_NOISE, mixed4_noise),
+                      (MIXED4_POINTS4, mixed4_points4)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(exp, fh)
 
