@@ -11,7 +11,8 @@ nugget on the diagonal turns interpolation into regression; with
 training targets.
 
 ``fit`` evaluates the likelihood over blocks of parameter vectors, each
-value with the bits of evaluating its vector alone.
+value with the bits of evaluating its vector alone; a one-matrix block
+takes a single-matrix path with the same bits.
 
 A fitted ``KrigingModel`` predicts only the mean: ``predict_batch`` at
 each row of an array, and ``predict`` at a point or at rows, each value with
@@ -127,23 +128,23 @@ class KrigingModel:
     norm_span: np.ndarray         # per-dim spans (zeros replaced by 1)
     weights: np.ndarray | None = None       # R^-1 (y - mu)
     Z: np.ndarray | None = field(default=None, repr=False)  # normalized inputs
-    t10: np.ndarray | None = field(default=None, repr=False)  # 10**theta_log10
+    neg_t10: np.ndarray | None = field(default=None, repr=False)  # -10**theta_log10
 
     @property
     def dim(self) -> int:
         return self.X.shape[1]
 
-    def _unit(self, X) -> np.ndarray:
-        """The rows of ``X`` normalized and clamped into the unit box."""
-        Q = np.atleast_2d(np.asarray(X, dtype=float))
+    def _unit(self, Q: np.ndarray) -> np.ndarray:
+        """The rows of the 2-D array ``Q`` normalized and clamped into the
+        unit box."""
         return np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
 
     def predict_batch(self, X) -> np.ndarray:
         """Kriging mean at each row of ``X`` (clamped into the data box)."""
-        Q = self._unit(X)
+        Q = self._unit(np.atleast_2d(np.asarray(X, dtype=float)))
         if self.weights is None:   # constant-data model
             return np.full(Q.shape[0], self.mu)
-        return self.mu + _kernel(Q, self.Z, self.t10) @ self.weights
+        return self.mu + _kernel(Q, self.Z, self.neg_t10) @ self.weights
 
     def predict(self, x):
         """Kriging mean at one point ``x`` (a 1-D list or array of length d),
@@ -153,15 +154,18 @@ class KrigingModel:
         the cross-correlations come from ``_kernel``, and one stacked
         (m, 1, n) @ (n,) product makes one BLAS call per row, the call a
         one-row product makes (a plain (m, n) @ (n,) product sums in
-        another order). Does not modify ``x``.
+        another order). An array is used as it is, a point as its one row,
+        with no ``np.atleast_2d``. Does not modify ``x``.
         """
-        Q = self._unit(x)
+        Q = np.asarray(x, dtype=float)
+        one = Q.ndim == 1
+        Q = self._unit(Q.reshape(1, -1) if Q.ndim < 2 else Q)
         if self.weights is None:   # constant-data model
             mean = np.full(Q.shape[0], self.mu)
         else:
-            psi = _kernel(Q, self.Z, self.t10)
+            psi = _kernel(Q, self.Z, self.neg_t10)
             mean = self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
-        return float(mean[0]) if np.ndim(x) == 1 else mean
+        return float(mean[0]) if one else mean
 
 
 # -- likelihood ------------------------------------------------------------
@@ -180,28 +184,39 @@ def neg_log_likelihood(X, y, theta_log10, nugget: float) -> float:
     return _nll(R[None], _rhs(y))[0]
 
 
-def _kernel(A: np.ndarray, B: np.ndarray, t10: np.ndarray) -> np.ndarray:
+def _kernel(A: np.ndarray, B: np.ndarray, neg_t10: np.ndarray) -> np.ndarray:
     """Correlations ``exp(-sum_k t10_k (a_k - b_k)**2)`` between the rows of
-    ``A`` (m x d) and ``B`` (n x d), as an m x n array.
+    ``A`` (m x d) and ``B`` (n x d), as an m x n array, given the negated
+    weights ``neg_t10 = -t10``.
 
-    For a block of rows of ``A``, the terms ``(t10_k * diff) * diff`` fill a
-    C-ordered d x rows x n array whose outer-axis sum adds them in dimension
-    order: the same bits as accumulating one dimension at a time, whatever
-    the block. (Summing a contiguous axis could reorder them pairwise, as
-    when rows = n = 1 and d >= 8; models hold n >= 2.)
+    For a block of rows of ``A``, the terms ``(neg_t10_k * diff) * diff``
+    fill a C-ordered d x rows x n array whose outer-axis sum adds them in
+    dimension order: the same bits as accumulating one dimension at a time,
+    whatever the block. (Summing a contiguous axis could reorder them
+    pairwise, as when rows = n = 1 and d >= 8; models hold n >= 2.) The sum
+    is exactly the negated sum of the ``t10`` terms, since IEEE rounding is
+    symmetric in sign. When all rows of ``A`` fit one block, as for every
+    Nelder-Mead round and every single point, that block is the result.
     """
-    out = np.empty((A.shape[0], B.shape[0]))
     rows = max(1, _KERNEL_BLOCK // B.size)
+    if A.shape[0] <= rows:
+        return _kernel_block(A, B, neg_t10)
+    out = np.empty((A.shape[0], B.shape[0]))
     for i in range(0, A.shape[0], rows):
-        diff = np.subtract(A[i:i + rows].T[:, :, None], B.T[:, None, :], order="C")
-        w = diff * t10[:, None, None]
-        w *= diff
-        np.exp(-np.add.reduce(w, axis=0), out=out[i:i + rows])
+        _kernel_block(A[i:i + rows], B, neg_t10, out[i:i + rows])
     return out
 
 
+def _kernel_block(A: np.ndarray, B: np.ndarray, neg_t10: np.ndarray, out=None):
+    """``_kernel`` of rows of ``A`` that fit one block, into ``out`` if given."""
+    diff = np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
+    w = diff * neg_t10[:, None, None]
+    w *= diff
+    return np.exp(np.add.reduce(w, axis=0), out=out)
+
+
 def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.ndarray:
-    R = _kernel(Z, Z, 10.0 ** theta_log10)
+    R = _kernel(Z, Z, -(10.0 ** theta_log10))
     R[np.diag_indices_from(R)] += nugget
     return R
 
@@ -216,23 +231,58 @@ def _nll(R: np.ndarray, rhs: np.ndarray) -> list[float]:
     """NLL of each correlation matrix in the stack ``R`` (b x n x n), +inf
     where it is not positive definite.
 
-    One ``np.linalg.cholesky`` factors the whole stack, with the same bits
-    per matrix as factoring each alone. If any matrix is not positive
-    definite the stack raises, and the matrices are factored one at a time.
+    A one-matrix stack (every golden-section step, and every screen block
+    once ``_KERNEL_BLOCK // n**2 == 1``) is factored alone and evaluated by
+    ``_likelihood_one``. A larger stack is factored by one
+    ``np.linalg.cholesky`` call, with the same bits per matrix as factoring
+    each alone, and evaluated by ``_likelihood``. If any matrix is not
+    positive definite the stack raises, and the matrices are taken one at a
+    time.
     """
+    if R.shape[0] == 1:
+        try:
+            L = np.linalg.cholesky(R[0])
+        except np.linalg.LinAlgError:
+            return [math.inf]
+        return [_likelihood_one(L, rhs)[0]]
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
-        if R.shape[0] == 1:
-            return [math.inf]
         return [_nll(Ri[None], rhs)[0] for Ri in R]
-    return _likelihood(L, rhs)[0]
+    return _likelihood(L, rhs)
 
 
-def _likelihood(L: np.ndarray, rhs: np.ndarray):
-    """NLL, mu and R^-1 (y - mu) of each lower Cholesky factor in the stack
-    ``L`` (b x n x n): NLL as a list of b floats, mu as a b-vector,
-    R^-1 (y - mu) as a b x n array.
+def _likelihood_one(L: np.ndarray, rhs: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """NLL, mu and R^-1 (y - mu) of one lower Cholesky factor ``L`` (n x n),
+    with the bits ``_likelihood`` gives that matrix in a stack.
+
+    ``rhs`` holds ``y`` and ones as ``_rhs`` builds them. One LAPACK solve
+    serves both columns; passed the factor's transpose as the upper factor,
+    f2py does not copy it. The three inner products are 1-D ``np.dot``
+    calls on contiguous vectors, one ``ddot`` each, as the stacked product
+    makes them, and the log-determinant comes from the factor's diagonal. A
+    non-finite solution (from a NaN or inf in ``y``) raises ``ValueError``;
+    it makes ``1' R^-1 y + 1' R^-1 1`` non-finite, so the solution is checked
+    element by element only when that sum is.
+    """
+    n = L.shape[0]
+    sol, info = dpotrs(L.T, rhs, lower=0)   # n x 2, Fortran-ordered
+    if info != 0:
+        raise ValueError("Kriging solve failed")
+    rinv_y, rinv_1, ones = sol[:, 0], sol[:, 1], rhs[:, 1]
+    p_y, p_1 = np.dot(rinv_y, ones), np.dot(rinv_1, ones)
+    if not math.isfinite(p_y + p_1) and not np.isfinite(sol).all():
+        raise ValueError("non-finite Kriging solve; check y for NaN or inf")
+    mu = float(p_y / p_1)
+    rinv_r = rinv_y - mu * rinv_1
+    q = float(np.dot(rhs[:, 0] - mu, rinv_r))
+    half_logdet = float(np.add.reduce(np.log(L.diagonal())))
+    return n * math.log(max(q / n, 1e-300)) + 2.0 * half_logdet, mu, rinv_r
+
+
+def _likelihood(L: np.ndarray, rhs: np.ndarray) -> list[float]:
+    """NLL of each lower Cholesky factor in the stack ``L`` (b x n x n), as a
+    list of b floats.
 
     ``rhs`` holds ``y`` and ones as ``_rhs`` builds them, once per fit. One
     LAPACK solve per matrix serves both; passed the factor's transpose as
@@ -259,8 +309,7 @@ def _likelihood(L: np.ndarray, rhs: np.ndarray):
     q = np.matmul(rhs[:, 0] - mu, rinv_r.transpose(0, 2, 1)).ravel()
     half_logdet = np.add.reduce(np.log(L.diagonal(axis1=1, axis2=2)), axis=1)
     sigma2 = [max(s / n, 1e-300) for s in q.tolist()]
-    nll = [n * math.log(s) + 2.0 * h for s, h in zip(sigma2, half_logdet.tolist())]
-    return nll, mu.ravel(), rinv_r[:, 0]
+    return [n * math.log(s) + 2.0 * h for s, h in zip(sigma2, half_logdet.tolist())]
 
 
 # -- fitting ----------------------------------------------------------------
@@ -277,8 +326,10 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     golden-section step alone: a block forms its matrices R with one stacked
     product, factors them with one Cholesky call, solves each for both
     columns in one triangular solve and takes the NLLs with array
-    operations. Every value has the bits of evaluating its vector alone, so
-    the block size never changes the search. A NaN or inf in ``y`` raises
+    operations; a one-matrix block (each golden-section step, and each
+    screen block once n >= 91) takes ``_likelihood_one``. Every value has
+    the bits of evaluating its vector alone, so the block size never
+    changes the search. A NaN or inf in ``y`` raises
     ``ValueError``, and so do duplicate rows when ``noise`` is off.
     """
     control = control or SurrogateControl()
@@ -362,7 +413,7 @@ def _has_duplicate_rows(Z: np.ndarray) -> bool:
 def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,
               norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
     """The model at the chosen parameters: factor R, escalating jitter if
-    needed.
+    needed, and take mu and the weights from ``_likelihood_one``.
 
     Any jitter the factorization needs is absorbed into the stored nugget,
     so the model always describes the matrix actually factored.
@@ -380,11 +431,11 @@ def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
                 raise FitError(
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
-    _, mu, rinv_r = _likelihood(L[None], _rhs(y))
+    _, mu, rinv_r = _likelihood_one(L, _rhs(y))
     return KrigingModel(
         X=X, y=y, theta_log10=theta_log10, nugget=float(nugget + jitter),
-        mu=float(mu[0]), norm_min=norm_min, norm_span=norm_span,
-        weights=rinv_r[0], Z=Z, t10=10.0 ** theta_log10,
+        mu=mu, norm_min=norm_min, norm_span=norm_span,
+        weights=rinv_r, Z=Z, neg_t10=-(10.0 ** theta_log10),
     )
 
 

@@ -211,10 +211,13 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     call, then takes each start's branch in Python floats; the candidates
     scipy would not have evaluated are discarded and do not count in
     ``nfev``. The initial simplices share one call, and so do the vertices
-    of all shrinking simplices. ``f`` maps an m x N array to m values, each
-    with the bits of scoring its row alone, and must not modify its
-    argument; then every start's ``(x, fun, nfev)`` has the bits scipy
-    returns for that start run alone.
+    of all shrinking simplices. Per start, the value test runs on Python
+    floats (a NaN from ``inf - inf`` fails it, as in ``np.max``), the x test
+    only where the value test passes, and the chosen vertex moves by scalar
+    indexing. ``f`` maps an m x N array to m values, each with the bits of
+    scoring its row alone, and must not modify its argument; then every
+    start's ``(x, fun, nfev)`` has the bits scipy returns for that start
+    run alone.
     """
     k, N = X0.shape
     X0 = np.minimum(np.maximum(X0, lo), hi)
@@ -226,7 +229,7 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
     F = np.full((k, N + 1), np.inf)
     nfev0 = min(N + 1, maxfev)
-    F[:, :nfev0] = np.reshape(f(S[:, :nfev0].reshape(-1, N)), (k, nfev0))
+    F[:, :nfev0] = f(S[:, :nfev0].reshape(-1, N)).reshape(k, nfev0)
     rows = np.arange(k)[:, None]
     for _ in range(2):          # scipy sorts twice; ties may move the second time
         ind = F.argsort(axis=1)
@@ -236,13 +239,14 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     nfev = [nfev0] * k
     out = [None] * k
     while True:
-        done = (np.abs(S[:, 1:] - S[:, :1]).max(axis=(1, 2)) <= 1e-8).tolist()
-        if any(done):           # the value test only where the x test passes
-            fdone = (np.abs(F[:, :1] - F[:, 1:]).max(axis=1) <= 1e-12).tolist()
-            done = [a and b for a, b in zip(done, fdone)]
+        Fl = F.tolist()
         keep = []
         for j, start in enumerate(live):
-            if nfev[j] < maxfev and not done[j]:
+            f0 = Fl[j][0]
+            # the x test only where the value test passes; NaN fails it
+            if nfev[j] < maxfev and not (
+                    all(abs(f0 - v) <= 1e-12 for v in Fl[j][1:])
+                    and np.abs(S[j, 1:] - S[j, :1]).max() <= 1e-8):
                 keep.append(j)
             else:
                 out[start] = (S[j, 0].copy(), F[j].min(), nfev[j])
@@ -251,12 +255,13 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 return out
             S, F = S[keep], F[keep]
             live, nfev = [live[j] for j in keep], [nfev[j] for j in keep]
+            Fl = [Fl[j] for j in keep]
             rows = np.arange(len(live))[:, None]
         xbar = np.add.reduce(S[:, :-1], 1) / N
         C = np.minimum(np.maximum(_STEP_A * xbar[:, None] + _STEP_B * S[:, -1:], lo), hi)
-        fc = np.reshape(f(C.reshape(-1, N)), (len(live), 4))
-        moved, steps, shrink = [], [], []
-        for j, ((fr, fe, foc, fic), fs) in enumerate(zip(fc.tolist(), F.tolist())):
+        fc = f(C.reshape(-1, N)).reshape(len(live), 4).tolist()
+        shrink = []
+        for j, ((fr, fe, foc, fic), fs) in enumerate(zip(fc, Fl)):
             n = nfev[j] + 1
             step = None
             if fr < fs[0]:
@@ -275,15 +280,12 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     shrink.append(j)
             nfev[j] = n
             if step is not None:
-                moved.append(j)
-                steps.append(step)
-        if moved:
-            S[moved, -1] = C[moved, steps]
-            F[moved, -1] = fc[moved, steps]
+                S[j, -1] = C[j, step]
+                F[j, -1] = fc[j][step]
         if shrink:
             B = S[shrink]
             V = np.minimum(np.maximum(B[:, :1] + 0.5 * (B[:, 1:] - B[:, :1]), lo), hi)
-            fv = np.reshape(f(V.reshape(-1, N)), (len(shrink), N))
+            fv = f(V.reshape(-1, N)).reshape(len(shrink), N)
             for t, j in enumerate(shrink):
                 r = maxfev - nfev[j]    # the cut leaves vertex r + 1 moved, unscored
                 S[j, 1:r + 2] = V[t, :r + 1]
@@ -305,7 +307,10 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     ``model.predict`` call on the rows of all their candidate vertices per
     round, and their results enter the pool as if the starts had run one
     after another, each on ``per_start`` evaluations while at least
-    ``min_fev`` of the budget remained.
+    ``min_fev`` of the budget remained. Only starts sure to run are run: a
+    wave holds those that would run even if every start before them spent
+    ``per_start``, and the next wave follows while budget remains (one
+    wave whenever the budget covers every start).
     Integer and factor coordinates snap to their lattice before returning.
     Candidates are mutually distinct beyond ``tolerance_x`` in max-norm
     where possible.
@@ -327,15 +332,21 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     n_starts = max(n_points, 3)
     if remaining >= min_fev:
         # each start run one after another would get exactly per_start, and
-        # the next one only while remaining >= min_fev: run them all side by
-        # side, then keep the results in start order up to that cut
+        # the next one only while remaining >= min_fev: run side by side the
+        # starts sure to run even if every one before them spends per_start,
+        # keep the results in start order up to that cut, and repeat
         per_start = max(min_fev, remaining // n_starts)
-        starts = probes[order[:n_starts]]
-        for x, fun, nfev in _nelder_mead(model.predict, starts, lo, hi, per_start):
-            remaining -= nfev
-            pool.append((float(fun), x))
-            if remaining < min_fev:
-                break
+        starts = order[:n_starts]
+        n_run = 0
+        while n_run < starts.size and remaining >= min_fev:
+            wave = starts[n_run:n_run + (remaining - min_fev) // per_start + 1]
+            n_run += wave.size
+            for x, fun, nfev in _nelder_mead(model.predict, probes[wave], lo, hi,
+                                             per_start):
+                remaining -= nfev
+                pool.append((float(fun), x))
+                if remaining < min_fev:
+                    break
     pool.extend((float(mu[i]), probes[i]) for i in order)
     pool.sort(key=lambda t: t[0])
 

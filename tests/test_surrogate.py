@@ -99,10 +99,11 @@ class TestKernel:
                 B = rng.random((n, d))
                 t10 = 10.0 ** rng.uniform(-4.0, 3.0, d)
                 want = loop_kernel(A, B, t10)
-                assert np.array_equal(sg._kernel(A, B, t10), want)
+                # _kernel takes the weights negated; one block or several
+                assert np.array_equal(sg._kernel(A, B, -t10), want)
                 # the memory order of the inputs must not change the sum order
                 assert np.array_equal(
-                    sg._kernel(np.asfortranarray(A), np.asfortranarray(B), t10), want)
+                    sg._kernel(np.asfortranarray(A), np.asfortranarray(B), -t10), want)
 
 
 class TestNegLogLikelihood:
@@ -196,6 +197,8 @@ class TestBlockLikelihood:
         assert got[2] == math.inf
         assert got == [cho_nll(Ri, y) for Ri in R]
         assert all(math.isfinite(f) for i, f in enumerate(got) if i != 2)
+        # one-matrix stacks take the single-matrix path
+        assert [sg._nll(R[i:i + 1], sg._rhs(y))[0] for i in range(5)] == got
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_y_raises_in_block(self, bad):
@@ -209,6 +212,53 @@ class TestBlockLikelihood:
             sg._nll(R, sg._rhs(y))
         with pytest.raises(ValueError):
             sg._nll(R[1:], sg._rhs(y))
+        with pytest.raises(ValueError):     # a one-matrix stack
+            sg._nll(R[1:2], sg._rhs(y))
+
+
+def stacked_likelihood(L, rhs):
+    """The stacked evaluation as it was when it also returned mu and the
+    weights, kept as the reference for ``_likelihood_one``: NLL, mu and
+    R^-1 (y - mu) of each factor in the stack ``L``."""
+    b, n = L.shape[0], L.shape[1]
+    sol = np.empty((b, 2, 1, n))
+    for i in range(b):
+        x, info = sg.dpotrs(L[i].T, rhs, lower=0)
+        assert info == 0
+        sol[i, :, 0] = x.T
+    p = np.matmul(sol, rhs[:, 1:])
+    mu = p[:, 0] / p[:, 1]
+    rinv_r = sol[:, 0] - mu * sol[:, 1]
+    q = np.matmul(rhs[:, 0] - mu, rinv_r.transpose(0, 2, 1)).ravel()
+    half_logdet = np.add.reduce(np.log(L.diagonal(axis1=1, axis2=2)), axis=1)
+    sigma2 = [max(s / n, 1e-300) for s in q.tolist()]
+    nll = [n * math.log(s) + 2.0 * h for s, h in zip(sigma2, half_logdet.tolist())]
+    return nll, mu.ravel(), rinv_r[:, 0]
+
+
+class TestSingleMatrixLikelihood:
+    """``_likelihood_one`` gives one matrix the NLL, mu and weights the
+    stacked evaluation gives it, bit for bit."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_bit_equal_to_stacked(self, noise):
+        rng = np.random.default_rng(31 + noise)
+        for n in range(2, 129):
+            d = 1 + n % 5
+            Z = rng.random((n, d))
+            y = np.sin(4.0 * Z).sum(axis=1) * 10.0 ** rng.uniform(-3, 3)
+            nugget = 10.0 ** rng.uniform(-8.0, -1.0) if noise else JITTER_FLOOR
+            L = np.stack([np.linalg.cholesky(sg._correlation(
+                Z, rng.uniform(-1.0, 1.5, d), nugget)) for _ in range(2)])
+            rhs = sg._rhs(y)
+            want_nll, want_mu, want_w = stacked_likelihood(L, rhs)
+            assert sg._likelihood(L, rhs) == want_nll
+            for i in range(2):
+                nll, mu, w = sg._likelihood_one(L[i], rhs)
+                assert nll == want_nll[i]
+                assert mu == want_mu[i] and type(mu) is float
+                assert np.array_equal(w, want_w[i])
+                assert np.array_equal(np.signbit(w), np.signbit(want_w[i]))
 
 
 class TestFit:

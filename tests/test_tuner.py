@@ -667,9 +667,28 @@ class TestLockstepNelderMead:
                 assert_same_as_sequential(model, X0, lo, np.ones(3), maxfev)
 
 
-def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x):
+    def test_partly_tied_outside_narrow_data_box(self):
+        # the model clamps every vertex beyond its data box [0, 0.2]^3 onto
+        # the box, so vertices outside it tie: some starts' simplices in
+        # part, the fourth start's wholly; maxfev below N + 1 leaves
+        # unscored vertices at inf
+        rng = np.random.default_rng(13)
+        X = rng.random((10, 3)) * 0.2
+        model = fit(X, (X ** 2).sum(axis=1), FAST_SURROGATE, seed=0)
+        lo, hi = np.full(3, -1.0), np.ones(3)
+        X0 = np.array([[-0.9, -0.8, 0.1], [0.9, 0.05, 0.7], [0.1, 0.15, 0.05],
+                       [-0.5, 0.5, -0.5], [0.21, 0.1, 0.1]])
+        # the fourth start and its initial vertices clamp to one corner
+        V = X0[3] * (1.0 + 0.05 * np.vstack([np.zeros(3), np.eye(3)]))
+        assert len(set(model.predict(V).tolist())) == 1
+        for maxfev in (1, 2, 3, 4, 5, 12, 40, 200):
+            assert_same_as_sequential(model, X0, lo, hi, maxfev)
+
+
+def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x, ran=None):
     """``suggest_next`` as it was with one Nelder-Mead start after another,
-    kept as the reference for the lockstep starts and their stop rule."""
+    kept as the reference for the lockstep starts and their stop rule; each
+    start it runs is appended to ``ran`` when given."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     active = space.active
     lo = np.array([p.lower for p in active])
@@ -691,6 +710,8 @@ def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x):
             fev = min(per_start, remaining)
             if fev < min_fev:
                 break
+            if ran is not None:
+                ran.append(probes[i])
             x, fun, nfev = sequential_nelder_mead(model.predict, probes[i], lo, hi, fev)
             remaining -= nfev
             pool.append((float(fun), x))
@@ -720,35 +741,56 @@ class TestSuggestNextStopRule:
     on ``per_start`` evaluations, the next only while ``min_fev`` remain."""
 
     @staticmethod
-    def compare(d, n_points, budget, seeds):
+    def sine_model(d):
         rng = np.random.default_rng(d)
         X = rng.random((4 * d + 4, d)) * 2.0 - 1.0
-        model = fit(X, np.sin(3.0 * X).sum(axis=1), FAST_SURROGATE, seed=0)
-        space = float_space(d)
-        for seed in seeds:
-            cands = suggest_next(RunState(), model, space, n_points, budget, seed, 1e-8)
-            ref = sequential_suggest_next(model, space, n_points, budget, seed, 1e-8)
-            assert np.array_equal(cands, ref)
+        return fit(X, np.sin(3.0 * X).sum(axis=1), FAST_SURROGATE, seed=0)
 
-    def test_every_start_runs(self):
-        # remaining // n_starts >= min_fev: the budget covers every start
-        self.compare(4, 1, 600, range(8))
-        self.compare(2, 3, 400, range(8))
+    @staticmethod
+    def compare(monkeypatch, model, space, n_points, budget, seeds):
+        """Candidates and Nelder-Mead starts equal the sequential loop's, per
+        seed; returns per seed the starts of each ``_nelder_mead`` call."""
+        waves = []
+
+        def recorded(f, X0, *args):
+            waves[-1].append(X0.copy())
+            return _nelder_mead(f, X0, *args)
+
+        monkeypatch.setattr(tuner, "_nelder_mead", recorded)
+        for seed in seeds:
+            waves.append([])
+            cands = suggest_next(RunState(), model, space, n_points, budget, seed, 1e-8)
+            ran = []
+            ref = sequential_suggest_next(model, space, n_points, budget, seed, 1e-8, ran)
+            assert np.array_equal(cands, ref)
+            assert np.array_equal(np.concatenate(waves[-1]), ran)
+        return waves
+
+    def test_every_start_runs(self, monkeypatch):
+        # remaining // n_starts >= min_fev: the budget covers every start,
+        # and all of them run in one lockstep wave
+        for d, n_points, budget in ((4, 1, 600), (2, 3, 400)):
+            waves = self.compare(monkeypatch, self.sine_model(d), float_space(d),
+                                 n_points, budget, range(8))
+            assert all(len(w) == 1 and len(w[0]) == max(n_points, 3) for w in waves)
 
     def test_truncated_prefix(self, monkeypatch):
         # d = 6, 25 points: 400 probes leave 400 evaluations, so per_start =
-        # min_fev = 21 and only a prefix of the 25 starts reaches the pool
-        nfevs = []
+        # min_fev = 21 and only a prefix of the 25 starts reaches the pool;
+        # only the starts sure to run are run
+        waves = self.compare(monkeypatch, self.sine_model(6), float_space(6),
+                             25, 800, range(3))
+        assert all(sum(map(len, w)) < 25 for w in waves)
 
-        def counted(*args):
-            out = _nelder_mead(*args)
-            nfevs.append([r[2] for r in out])
-            return out
-
-        monkeypatch.setattr(tuner, "_nelder_mead", counted)
-        self.compare(6, 25, 800, range(3))
-        assert len(nfevs) == 3
-        assert all(len(n) == 25 and max(n) == 21 and sum(n) > 400 for n in nfevs)
+    def test_converged_starts_leave_budget_for_another_wave(self, monkeypatch):
+        # a constant model on a box narrower than xatol: every start stops
+        # after its 7 initial evaluations, not per_start = 21, so the budget
+        # the first wave saves runs the remaining starts in a second wave
+        X = np.random.default_rng(0).random((8, 6))
+        model = fit(X, np.full(8, 2.0), FAST_SURROGATE, seed=0)
+        waves = self.compare(monkeypatch, model, float_space(6, 0.0, 1e-9),
+                             25, 800, range(2))
+        assert all([len(x) for x in w] == [19, 6] for w in waves)
 
 
 class TestBest:

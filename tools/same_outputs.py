@@ -5,11 +5,13 @@
 Extracts REV into a temporary directory (``git archive``), runs the
 reference commands below against both source trees with
 ``OPENBLAS_NUM_THREADS=1``, and compares, per command, the exit code, the
-printed output (stdout and stderr) and every artifact byte for byte, except
-``run_state.json``, which holds wall-clock timings. Three commands run
-derived configs written into the temporary directory: ``tune_toy_cv`` runs
+printed output (stdout and stderr) and every artifact byte for byte.
+``run_state.json`` holds wall-clock timings in its ``elapsed`` column, so it
+is compared without that column, as re-dumped JSON text (text, since a NaN
+metric never equals itself once parsed). Four commands run derived configs
+written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
-runs it validating on the explicit test split (``test_hold_out``), and
+runs it validating on the explicit test split (``test_hold_out``),
 ``tune_mixed4_noise`` runs ``configs/bench_mixed4.json`` with a fitted
 nugget, two points per iteration and two repeats per point, and
 ``tune_mixed4_points4`` with four points per iteration, so the infill search
@@ -31,7 +33,6 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-IGNORED = {"run_state.json"}
 MIXED4 = "configs/bench_mixed4.json"
 # derived configs; main() writes them into each side's working directory
 TOY_CV = "toy_cv.json"
@@ -82,11 +83,18 @@ def extract(rev: str, dest: str) -> None:
         fh.extractall(dest, filter="data")
 
 
+def untimed_state(data: bytes) -> bytes:
+    """``run_state.json`` without its ``elapsed`` column, as JSON text."""
+    doc = json.loads(data)
+    del doc["elapsed"]
+    return json.dumps(doc).encode()
+
+
 def run(tree: str, work: str, name: str, steps: list[list[str]]) -> dict[str, bytes]:
     """Run one command's steps from ``tree`` with their outputs in
     ``work/name``; the printed output of each step (keys ``<exit code>``,
     ``<stdout>``, ``<stderr>``, numbered from the second step on) and the
-    final artifacts, keyed by relative path."""
+    final artifacts, keyed by relative path, ``run_state.json`` untimed."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(tree, "src"))
     env.pop("SPOTKIT_SEED", None)
@@ -102,10 +110,11 @@ def run(tree: str, work: str, name: str, steps: list[list[str]]) -> dict[str, by
     out_dir = os.path.join(work, name)
     for dirpath, _, names in os.walk(out_dir):
         for fn in names:
-            if fn not in IGNORED:
-                path = os.path.join(dirpath, fn)
-                with open(path, "rb") as fh:
-                    files[os.path.relpath(path, out_dir)] = fh.read()
+            path = os.path.join(dirpath, fn)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            files[os.path.relpath(path, out_dir)] = (
+                untimed_state(data) if fn == "run_state.json" else data)
     return files
 
 
