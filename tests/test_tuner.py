@@ -666,7 +666,6 @@ class TestLockstepNelderMead:
             for maxfev in (1, 4, 5, 30, 200):
                 assert_same_as_sequential(model, X0, lo, np.ones(3), maxfev)
 
-
     def test_partly_tied_outside_narrow_data_box(self):
         # the model clamps every vertex beyond its data box [0, 0.2]^3 onto
         # the box, so vertices outside it tie: some starts' simplices in
