@@ -141,9 +141,8 @@ def validate_one_epoch(net: ToyNet, batches) -> tuple[float, float]:
         parts.append(net.forward(X).reshape(-1, NUM_CLASSES))
     logits = np.concatenate(parts)
     labels = np.concatenate([yb for _, yb in batches])
-    rows = np.arange(labels.size)
-    _, log_probs = log_softmax_loss(logits, labels, rows)
-    picked = log_probs[rows, labels]
+    _, log_probs = log_softmax_loss(logits, labels)
+    picked = log_probs[np.arange(labels.size), labels]
     total_loss = 0.0
     pos = 0
     for _, yb in batches:

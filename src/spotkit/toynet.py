@@ -173,56 +173,44 @@ class ToyNet:
         return logits
 
     def loss_and_grad(self, X: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean softmax cross-entropy and its gradient w.r.t. the flat weights.
-
-        The biases are added in place, one row index serves the loss and the
-        softmax gradient, and the six gradient pieces are written with
-        ``out=`` into one fresh flat vector laid out as ``weights``.
-        """
+        """Mean softmax cross-entropy and its gradient w.r.t. the flat weights."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         labels = np.asarray(labels, dtype=int)
         if X.shape[0] != labels.size:
             raise ValueError("feature/label row counts differ")
         W1, b1, W2, b2, W3, b3 = self._layers()
-        z1 = X @ W1
-        z1 += b1
+        z1 = X @ W1 + b1
         h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ W2
-        z2 += b2
+        z2 = h1 @ W2 + b2
         h2 = np.maximum(z2, 0.0)
-        logits = h2 @ W3
-        logits += b3
+        logits = h2 @ W3 + b3
 
         m = X.shape[0]
-        rows = np.arange(m)
-        loss, log_probs = log_softmax_loss(logits, labels, rows)
+        loss, log_probs = log_softmax_loss(logits, labels)
 
-        dlogits = np.exp(log_probs, out=log_probs)
-        dlogits[rows, labels] -= 1.0
+        dlogits = np.exp(log_probs)
+        dlogits[np.arange(m), labels] -= 1.0
         dlogits /= m
-        grad = np.empty(self.n_params)
-        dW1, db1, dW2, db2, dW3, db3 = self._unpack(grad)
-        np.matmul(h2.T, dlogits, out=dW3)
-        np.add.reduce(dlogits, axis=0, out=db3)
+        dW3 = h2.T @ dlogits
+        db3 = dlogits.sum(axis=0)
         dh2 = dlogits @ W3.T
         np.putmask(dh2, z2 <= 0.0, 0.0)
-        np.matmul(h1.T, dh2, out=dW2)
-        np.add.reduce(dh2, axis=0, out=db2)
+        dW2 = h1.T @ dh2
+        db2 = dh2.sum(axis=0)
         dh1 = dh2 @ W2.T
         np.putmask(dh1, z1 <= 0.0, 0.0)
-        np.matmul(X.T, dh1, out=dW1)
-        np.add.reduce(dh1, axis=0, out=db1)
+        dW1 = X.T @ dh1
+        db1 = dh1.sum(axis=0)
+        grad = np.concatenate((dW1, db1, dW2, db2, dW3, db3), axis=None)
         return loss, grad
 
 
-def log_softmax_loss(logits: np.ndarray, labels: np.ndarray,
-                     rows: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def log_softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of integer ``labels`` under raw 2-D ``logits``, and
-    the log-sum-exp stabilized log-probabilities it was taken from.
-    ``rows``, when given, is ``np.arange(labels.size)``."""
-    # shifted by the row maxima, then by the log-sum-exp, in place
-    log_probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
+    the log-sum-exp stabilized log-probabilities it was taken from."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     # np.add.reduce / size is ndarray.mean's arithmetic without its Python wrapper
-    picked = log_probs[np.arange(labels.size) if rows is None else rows, labels]
+    picked = log_probs[np.arange(labels.size), labels]
     return -float(np.add.reduce(picked) / labels.size), log_probs
+
