@@ -188,23 +188,44 @@ def run_training_loop(epochs: int, patience: int, train_epoch, validate_epoch,
     return EvalResult(loss=loss, metric=metric, epochs_run=epoch, stopped_early=stopped)
 
 
-def _train(hp: HyperConfig, net: ToyNet, opt_config: OptimizerConfig,
-           tr: SyntheticDataset, val: SyntheticDataset,
-           rng: np.random.Generator | None, on_best=None) -> EvalResult:
-    """Early-stopped training of ``net`` on ``tr`` from a fresh optimizer
-    state, validated on ``val`` after every epoch; ``rng`` shuffles the
-    training batches, ``None`` keeps their order."""
-    opt_state = init_state(opt_config, net.n_params)
-    val_batches = make_batches(val, hp.batch_size)
+def _train_on_splits(hp: HyperConfig, input_dim: int, splits, shuffle: bool,
+                     seed: int, save_path: str | None = None) -> EvalResult:
+    """Early-stopped training on each (train, validation) pair of ``splits``;
+    the per-pair last-epoch results averaged.
 
-    def train_epoch(_):
-        batches = make_batches(tr, hp.batch_size, rng)
-        return train_one_epoch(net, batches, opt_config, opt_state)
-
-    def validate_epoch(_):
-        return validate_one_epoch(net, val_batches)
-
-    return run_training_loop(hp.epochs, hp.patience, train_epoch, validate_epoch, on_best)
+    One net restarts on every pair from the weights of child seed 1 of
+    ``seed`` and a fresh optimizer state; child seed 2 seeds the one stream
+    that shuffles the training batches of all pairs (``shuffle`` off keeps
+    their order). Child seed 0 is the callers' split seed. A failing pair
+    fails the whole evaluation. ``save_path`` checkpoints each new best.
+    """
+    try:
+        opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
+    except ValueError:
+        return failure_result()
+    weight_seed, shuffle_seed = child_seed(seed, 1), child_seed(seed, 2)
+    net = ToyNet(input_dim, hp.l1, hp.l2, seed=weight_seed)
+    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed)) if shuffle else None
+    on_best = (lambda: save_weights(net, save_path)) if save_path else None
+    results = []
+    for tr, val in splits:
+        net.reset_weights(weight_seed)
+        opt_state = init_state(opt_config, net.n_params)
+        val_batches = make_batches(val, hp.batch_size)
+        res = run_training_loop(
+            hp.epochs, hp.patience,
+            lambda _: train_one_epoch(net, make_batches(tr, hp.batch_size, rng),
+                                      opt_config, opt_state),
+            lambda _: validate_one_epoch(net, val_batches), on_best)
+        if res.failed:
+            return failure_result()
+        results.append(res)
+    return EvalResult(
+        loss=float(np.mean([r.loss for r in results])),
+        metric=float(np.mean([r.metric for r in results])),
+        epochs_run=sum(r.epochs_run for r in results),
+        stopped_early=any(r.stopped_early for r in results),
+    )
 
 
 # -- evaluation settings --------------------------------------------------------
@@ -223,19 +244,9 @@ def evaluate_hold_out(hp: HyperConfig, train_dataset: SyntheticDataset,
         raise ValueError(f"unsupported hold-out setting {setting!r}")
     if setting == "test_hold_out" and test_dataset is None:
         raise ValueError("test_hold_out needs an explicit test dataset")
-    split_seed, weight_seed, shuffle_seed = (child_seed(seed, i) for i in range(3))
-    if setting == "train_hold_out":
-        tr, val = create_train_val_split(train_dataset, split_seed)
-    else:
-        tr, val = train_dataset, test_dataset
-    try:
-        opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
-    except ValueError:
-        return failure_result()
-    net = ToyNet(tr.input_dim, hp.l1, hp.l2, seed=weight_seed)
-    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed)) if shuffle else None
-    on_best = (lambda: save_weights(net, save_path)) if save_path else None
-    return _train(hp, net, opt_config, tr, val, rng, on_best)
+    split = (create_train_val_split(train_dataset, child_seed(seed, 0))
+             if setting == "train_hold_out" else (train_dataset, test_dataset))
+    return _train_on_splits(hp, train_dataset.input_dim, [split], shuffle, seed, save_path)
 
 
 def evaluate_cv(hp: HyperConfig, dataset: SyntheticDataset,
@@ -249,42 +260,9 @@ def evaluate_cv(hp: HyperConfig, dataset: SyntheticDataset,
     k = hp.k_folds if k_folds is None else k_folds
     if k < 2:
         raise ValueError("cross validation needs k_folds >= 2")
-    fold_seed, weight_seed, shuffle_seed = (child_seed(seed, i) for i in range(3))
-    try:
-        opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
-    except ValueError:
-        return failure_result()
-    net = ToyNet(dataset.input_dim, hp.l1, hp.l2, seed=weight_seed)
-    rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed)) if shuffle else None
-    folds = []
-    for train_idx, val_idx in kfold_indices(len(dataset), k, fold_seed, shuffle):
-        net.reset_weights(weight_seed)
-        res = _train(hp, net, opt_config, dataset.subset(train_idx),
-                     dataset.subset(val_idx), rng)
-        if res.failed:
-            return failure_result()
-        folds.append(res)
-    return EvalResult(
-        loss=float(np.mean([r.loss for r in folds])),
-        metric=float(np.mean([r.metric for r in folds])),
-        epochs_run=sum(r.epochs_run for r in folds),
-        stopped_early=any(r.stopped_early for r in folds),
-    )
-
-
-def evaluate(hp: HyperConfig, setting: str, train_dataset: SyntheticDataset,
-             test_dataset: SyntheticDataset | None = None, shuffle: bool = True,
-             seed: int = 0) -> EvalResult:
-    """Dispatch one configuration to the requested evaluation setting."""
-    if setting in ("train_hold_out", "test_hold_out"):
-        return evaluate_hold_out(hp, train_dataset, setting, shuffle, seed, test_dataset)
-    if setting == "train_cv":
-        return evaluate_cv(hp, train_dataset, shuffle=shuffle, seed=seed)
-    if setting == "test_cv":
-        if test_dataset is None:
-            raise ValueError("test_cv needs a test dataset")
-        return evaluate_cv(hp, test_dataset, shuffle=shuffle, seed=seed)
-    raise ValueError(f"unknown evaluation setting {setting!r}")
+    folds = ((dataset.subset(train_idx), dataset.subset(val_idx)) for train_idx, val_idx
+             in kfold_indices(len(dataset), k, child_seed(seed, 0), shuffle))
+    return _train_on_splits(hp, dataset.input_dim, folds, shuffle, seed)
 
 
 # -- final train/test of a tuned configuration ---------------------------------
@@ -379,14 +357,15 @@ def make_toy_objective(eval_setting: str = "train_hold_out", data_seed: int = 7,
     if type(shuffle) is not bool:
         raise ValueError(f"shuffle must be true or false, got {shuffle!r}")
     train, test = generate_dataset(n, input_dim, data_seed)
-    if eval_setting.endswith("_cv"):
-        rows = len(train if eval_setting == "train_cv" else test)
-        if not 2 <= k_folds[0] <= k_folds[1] <= rows:
-            raise ValueError(f"k_folds bounds {list(k_folds)} must lie in [2, {rows}], "
-                             f"the rows that {eval_setting} splits")
+    cv_data = {"train_cv": train, "test_cv": test}.get(eval_setting)
+    if cv_data is not None and not 2 <= k_folds[0] <= k_folds[1] <= len(cv_data):
+        raise ValueError(f"k_folds bounds {list(k_folds)} must lie in [2, {len(cv_data)}], "
+                         f"the rows that {eval_setting} splits")
 
     def objective(config: dict) -> EvalResult:
         hp = HyperConfig.from_config(config)
-        return evaluate(hp, eval_setting, train, test, shuffle, eval_seed)
+        if cv_data is not None:
+            return evaluate_cv(hp, cv_data, shuffle=shuffle, seed=eval_seed)
+        return evaluate_hold_out(hp, train, eval_setting, shuffle, eval_seed, test)
 
     return objective

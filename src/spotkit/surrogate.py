@@ -49,9 +49,12 @@ def _load_flapack():
 
     An already imported module is reused. Otherwise the module is loaded
     from ``scipy/linalg`` (``find_spec`` locates scipy without importing it)
-    and registered in ``sys.modules`` under its own name first, so a later
-    ``import scipy.linalg`` shares it: ``scipy.linalg.lapack.dpotrs`` is
-    this module's ``dpotrs``. A missing file raises ``ImportError``.
+    and then dropped from ``sys.modules``, where loading put it: left there,
+    a later ``import scipy.linalg`` would take it without setting
+    ``scipy.linalg._flapack``. That import re-creates the module from the
+    interpreter's copy of this one, with the same wrapper objects, so
+    ``scipy.linalg.lapack.dpotrs`` is this module's ``dpotrs``. A missing
+    file raises ``ImportError``.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -65,13 +68,12 @@ def _load_flapack():
         raise ImportError(f"scipy's LAPACK wrappers not found: {paths[0]}", name=name)
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
 
 
-_flapack = _load_flapack()
-dpotrs = _flapack.dpotrs
+dpotrs = _load_flapack().dpotrs
 
 JITTER_FLOOR = 1e-12
 JITTER_CEIL = 1e-6

@@ -307,10 +307,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     ``model.predict`` call on the rows of all their candidate vertices per
     round, and their results enter the pool as if the starts had run one
     after another, each on ``per_start`` evaluations while at least
-    ``min_fev`` of the budget remained. Only starts sure to run are run: a
-    wave holds those that would run even if every start before them spent
-    ``per_start``, and the next wave follows while budget remains (one
-    wave whenever the budget covers every start).
+    ``min_fev`` of the budget remained.
     Integer and factor coordinates snap to their lattice before returning.
     Candidates are mutually distinct beyond ``tolerance_x`` in max-norm
     where possible.
@@ -332,21 +329,15 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     n_starts = max(n_points, 3)
     if remaining >= min_fev:
         # each start run one after another would get exactly per_start, and
-        # the next one only while remaining >= min_fev: run side by side the
-        # starts sure to run even if every one before them spends per_start,
-        # keep the results in start order up to that cut, and repeat
+        # the next one only while remaining >= min_fev: run them all side by
+        # side, then keep the results in start order up to that cut
         per_start = max(min_fev, remaining // n_starts)
-        starts = order[:n_starts]
-        n_run = 0
-        while n_run < starts.size and remaining >= min_fev:
-            wave = starts[n_run:n_run + (remaining - min_fev) // per_start + 1]
-            n_run += wave.size
-            for x, fun, nfev in _nelder_mead(model.predict, probes[wave], lo, hi,
-                                             per_start):
-                remaining -= nfev
-                pool.append((float(fun), x))
-                if remaining < min_fev:
-                    break
+        starts = probes[order[:n_starts]]
+        for x, fun, nfev in _nelder_mead(model.predict, starts, lo, hi, per_start):
+            remaining -= nfev
+            pool.append((float(fun), x))
+            if remaining < min_fev:
+                break
     pool.extend((float(mu[i]), probes[i]) for i in order)
     pool.sort(key=lambda t: t[0])
 

@@ -383,9 +383,17 @@ class TestLapackLoader:
                         "import scipy.linalg\n"
                         "from scipy.linalg import _flapack\n"
                         "print(scipy.linalg.lapack.dpotrs is surrogate.dpotrs,"
-                        " _flapack is surrogate._flapack,"
+                        " _flapack.dpotrs is surrogate.dpotrs,"
                         " scipy.linalg.solve_triangular(np.eye(2), np.ones(2)).tolist())")
         assert out.split() == ["True", "True", "[1.0,", "1.0]"]
+
+    def test_later_scipy_linalg_import_sets_attribute(self):
+        out = run_fresh("import sys\n"
+                        "from spotkit import surrogate\n"
+                        "import scipy.linalg\n"
+                        "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'],"
+                        " scipy.linalg._flapack.dpotrs is surrogate.dpotrs)")
+        assert out.split() == ["True", "True"]
 
     def test_imported_module_reused(self):
         from scipy.linalg import lapack

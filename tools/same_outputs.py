@@ -8,10 +8,11 @@ reference commands below against both source trees with
 printed output (stdout and stderr) and every artifact byte for byte.
 ``run_state.json`` holds wall-clock timings in its ``elapsed`` column, so it
 is compared without that column, as re-dumped JSON text (text, since a NaN
-metric never equals itself once parsed). Four commands run derived configs
+metric never equals itself once parsed). Five commands run derived configs
 written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
 runs it validating on the explicit test split (``test_hold_out``),
+``tune_toy_test_cv`` cross-validates it on the test split (``test_cv``),
 ``tune_mixed4_noise`` runs ``configs/bench_mixed4.json`` with a fitted
 nugget, two points per iteration and two repeats per point, and
 ``tune_mixed4_points4`` with four points per iteration, so the infill search
@@ -37,6 +38,7 @@ MIXED4 = "configs/bench_mixed4.json"
 # derived configs; main() writes them into each side's working directory
 TOY_CV = "toy_cv.json"
 TOY_TEST = "toy_test.json"
+TOY_TEST_CV = "toy_test_cv.json"
 MIXED4_NOISE = "mixed4_noise.json"
 MIXED4_POINTS4 = "mixed4_points4.json"
 # each command is a list of steps run in turn with the same --out directory
@@ -44,6 +46,7 @@ COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
     "tune_toy_cv": [["tune", "--config", TOY_CV, "--fun-evals", "15"]],
     "tune_toy_test": [["tune", "--config", TOY_TEST, "--fun-evals", "15"]],
+    "tune_toy_test_cv": [["tune", "--config", TOY_TEST_CV, "--fun-evals", "15"]],
     "tune_mixed4": [["tune", "--config", MIXED4]],
     "tune_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--seed", "3"]],
     "tune_mixed4_points4": [["tune", "--config", MIXED4_POINTS4, "--fun-evals", "40"]],
@@ -65,13 +68,14 @@ def write_derived(work: str) -> None:
     toy_cv["eval"] = "train_cv"
     toy_cv["modify"]["bounds"]["k_folds"] = [2, 3]
     toy_test = dict(load("toy.json"), eval="test_hold_out")
+    toy_test_cv = dict(toy_cv, eval="test_cv")
     mixed4_noise = load("bench_mixed4.json")
     mixed4_noise["tuner"] = {"fun_evals": 30, "n_points": 2, "fun_repeats": 2}
     mixed4_noise["surrogate"] = {"noise": True, "model_fun_evals": 300}
     mixed4_points4 = load("bench_mixed4.json")
     mixed4_points4["tuner"]["n_points"] = 4
-    for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (MIXED4_NOISE, mixed4_noise),
-                      (MIXED4_POINTS4, mixed4_points4)):
+    for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (TOY_TEST_CV, toy_test_cv),
+                      (MIXED4_NOISE, mixed4_noise), (MIXED4_POINTS4, mixed4_points4)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(exp, fh)
 
