@@ -127,13 +127,7 @@ def load_experiment(path: str) -> dict:
 def build_space(exp: dict) -> SearchSpace:
     selector = exp["objective"]
     if selector.startswith("builtin:"):
-        name = selector.split(":", 1)[1]
-        if name not in BUILTIN_OBJECTIVES:
-            raise ConfigError(
-                f"unknown builtin objective {name!r} "
-                f"(available: {sorted(BUILTIN_OBJECTIVES)})"
-            )
-        space = BUILTIN_OBJECTIVES[name][0]()
+        space = _builtin(selector)[0]()
     else:
         source = exp.get("hyper_dict", "builtin:toynet")
         if source == "builtin:toynet":
@@ -155,14 +149,35 @@ def build_space(exp: dict) -> SearchSpace:
     return apply_modifications(space, exp.get("modify", {}))
 
 
-def apply_modifications(space: SearchSpace, modify: dict) -> SearchSpace:
+def _builtin(selector: str):
+    """The ``BUILTIN_OBJECTIVES`` entry a ``builtin:<name>`` selector names."""
+    name = selector.split(":", 1)[1]
+    if name not in BUILTIN_OBJECTIVES:
+        raise ConfigError(f"unknown builtin objective {name!r} "
+                          f"(available: {sorted(BUILTIN_OBJECTIVES)})")
+    return BUILTIN_OBJECTIVES[name]
+
+
+def apply_modifications(space: SearchSpace, modify) -> SearchSpace:
+    """``space`` with the experiment's ``modify`` block applied."""
+    bounds = modify.get("bounds", {}) if isinstance(modify, dict) else None
+    levels = modify.get("levels", {}) if isinstance(modify, dict) else None
+    if not (isinstance(bounds, dict) and isinstance(levels, dict)
+            and set(modify) <= {"bounds", "levels"}
+            and all(isinstance(b, list) and len(b) == 2
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in b)
+                    for b in bounds.values())
+            and all(isinstance(lv, list) and all(isinstance(v, str) for v in lv)
+                    for lv in levels.values())):
+        raise ConfigError('modify must be {"bounds": {name: [lower, upper], ...}, '
+                          f'"levels": {{name: [level, ...], ...}}}}, got {modify!r}')
     try:
-        for name, bounds in modify.get("bounds", {}).items():
-            space = space.modify_bounds(name, bounds)
-        for name, levels in modify.get("levels", {}).items():
-            space = space.modify_levels(name, levels)
+        for name, b in bounds.items():
+            space = space.modify_bounds(name, b)
+        for name, lv in levels.items():
+            space = space.modify_levels(name, lv)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
+        raise ConfigError(f"modify: {err}") from None
     return space
 
 
@@ -184,10 +199,7 @@ def build_objective(exp: dict, seed: int, space: SearchSpace):
             raise ConfigError(f"toynet objective (eval, n_samples, input_dim, "
                               f"data_seed): {err}") from None
     if selector.startswith("builtin:"):
-        name = selector.split(":", 1)[1]
-        if name not in BUILTIN_OBJECTIVES:
-            raise ConfigError(f"unknown builtin objective {name!r}")
-        return BUILTIN_OBJECTIVES[name][1]
+        return _builtin(selector)[1]
     if selector.startswith("external:"):
         command = selector.split(":", 1)[1]
         try:

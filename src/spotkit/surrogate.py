@@ -121,8 +121,6 @@ class KrigingModel:
     per-model arrays they share; a constant-data model has none of them.
     """
 
-    X: np.ndarray                 # raw training inputs, n x d
-    y: np.ndarray                 # n observations
     theta_log10: np.ndarray       # d activity exponents
     nugget: float
     mu: float
@@ -134,7 +132,7 @@ class KrigingModel:
 
     @property
     def dim(self) -> int:
-        return self.X.shape[1]
+        return self.norm_min.size
 
     def _unit(self, Q: np.ndarray) -> np.ndarray:
         """The rows of the 2-D array ``Q`` normalized and clamped into the
@@ -351,7 +349,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     if np.ptp(y) == 0.0:
         # constant observations: degenerate model that predicts the constant
         return KrigingModel(
-            X=X, y=y, theta_log10=np.zeros(d), nugget=0.0, mu=float(y[0]),
+            theta_log10=np.zeros(d), nugget=0.0, mu=float(y[0]),
             norm_min=norm_min, norm_span=norm_span,
         )
 
@@ -403,7 +401,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
     # final noise-free factorization re-tries from zero so training targets
     # are reproduced exactly whenever the kernel matrix allows it
     nugget = 10.0 ** best_v[d] if control.noise else 0.0
-    return _finalize(X, y, theta, float(nugget), norm_min, norm_span)
+    return _finalize(Z, y, theta, float(nugget), norm_min, norm_span)
 
 
 def _has_duplicate_rows(Z: np.ndarray) -> bool:
@@ -412,15 +410,15 @@ def _has_duplicate_rows(Z: np.ndarray) -> bool:
     return bool(np.any(np.all(S[1:] == S[:-1], axis=1)))
 
 
-def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,
+def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,
               norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
-    """The model at the chosen parameters: factor R, escalating jitter if
-    needed, and take mu and the weights from ``_likelihood_one``.
+    """The model on the normalized inputs ``Z`` at the chosen parameters:
+    factor R, escalating jitter if needed, and take mu and the weights from
+    ``_likelihood_one``.
 
     Any jitter the factorization needs is absorbed into the stored nugget,
     so the model always describes the matrix actually factored.
     """
-    Z = (X - norm_min) / norm_span
     jitter = 0.0
     while True:
         R = _correlation(Z, theta_log10, nugget + jitter)
@@ -435,7 +433,7 @@ def _finalize(X: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
                 ) from None
     _, mu, rinv_r = _likelihood_one(L, _rhs(y))
     return KrigingModel(
-        X=X, y=y, theta_log10=theta_log10, nugget=float(nugget + jitter),
+        theta_log10=theta_log10, nugget=float(nugget + jitter),
         mu=mu, norm_min=norm_min, norm_span=norm_span,
         weights=rinv_r, Z=Z, neg_t10=-(10.0 ** theta_log10),
     )

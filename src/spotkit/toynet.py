@@ -154,9 +154,8 @@ class ToyNet:
             self._views_of, self._views = self.weights, self._unpack(self.weights)
         return self._views
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        """Logits of the rows of ``X``, shaped ``(..., input_dim)``; a stack
-        of batches gets one matrix product per batch."""
+    def _forward(self, X: np.ndarray):
+        """The float input, both rectified layers and the logits of ``X``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[-1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} features, got {X.shape[-1]}")
@@ -170,21 +169,20 @@ class ToyNet:
         np.maximum(h2, 0.0, out=h2)
         logits = h2 @ W3
         logits += b3
-        return logits
+        return X, h1, h2, logits
+
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Logits of the rows of ``X``, shaped ``(..., input_dim)``; a stack
+        of batches gets one matrix product per batch."""
+        return self._forward(X)[3]
 
     def loss_and_grad(self, X: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean softmax cross-entropy and its gradient w.r.t. the flat weights."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         labels = np.asarray(labels, dtype=int)
+        X, h1, h2, logits = self._forward(X)
         if X.shape[0] != labels.size:
             raise ValueError("feature/label row counts differ")
-        W1, b1, W2, b2, W3, b3 = self._layers()
-        z1 = X @ W1 + b1
-        h1 = np.maximum(z1, 0.0)
-        z2 = h1 @ W2 + b2
-        h2 = np.maximum(z2, 0.0)
-        logits = h2 @ W3 + b3
-
+        _, _, W2, _, W3, _ = self._layers()
         m = X.shape[0]
         loss, log_probs = log_softmax_loss(logits, labels)
 
@@ -194,11 +192,12 @@ class ToyNet:
         dW3 = h2.T @ dlogits
         db3 = dlogits.sum(axis=0)
         dh2 = dlogits @ W3.T
-        np.putmask(dh2, z2 <= 0.0, 0.0)
+        # a rectified layer is <= 0 where its input is, and NaN where it is
+        np.putmask(dh2, h2 <= 0.0, 0.0)
         dW2 = h1.T @ dh2
         db2 = dh2.sum(axis=0)
         dh1 = dh2 @ W2.T
-        np.putmask(dh1, z1 <= 0.0, 0.0)
+        np.putmask(dh1, h1 <= 0.0, 0.0)
         dW1 = X.T @ dh1
         db1 = dh1.sum(axis=0)
         grad = np.concatenate((dW1, db1, dW2, db2, dW3, db3), axis=None)

@@ -5,7 +5,8 @@ alternate: fit the Kriging surrogate on everything seen (exact repeats
 averaged into one row when the surrogate is noise-free), propose the
 points minimizing its predicted mean, de-duplicate, evaluate, append.
 Stops on the evaluation budget or the wall-time budget (checked between
-evaluations; the initial design always runs to completion).
+evaluations, so one fit or search can overrun it; the initial design always
+runs to completion).
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ class RunState:
     y: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
     phases: list = field(default_factory=list)     # "initial" | "sequential"
-    elapsed: list = field(default_factory=list)    # wall seconds per evaluation
+    elapsed: list = field(default_factory=list)    # wall seconds since the previous one
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -132,13 +133,13 @@ def worst_sentinel(ys) -> float:
 
 
 def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
-              phase: str) -> None:
-    """Decode ``vec``, evaluate it and append the outcome to ``state``.
+              phase: str, since: float) -> float:
+    """Decode ``vec``, evaluate it and append the outcome to ``state`` with
+    the seconds from the monotonic time ``since``; returns its end time.
 
     An exception or a non-finite loss is recorded at ``worst_sentinel`` of
     the losses so far, with a NaN metric on an exception.
     """
-    t0 = time.monotonic()
     config = space.from_internal(vec)
     try:
         result = objective(config)
@@ -148,7 +149,9 @@ def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
         loss, metric = math.nan, math.nan
     if not math.isfinite(loss):
         loss = worst_sentinel(state.y)
-    state.append(vec, loss, metric, phase, time.monotonic() - t0)
+    end = time.monotonic()
+    state.append(vec, loss, metric, phase, end - since)
+    return end
 
 
 def _embed_active(space: SearchSpace, v_active: np.ndarray) -> np.ndarray:
@@ -303,11 +306,12 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     Random multistart probes take half the budget, scored in one
     ``model.predict_batch`` call; bounded Nelder-Mead (``_nelder_mead``,
     scipy 1.17.1's algorithm) refines the best probes on the continuous
-    relaxation with the rest. Its starts run in lockstep, one
+    relaxation with the rest. The split is fixed up front: as many starts
+    as ``n_points`` (at least 3) and the rest allow at ``3 * (d + 1)``
+    evaluations each, none when that is not positive, and each start gets
+    an equal share of the rest. The starts run in lockstep, one
     ``model.predict`` call on the rows of all their candidate vertices per
-    round, and their results enter the pool as if the starts had run one
-    after another, each on ``per_start`` evaluations while at least
-    ``min_fev`` of the budget remained.
+    round, and every result enters the pool.
     Integer and factor coordinates snap to their lattice before returning.
     Candidates are mutually distinct beyond ``tolerance_x`` in max-norm
     where possible.
@@ -325,19 +329,11 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
 
     pool: list[tuple[float, np.ndarray]] = []
     remaining = budget - n_probe
-    min_fev = 3 * (d + 1)
-    n_starts = max(n_points, 3)
-    if remaining >= min_fev:
-        # each start run one after another would get exactly per_start, and
-        # the next one only while remaining >= min_fev: run them all side by
-        # side, then keep the results in start order up to that cut
-        per_start = max(min_fev, remaining // n_starts)
+    n_starts = min(max(n_points, 3), remaining // (3 * (d + 1)))
+    if n_starts > 0:
         starts = probes[order[:n_starts]]
-        for x, fun, nfev in _nelder_mead(model.predict, starts, lo, hi, per_start):
-            remaining -= nfev
-            pool.append((float(fun), x))
-            if remaining < min_fev:
-                break
+        pool += [(float(fun), x) for x, fun, _ in
+                 _nelder_mead(model.predict, starts, lo, hi, remaining // n_starts)]
     pool.extend((float(mu[i]), probes[i]) for i in order)
     pool.sort(key=lambda t: t[0])
 
@@ -387,6 +383,12 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     noise-free surrogate is fitted on the mean of each repeated point. With
     ``out_dir`` set, ``run_state.json`` and ``events.csv`` are rewritten
     atomically after every evaluation.
+
+    Each ``elapsed`` entry is the seconds since the session's previous
+    evaluation ended (or it started), fits, searches and writes included.
+    When ``max_time`` stops the session, the seconds since its last
+    evaluation join that entry and the state is written once more, so a
+    resume starts its clock where this session stopped.
     """
     tuner = tuner or TunerConfig()
     design = design or DesignControl()
@@ -398,16 +400,25 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     if meta:
         state.meta = dict(meta)
     writer = _RunWriter(out_dir, space) if out_dir else None
-    started = time.monotonic()
+    started = last_end = time.monotonic()
     budget_consumed = sum(state.elapsed)
-
-    def elapsed_minutes() -> float:
-        return (budget_consumed + (time.monotonic() - started)) / 60.0
+    n_before = len(state)
 
     def evaluate(vec: np.ndarray, phase: str) -> None:
-        _evaluate(objective, space, state, vec, phase)
+        nonlocal last_end
+        last_end = _evaluate(objective, space, state, vec, phase, last_end)
         if writer:
             writer.write(state)
+
+    def out_of_time() -> bool:
+        now = time.monotonic()
+        if (budget_consumed + (now - started)) / 60.0 < tuner.max_time:
+            return False
+        if len(state) > n_before:
+            state.elapsed[-1] += now - last_end
+            if writer:
+                writer.write(state)
+        return True
 
     # -- initial phase: start point plus the whole design, no time checks
     initial = [] if X_start is None else [space.to_internal(X_start)]
@@ -416,7 +427,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
         evaluate(vec, "initial")
 
     # -- sequential phase
-    while len(state) < tuner.fun_evals and elapsed_minutes() < tuner.max_time:
+    while len(state) < tuner.fun_evals and not out_of_time():
         k = len(state) - state.n_initial      # stable across resumes
         model = None
         if len(state) >= 2:
@@ -439,7 +450,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
         cands = _replace_duplicates(cands, state, space, tuner.tolerance_x, rng)
         for cand in cands:
             for _ in range(tuner.fun_repeats):
-                if len(state) >= tuner.fun_evals or elapsed_minutes() >= tuner.max_time:
+                if len(state) >= tuner.fun_evals or out_of_time():
                     return state
                 evaluate(cand, "sequential")
     return state
@@ -449,8 +460,10 @@ def random_search(objective, space: SearchSpace, n_evals: int, seed: int = 0) ->
     """Uniform-sampling baseline with the same decoding as the tuner."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     state = RunState()
+    last_end = time.monotonic()
     for _ in range(n_evals):
-        _evaluate(objective, space, state, _random_full_point(space, rng), "random")
+        last_end = _evaluate(objective, space, state, _random_full_point(space, rng),
+                             "random", last_end)
     return state
 
 

@@ -238,6 +238,21 @@ class TestResume:
         assert main(["resume", "--out", out]) == 0
         assert len(json.load(open(os.path.join(out, "run_state.json")))["y"]) == 16
 
+    def test_spent_time_budget_holds_across_resume(self, tmp_path):
+        # the fits, searches and writes between evaluations count against
+        # max_time, so a run stopped by it resumes to no new evaluation
+        cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4",
+                           model="mixed4", design={"init_size": 10},
+                           tuner={"fun_evals": 100000, "max_time": 0.005})
+        out = str(tmp_path / "run")
+        assert main(["tune", "--config", cfg, "--out", out]) == 0
+        doc = json.load(open(os.path.join(out, "run_state.json")))
+        assert 10 < len(doc["y"]) < 100000
+        assert sum(doc["elapsed"]) >= 0.3
+        assert main(["resume", "--out", out]) == 0
+        after = json.load(open(os.path.join(out, "run_state.json")))
+        assert after["y"] == doc["y"]
+
     def test_bad_budget_exits_1(self, sphere_config, tmp_path):
         out = str(tmp_path / "run")
         assert main(["tune", "--config", sphere_config, "--out", out]) == 0
@@ -377,6 +392,14 @@ class TestBench:
     ({"seed": -1}, "seed"),
     ({"seed": 1.5}, "seed"),
     ({"seed": True}, "seed"),
+    # a malformed modify block: each shape ended in an uncaught exception,
+    # and a level string was read as its characters
+    ({"modify": []}, "modify"),
+    ({"modify": {"bounds": [1]}}, "modify"),
+    ({"modify": {"bounds": {"x1": 5}}}, "modify"),
+    ({"modify": {"bounds": {"x1": [0.2]}}}, "modify"),
+    ({"objective": "builtin:mixed4", "model": "mixed4",
+      "modify": {"levels": {"kind": "ab"}}}, "modify"),
 ])
 def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", **overrides)

@@ -324,15 +324,18 @@ class TestFit:
 
 
 class TestPredict:
-    @pytest.fixture
-    def model(self):
+    @staticmethod
+    def data():
         rng = np.random.default_rng(2)
         X = rng.random((10, 2))
-        y = X[:, 0] + 2 * X[:, 1]
-        return fit(X, y, SurrogateControl(model_fun_evals=500), seed=0)
+        return X, X[:, 0] + 2 * X[:, 1]
+
+    @pytest.fixture
+    def model(self):
+        return fit(*self.data(), SurrogateControl(model_fun_evals=500), seed=0)
 
     def test_training_site_variance_tiny(self, model):
-        for xi, yi in zip(model.X, model.y):
+        for xi, yi in zip(*self.data()):
             assert model.predict(xi) == pytest.approx(yi, abs=1e-6)
 
     def test_far_point_reverts_to_prior(self):
@@ -343,7 +346,7 @@ class TestPredict:
         model = fit(X, y, SurrogateControl(model_fun_evals=200), seed=0)
         from spotkit.surrogate import _finalize
 
-        model = _finalize(model.X, model.y, np.array([3.0, 3.0]), model.nugget,
+        model = _finalize(model.Z, y, np.array([3.0, 3.0]), model.nugget,
                           model.norm_min, model.norm_span)
         assert model.predict([1.0, 0.0]) == pytest.approx(model.mu, abs=1e-6)
 

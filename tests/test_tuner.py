@@ -685,9 +685,9 @@ class TestLockstepNelderMead:
 
 
 def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x, ran=None):
-    """``suggest_next`` as it was with one Nelder-Mead start after another,
-    kept as the reference for the lockstep starts and their stop rule; each
-    start it runs is appended to ``ran`` when given."""
+    """``suggest_next`` with one Nelder-Mead start after another, kept as the
+    reference for the lockstep starts and their budget split; each start it
+    runs is appended to ``ran`` when given."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     active = space.active
     lo = np.array([p.lower for p in active])
@@ -701,21 +701,13 @@ def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x, r
 
     pool: list[tuple[float, np.ndarray]] = []
     remaining = budget - n_probe
-    min_fev = 3 * (d + 1)
-    n_starts = max(n_points, 3)
-    if remaining >= min_fev:
-        per_start = max(min_fev, remaining // n_starts)
-        for i in order[:n_starts]:
-            fev = min(per_start, remaining)
-            if fev < min_fev:
-                break
-            if ran is not None:
-                ran.append(probes[i])
-            x, fun, nfev = sequential_nelder_mead(model.predict, probes[i], lo, hi, fev)
-            remaining -= nfev
-            pool.append((float(fun), x))
-            if remaining < min_fev:
-                break
+    n_starts = max(0, min(max(n_points, 3), remaining // (3 * (d + 1))))
+    for i in order[:n_starts]:
+        if ran is not None:
+            ran.append(probes[i])
+        x, fun, _ = sequential_nelder_mead(model.predict, probes[i], lo, hi,
+                                           remaining // n_starts)
+        pool.append((float(fun), x))
     pool.extend((float(mu[i]), probes[i]) for i in order)
     pool.sort(key=lambda t: t[0])
 
@@ -736,8 +728,9 @@ def sequential_suggest_next(model, space, n_points, budget, seed, tolerance_x, r
 
 
 class TestSuggestNextStopRule:
-    """The lockstep starts reach the pool as the sequential starts did: each
-    on ``per_start`` evaluations, the next only while ``min_fev`` remain."""
+    """The lockstep starts give the candidates of the same starts run one
+    after another: the first ``n_starts`` probes, each on ``remaining //
+    n_starts`` evaluations, every result into the pool."""
 
     @staticmethod
     def sine_model(d):
@@ -746,24 +739,32 @@ class TestSuggestNextStopRule:
         return fit(X, np.sin(3.0 * X).sum(axis=1), FAST_SURROGATE, seed=0)
 
     @staticmethod
-    def compare(monkeypatch, model, space, n_points, budget, seeds):
-        """Candidates equal the sequential loop's, per seed, and the starts
-        it runs lead the starts of the lockstep calls; returns per seed the
-        starts of each ``_nelder_mead`` call."""
-        waves = []
+    def record(monkeypatch):
+        """Replace ``_nelder_mead`` by a wrapper that appends the starts and
+        results of each call to the returned list."""
+        calls = []
 
         def recorded(f, X0, *args):
-            waves[-1].append(X0.copy())
-            return _nelder_mead(f, X0, *args)
+            calls.append((X0.copy(), _nelder_mead(f, X0, *args)))
+            return calls[-1][1]
 
         monkeypatch.setattr(tuner, "_nelder_mead", recorded)
+        return calls
+
+    def compare(self, monkeypatch, model, space, n_points, budget, seeds):
+        """Candidates equal the sequential loop's, per seed, and the starts
+        it runs are the starts of the lockstep calls; returns per seed the
+        starts of each ``_nelder_mead`` call."""
+        calls = self.record(monkeypatch)
+        waves = []
         for seed in seeds:
-            waves.append([])
+            calls.clear()
             cands = suggest_next(RunState(), model, space, n_points, budget, seed, 1e-8)
             ran = []
             ref = sequential_suggest_next(model, space, n_points, budget, seed, 1e-8, ran)
             assert np.array_equal(cands, ref)
-            assert np.array_equal(np.concatenate(waves[-1])[:len(ran)], ran)
+            waves.append([X0 for X0, _ in calls])
+            assert np.array_equal(np.concatenate(waves[-1]), ran)
         return waves
 
     def test_every_start_runs(self, monkeypatch):
@@ -775,22 +776,39 @@ class TestSuggestNextStopRule:
             assert all(len(w) == 1 and len(w[0]) == max(n_points, 3) for w in waves)
 
     def test_truncated_prefix(self, monkeypatch):
-        # d = 6, 25 points: 400 probes leave 400 evaluations, so per_start =
-        # min_fev = 21 and only a prefix of the 25 starts reaches the pool;
-        # all 25 run in one lockstep call
+        # d = 6, 25 points: 400 probes leave 400 evaluations, enough for
+        # 400 // 21 = 19 starts at min_fev = 21 each; they run in one call
         waves = self.compare(monkeypatch, self.sine_model(6), float_space(6),
                              25, 800, range(3))
-        assert all(len(w) == 1 and len(w[0]) == 25 for w in waves)
+        assert all(len(w) == 1 and len(w[0]) == 19 for w in waves)
 
     def test_converged_starts_leave_budget_for_another_wave(self, monkeypatch):
         # a constant model on a box narrower than xatol: every start stops
-        # after its 7 initial evaluations, not per_start = 21, so the budget
-        # they save lets every one of the 25 starts reach the pool
+        # after its 7 initial evaluations, well inside its 21, and still
+        # only the 19 starts the split allows run
         X = np.random.default_rng(0).random((8, 6))
         model = fit(X, np.full(8, 2.0), FAST_SURROGATE, seed=0)
         waves = self.compare(monkeypatch, model, float_space(6, 0.0, 1e-9),
                              25, 800, range(2))
-        assert all([len(x) for x in w] == [25] for w in waves)
+        assert all([len(x) for x in w] == [19] for w in waves)
+
+    def test_many_points_stay_within_budget(self, monkeypatch):
+        # d = 6, 25 points, budget 800: the 400 probes leave 400 evaluations,
+        # and the starts spend no more (25 starts at 21 each would be 525)
+        calls = self.record(monkeypatch)
+        model, space = self.sine_model(6), float_space(6)
+        for seed in range(3):
+            calls.clear()
+            suggest_next(RunState(), model, space, 25, 800, seed, 1e-8)
+            assert len(calls) == 1
+            assert sum(nfev for _, out in calls for _, _, nfev in out) <= 400
+
+    def test_probes_beyond_budget_run_no_search(self, monkeypatch):
+        # 25 points take 50 probes, more than the budget of 40: no start runs
+        calls = self.record(monkeypatch)
+        cands = suggest_next(RunState(), self.sine_model(2), float_space(2),
+                             25, 40, 0, 1e-8)
+        assert calls == [] and len(cands) == 25
 
 
 class TestBest:
