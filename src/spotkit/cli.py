@@ -118,8 +118,9 @@ def load_experiment(path: str) -> dict:
         raise ConfigError(f"experiment config {path} must be a JSON object")
     exp = dict(_DEFAULTS)
     exp.update(doc)
-    if not isinstance(exp["objective"], str):
-        raise ConfigError(f"objective must be a string, got {exp['objective']!r}")
+    for key in ("objective", "model"):
+        if not isinstance(exp[key], str):
+            raise ConfigError(f"{key} must be a string, got {exp[key]!r}")
     exp["_config_dir"] = os.path.dirname(os.path.abspath(path))
     return exp
 
@@ -432,7 +433,10 @@ def _meta(exp: dict, space: SearchSpace, seed: int) -> dict:
 
 
 def _x_start(exp: dict, space: SearchSpace):
-    """The start configuration, checked to map onto ``space``; None for none."""
+    """The start configuration, checked to be a point of ``space``: every key
+    names a parameter and every tuned value decodes back unchanged (fixed
+    parameters are carried at their fixed value whatever it says); None for
+    none."""
     x0 = exp.get("x_start")
     if x0 is None:
         return None
@@ -440,10 +444,17 @@ def _x_start(exp: dict, space: SearchSpace):
         return space.default_config()
     if not isinstance(x0, dict):
         raise ConfigError(f"x_start must be null, \"default\" or a configuration, got {x0!r}")
+    unknown = sorted(set(x0) - set(space.names))
+    if unknown:
+        raise ConfigError(f"x_start: unknown parameters {unknown}")
     try:
-        space.from_internal(space.to_internal(x0))
+        decoded = space.from_internal(space.to_internal(x0))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"x_start: {err}") from None
+    for p in space.active:
+        if decoded[p.name] != x0[p.name]:
+            raise ConfigError(f"x_start: {p.name} {x0[p.name]!r} is not a point of "
+                              f"the space (it would run as {decoded[p.name]!r})")
     return x0
 
 

@@ -3,7 +3,7 @@
 Evaluate an optional start point and the full initial design, then
 alternate: fit the Kriging surrogate on everything seen (exact repeats
 averaged into one row when the surrogate is noise-free), propose the
-points minimizing its predicted mean, de-duplicate, evaluate, append.
+points of lowest predicted mean not yet evaluated, evaluate, append.
 Stops on the evaluation budget or the wall-time budget (checked between
 evaluations, so one fit or search can overrun it; the initial design always
 runs to completion).
@@ -298,10 +298,10 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         S, F = S[rows, ind], F[rows, ind]
 
 
-def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
+def suggest_next(state: RunState, model: sg.KrigingModel | None, space: SearchSpace,
                  n_points: int = 1, budget: int = 1000, seed: int = 0,
                  tolerance_x: float = 0.0) -> np.ndarray:
-    """Candidates minimizing the surrogate mean over the active box.
+    """The ``n_points`` candidates of lowest surrogate mean not yet evaluated.
 
     Random multistart probes take half the budget, scored in one
     ``model.predict_batch`` call; bounded Nelder-Mead (``_nelder_mead``,
@@ -312,63 +312,50 @@ def suggest_next(state: RunState, model: sg.KrigingModel, space: SearchSpace,
     an equal share of the rest. The starts run in lockstep, one
     ``model.predict`` call on the rows of all their candidate vertices per
     round, and every result enters the pool.
-    Integer and factor coordinates snap to their lattice before returning.
-    Candidates are mutually distinct beyond ``tolerance_x`` in max-norm
-    where possible.
+    Integer and factor coordinates snap to their lattice, then the pool is
+    scanned by predicted mean: a candidate is kept when it lies beyond
+    ``tolerance_x`` in max-norm from every point of ``state`` and every
+    candidate kept so far. Random draws from the same stream fill any
+    shortfall, all of it when ``model`` is None: up to 200 draws that must
+    be distinct in that sense, then any draw.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    active = space.active
-    lo = np.array([p.lower for p in active])
-    hi = np.array([p.upper for p in active])
-    d = len(active)
-
-    n_probe = max(2 * n_points, budget // 2)
-    probes = rng.uniform(lo, hi, size=(n_probe, d))
-    mu = model.predict_batch(probes)
-    order = np.argsort(mu, kind="stable")
-
     pool: list[tuple[float, np.ndarray]] = []
-    remaining = budget - n_probe
-    n_starts = min(max(n_points, 3), remaining // (3 * (d + 1)))
-    if n_starts > 0:
-        starts = probes[order[:n_starts]]
-        pool += [(float(fun), x) for x, fun, _ in
-                 _nelder_mead(model.predict, starts, lo, hi, remaining // n_starts)]
-    pool.extend((float(mu[i]), probes[i]) for i in order)
-    pool.sort(key=lambda t: t[0])
+    if model is not None:
+        active = space.active
+        lo = np.array([p.lower for p in active])
+        hi = np.array([p.upper for p in active])
+        d = len(active)
 
-    chosen = np.empty((0, space.dim))
-    for _, v in pool:
-        cand = _embed_active(space, v)
-        if _is_distinct(cand, chosen, tolerance_x):
-            chosen = np.vstack([chosen, cand])
-        if len(chosen) == n_points:
-            break
-    tries = 0
-    while len(chosen) < n_points:      # distinct draws; any draw after 200 tries
-        cand = _random_full_point(space, rng)
-        if tries >= 200 or _is_distinct(cand, chosen, tolerance_x):
-            chosen = np.vstack([chosen, cand])
-        tries += 1
-    return chosen
+        n_probe = max(2 * n_points, budget // 2)
+        probes = rng.uniform(lo, hi, size=(n_probe, d))
+        mu = model.predict_batch(probes)
+        order = np.argsort(mu, kind="stable")
 
+        remaining = budget - n_probe
+        n_starts = min(max(n_points, 3), remaining // (3 * (d + 1)))
+        if n_starts > 0:
+            starts = probes[order[:n_starts]]
+            pool += [(float(fun), x) for x, fun, _ in
+                     _nelder_mead(model.predict, starts, lo, hi, remaining // n_starts)]
+        pool.extend((float(mu[i]), probes[i]) for i in order)
+        pool.sort(key=lambda t: t[0])
 
-def _replace_duplicates(cands: np.ndarray, state: RunState, space: SearchSpace,
-                        tolerance_x: float, rng: np.random.Generator) -> np.ndarray:
-    """Swap any proposal within tolerance of history (or siblings) for a fresh
-    random point."""
-    if tolerance_x <= 0:
-        return cands
     seen = np.asarray(state.X, dtype=float).reshape(-1, space.dim)
-    out: list[np.ndarray] = []
-    for cand in cands:
-        tries = 0
-        while not _is_distinct(cand, seen, tolerance_x) and tries < 200:
-            cand = _random_full_point(space, rng)
-            tries += 1
-        out.append(cand)
-        seen = np.vstack([seen, cand])
-    return np.asarray(out)
+    n_seen = len(seen)
+    for _, v in pool:
+        if len(seen) - n_seen == n_points:
+            break
+        cand = _embed_active(space, v)
+        if _is_distinct(cand, seen, tolerance_x):
+            seen = np.vstack([seen, cand])
+    tries = 0
+    while len(seen) - n_seen < n_points:   # distinct draws; any draw after 200 tries
+        cand = _random_full_point(space, rng)
+        if tries >= 200 or _is_distinct(cand, seen, tolerance_x):
+            seen = np.vstack([seen, cand])
+        tries += 1
+    return seen[n_seen:]
 
 
 def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
@@ -436,18 +423,11 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
                                surrogate_control,
                                seed=child_seed(tuner.seed, 1, k))
             except (ValueError, sg.FitError):
-                model = None
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=tuner.seed, spawn_key=(3, k)))
-        if model is not None:
-            cands = suggest_next(
-                state, model, space, tuner.n_points, 200 + 100 * space.n_active,
-                seed=child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,
-            )
-        else:
-            cands = np.asarray([_random_full_point(space, rng)
-                                for _ in range(tuner.n_points)])
-        cands = _replace_duplicates(cands, state, space, tuner.tolerance_x, rng)
+                pass
+        cands = suggest_next(
+            state, model, space, tuner.n_points, 200 + 100 * space.n_active,
+            seed=child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,
+        )
         for cand in cands:
             for _ in range(tuner.fun_repeats):
                 if len(state) >= tuner.fun_evals or out_of_time():

@@ -400,6 +400,17 @@ class TestBench:
     ({"modify": {"bounds": {"x1": [0.2]}}}, "modify"),
     ({"objective": "builtin:mixed4", "model": "mixed4",
       "modify": {"levels": {"kind": "ab"}}}, "modify"),
+    # a model key that is no string: a list ended in an uncaught TypeError,
+    # and a number tuned but could not be resumed
+    ({"objective": "builtin:mixed4", "model": ["m"]}, "model"),
+    ({**TOYNET, "model": ["m"]}, "model"),
+    ({"model": 5}, "model"),
+    # a start point outside the space: an unknown key was ignored, and a
+    # width off the power-of-two lattice ran as 8 but was stored as log2(10)
+    ({"objective": "builtin:mixed4", "model": "mixed4",
+      "x_start": {"x1": 0.5, "x2": 0.5, "width": 8, "kind": "a", "typo": 1}}, "x_start"),
+    ({"objective": "builtin:mixed4", "model": "mixed4",
+      "x_start": {"x1": 0.5, "x2": 0.5, "width": 10, "kind": "a"}}, "x_start"),
 ])
 def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", **overrides)
@@ -423,6 +434,19 @@ def test_bad_seed_names_its_source(command, source, value, sphere_config, tmp_pa
         monkeypatch.setenv(source, value)
     assert main(argv) == 1
     assert f"error: {source} must be a non-negative integer, got " in capsys.readouterr().err
+
+
+def test_x_start_point_evaluated_first(tmp_path):
+    # a fixed parameter may be named at any value: it runs at its fixed one
+    cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4", model="mixed4",
+                       x_start={"x1": 0.25, "x2": 0.5, "width": 16, "kind": "c"},
+                       modify={"bounds": {"x2": [0.75, 0.75]}})
+    out = tmp_path / "o"
+    assert main(["tune", "--config", cfg, "--out", str(out)]) == 0
+    first = (out / "events.csv").read_text().splitlines()[1]
+    assert first.endswith('"{""x1"":0.25,""x2"":0.75,""width"":16,""kind"":""c""}"')
+    state = tn.load_run_state(str(out))
+    assert state.X[0].tolist() == [0.25, 0.75, 4.0, 2.0]
 
 
 def test_unknown_builtin_rejected(tmp_path, capsys):

@@ -227,73 +227,101 @@ class TestRepeatsReachSurrogate:
         assert np.array_equal(y, state.y)
 
 
-class TestDuplicateReplacement:
-    def test_duplicate_proposal_replaced_with_distant_point(self):
-        from spotkit.tuner import _replace_duplicates
+def lattice_space(dims, upper):
+    return SearchSpace(tuple(
+        ParamSpec(name=f"k{i}", kind="int", default=0, lower=0.0, upper=float(upper))
+        for i in range(dims)
+    ))
 
-        space = float_space(2)
+
+def bowl_model(space, centre):
+    """A surrogate fitted on a bowl over the lattice, lowest at ``centre``."""
+    X = np.array(np.meshgrid(*[np.arange(p.upper + 1) for p in space.params]),
+                 dtype=float).reshape(space.dim, -1).T
+    return fit(X, ((X - centre) ** 2).sum(axis=1), FAST_SURROGATE, seed=0)
+
+
+def history(*rows):
+    state = RunState()
+    for row in rows:
+        state.append(np.asarray(row, dtype=float), 0.0, math.nan, "initial", 0.0)
+    return state
+
+
+class TestDuplicateReplacement:
+    """``suggest_next`` proposes no point of the run history: a pool
+    candidate within ``tolerance_x`` of an evaluated point gives way to the
+    next one in order of predicted mean."""
+
+    def test_duplicate_proposal_replaced_with_distant_point(self):
+        space = lattice_space(2, 4)
+        model = bowl_model(space, [2.0, 1.0])
         tol = 1e-8
-        state = RunState()
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            state.append(rng.uniform(-1, 1, 2), 0.0, math.nan, "initial", 0.0)
-        dup = np.asarray([state.X[2].copy()])     # proposal collides exactly
-        out = _replace_duplicates(dup, state, space, tol, np.random.default_rng(1))
+        best = suggest_next(RunState(), model, space, budget=300, seed=0)[0]
+        np.testing.assert_array_equal(best, [2.0, 1.0])
+        state = history(best, [0.0, 0.0], [4.0, 4.0], [2.0, 2.0], [3.0, 1.0])
+        out = suggest_next(state, model, space, budget=300, seed=0, tolerance_x=tol)
         assert out.shape == (1, 2)
         for row in state.X:
             assert np.max(np.abs(out[0] - row)) > tol
 
     def test_distinct_proposal_kept_verbatim(self):
-        from spotkit.tuner import _replace_duplicates
-
         space = float_space(2)
-        state = RunState()
-        state.append(np.array([0.9, 0.9]), 0.0, math.nan, "initial", 0.0)
-        cand = np.asarray([[0.1, -0.2]])
-        out = _replace_duplicates(cand, state, space, 1e-8, np.random.default_rng(1))
-        np.testing.assert_array_equal(out, cand)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(-1, 1, size=(12, 2))
+        model = fit(X, (X ** 2).sum(axis=1), FAST_SURROGATE, seed=0)
+        want = suggest_next(RunState(), model, space, budget=300, seed=1)
+        got = suggest_next(history([0.9, 0.9]), model, space, budget=300, seed=1,
+                           tolerance_x=1e-8)
+        np.testing.assert_array_equal(got, want)
 
-    def test_decisions_and_draws_match_per_row_loop(self):
-        from spotkit.tuner import _random_full_point, _replace_duplicates
+    def test_first_choice_is_best_distinct_pool_candidate(self):
+        # with history the pool is the same, so the choices are the
+        # empty-history ranking with the evaluated points struck out
+        space = lattice_space(3, 3)
+        model = bowl_model(space, [1.0, 2.0, 1.0])
+        for seed in range(4):
+            ranked = suggest_next(RunState(), model, space, n_points=3, budget=400,
+                                  seed=seed, tolerance_x=1e-8)
+            np.testing.assert_array_equal(ranked[0], [1.0, 2.0, 1.0])
+            for n_seen in (1, 2):
+                state = history(*ranked[:n_seen], [3.0, 3.0, 3.0])
+                got = suggest_next(state, model, space, n_points=1, budget=400,
+                                   seed=seed, tolerance_x=1e-8)
+                np.testing.assert_array_equal(got, ranked[n_seen:n_seen + 1])
+            got = suggest_next(history(ranked[0]), model, space, n_points=2,
+                               budget=400, seed=seed, tolerance_x=1e-8)
+            np.testing.assert_array_equal(got, ranked[1:])
 
-        def loop_reference(cands, state, space, tol, rng):
-            def far(a, b):
-                return float(np.max(np.abs(a - b))) > tol
+    def test_no_model_draws_distinct_points_from_one_stream(self):
+        # 16 lattice points, 6 evaluated: the draws skip the evaluated points
+        # and each other, in the order the seed's stream yields them
+        space = lattice_space(2, 3)
+        state = history([0, 0], [1, 1], [2, 2], [3, 3], [0, 3], [3, 0])
+        for seed in range(5):
+            got = suggest_next(state, None, space, n_points=5, seed=seed,
+                               tolerance_x=0.5)
+            assert got.shape == (5, 2)
+            for i, cand in enumerate(got):
+                assert _is_distinct(cand, np.vstack([state.X, got[:i]]), 0.5)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            want = np.empty((0, 2))
+            while len(want) < 5:
+                cand = _random_full_point(space, rng)
+                if _is_distinct(cand, np.vstack([state.X, want]), 0.5):
+                    want = np.vstack([want, cand])
+            np.testing.assert_array_equal(got, want)
 
-            out = []
-            for cand in cands:
-                ok = all(far(cand, r) for r in state.X) and all(far(cand, c) for c in out)
-                tries = 0
-                while not ok and tries < 200:
-                    cand = _random_full_point(space, rng)
-                    ok = (all(far(cand, r) for r in state.X)
-                          and all(far(cand, c) for c in out))
-                    tries += 1
-                out.append(cand)
-            return np.asarray(out)
-
-        space = SearchSpace((
-            ParamSpec(name="a", kind="int", default=0, lower=0, upper=2),
-            ParamSpec(name="b", kind="float", default=0.0, lower=-1.0, upper=1.0),
-            ParamSpec(name="c", kind="int", default=1, lower=1, upper=1),
-        ))
-        rng = np.random.default_rng(4)
-        for trial in range(20):
-            state = RunState()
-            for _ in range(int(rng.integers(0, 12))):
-                state.append(_random_full_point(space, rng), 0.0, math.nan,
-                             "initial", 0.0)
-            cands = np.asarray([_random_full_point(space, rng) for _ in range(4)])
-            if len(state):          # exact and near collisions with history
-                cands[0] = state.X[0]
-                cands[1] = state.X[-1] + 1e-9
-            cands[3] = cands[2]     # sibling collision
-            for tol in (1e-8, 0.3):
-                got = _replace_duplicates(cands, state, space, tol,
-                                          np.random.default_rng(trial))
-                want = loop_reference(cands, state, space, tol,
-                                      np.random.default_rng(trial))
-                np.testing.assert_array_equal(got, want)
+    def test_no_model_takes_any_draw_once_space_is_used_up(self):
+        # every lattice point evaluated: 200 tries, then any draw
+        space = lattice_space(1, 2)
+        got = suggest_next(history([0], [1], [2]), None, space, n_points=2, seed=7,
+                           tolerance_x=1e-8)
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        for _ in range(200):
+            _random_full_point(space, rng)
+        want = [_random_full_point(space, rng) for _ in range(2)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestWorstSentinel:
@@ -352,13 +380,13 @@ class TestSuggestNext:
         assert len(np.unique(arr[:, 1])) == 4
 
     @staticmethod
-    def two_loop_fill(chosen, space, rng, n_points, tolerance_x):
+    def two_loop_fill(chosen, seen, space, rng, n_points, tolerance_x):
         """The former random fill, kept as the reference: up to 200 draws
-        that must be distinct, then any draw."""
+        that must be distinct from ``seen`` and ``chosen``, then any draw."""
         tries = 0
         while len(chosen) < n_points and tries < 200:
             cand = _random_full_point(space, rng)
-            if _is_distinct(cand, chosen, tolerance_x):
+            if _is_distinct(cand, np.vstack([seen, chosen]), tolerance_x):
                 chosen = np.vstack([chosen, cand])
             tries += 1
         while len(chosen) < n_points:
@@ -366,26 +394,30 @@ class TestSuggestNext:
         return chosen
 
     def test_random_fill_matches_two_loop_version(self):
-        # three binary dimensions: 8 lattice points for 9-12 candidates, so
-        # the fill runs out of distinct draws and takes any draw; 2 * n_points
-        # probes (no Nelder-Mead budget) leave some points to the fill
+        # three binary dimensions: 8 lattice points, one of them evaluated,
+        # for 9-12 candidates, so the fill runs out of distinct draws and
+        # takes any draw; 2 * n_points probes (no Nelder-Mead budget) leave
+        # some points to the fill
         space = SearchSpace(tuple(
             ParamSpec(name=f"b{i}", kind="int", default=0, lower=0.0, upper=1.0)
             for i in range(3)
         ))
         X = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]], float)
         model = fit(X, X @ [1.0, 2.0, 0.5], FAST_SURROGATE, seed=0)
+        state = history([1, 0, 0])
         lo, hi = np.zeros(3), np.ones(3)
         drew_new = drew_any = False
         for seed in range(6):
             for n_points in (9, 10, 12):
-                cands = suggest_next(RunState(), model, space, n_points=n_points,
+                cands = suggest_next(state, model, space, n_points=n_points,
                                      budget=2 * n_points, seed=seed,
                                      tolerance_x=1e-8)
                 rng = np.random.default_rng(np.random.SeedSequence(seed))
                 probes = rng.uniform(lo, hi, size=(2 * n_points, 3))
-                k = len(np.unique([_embed_active(space, p) for p in probes], axis=0))
-                ref = self.two_loop_fill(cands[:k], space, rng, n_points, 1e-8)
+                pooled = {tuple(_embed_active(space, p)) for p in probes}
+                k = len(pooled - {(1.0, 0.0, 0.0)})
+                ref = self.two_loop_fill(cands[:k], np.asarray(state.X), space, rng,
+                                         n_points, 1e-8)
                 assert np.array_equal(cands, ref)
                 n_distinct = len(np.unique(cands, axis=0))
                 drew_new |= n_distinct > k

@@ -1,0 +1,137 @@
+"""Compare the tuning quality of the working tree with a git revision.
+
+    python3 tools/quality.py REV
+
+Extracts REV into a temporary directory (``git archive``) and runs
+``spotkit bench`` on each row's config with both source trees, in child
+processes with ``OPENBLAS_NUM_THREADS=1``, 20 reps at bench seeds 1 and 97.
+The child runs the ``bench`` command itself and records the best loss of
+every tuned and every random-search run, so the rep seeds are derived as
+``bench`` derives them and the pairs share their seeds across the trees.
+The two trees run side by side, one process each.
+
+Per row and seed it prints:
+- the pairs the working tree wins, loses and ties against REV on the tuned
+  run's best loss;
+- each side's median log10 best loss;
+- each side's wins of the tuned run over random search at equal
+  evaluations;
+- a verdict, "better", "worse" or "same", from an exact two-sided sign
+  test at 0.05 over the non-tied pairs.
+
+Exits 1 when a run fails or a verdict is "worse", 0 otherwise. The
+temporary directory is removed in either case.
+"""
+from __future__ import annotations
+
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+from same_outputs import ROOT, extract
+
+ROWS = {"mixed4": "configs/bench_mixed4.json", "toy": "configs/toy.json"}
+SEEDS = (1, 97)
+REPS = 20
+ALPHA = 0.05
+
+# records the best loss of each run that ``bench`` makes, then prints them
+# as the last line of stdout
+CHILD = """
+import json, sys
+from spotkit import cli, tuner as tn
+
+best = {"spot": [], "random": []}
+
+def recorded(fn, key):
+    def call(*args, **kw):
+        state = fn(*args, **kw)
+        best[key].append(state.best_y)
+        return state
+    return call
+
+tn.run = recorded(tn.run, "spot")
+tn.random_search = recorded(tn.random_search, "random")
+code = cli.main(["bench", "--config", sys.argv[1], "--reps", sys.argv[2],
+                 "--seed", sys.argv[3]])
+print(json.dumps(dict(best, code=code)))
+"""
+
+
+def start(tree: str, config: str, seed: int) -> subprocess.Popen:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(tree, "src"))
+    env.pop("SPOTKIT_SEED", None)
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD, os.path.join(tree, config), str(REPS), str(seed)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+
+
+def finish(proc: subprocess.Popen) -> dict | None:
+    """The child's best losses, or None (with its stderr shown) on failure."""
+    out, err = proc.communicate()
+    lines = out.splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if result is None or result["code"] != 0 or len(result["spot"]) != REPS:
+        sys.stderr.write(err)
+        return None
+    return result
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Exact two-sided sign test p-value of ``wins`` against ``losses``."""
+    n = wins + losses
+    k = min(wins, losses)
+    return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n)
+
+
+def median_log10(values: list[float]) -> float:
+    return statistics.median(math.log10(v) if v > 0 else -math.inf for v in values)
+
+
+def spot_wins(result: dict) -> int:
+    return sum(1 for s, r in zip(result["spot"], result["random"]) if s < r)
+
+
+def report(name: str, seed: int, old: dict, new: dict) -> tuple[str, str]:
+    """The verdict and the printed line of one row and seed."""
+    pairs = list(zip(new["spot"], old["spot"]))
+    wins = sum(1 for n, o in pairs if n < o)
+    losses = sum(1 for n, o in pairs if n > o)
+    p = sign_test(wins, losses)
+    verdict = "same" if p >= ALPHA else "better" if wins > losses else "worse"
+    line = (f"{name} seed {seed}: {verdict} (p = {p:.3g}); "
+            f"{wins} won, {losses} lost, {len(pairs) - wins - losses} tied; "
+            f"median log10 best {median_log10(new['spot']):.3f} "
+            f"(rev {median_log10(old['spot']):.3f}); "
+            f"beats random {spot_wins(new)}/{REPS} (rev {spot_wins(old)}/{REPS})")
+    return verdict, line
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: quality.py REV", file=sys.stderr)
+        return 64
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="quality_") as tmp:
+        extract(argv[0], tmp)
+        for name, config in ROWS.items():
+            for seed in SEEDS:
+                old, new = [finish(proc) for proc in
+                            [start(tree, config, seed) for tree in (tmp, ROOT)]]
+                if old is None or new is None:
+                    print(f"{name} seed {seed}: failed", flush=True)
+                    ok = False
+                    continue
+                verdict, line = report(name, seed, old, new)
+                ok = ok and verdict != "worse"
+                print(line, flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
