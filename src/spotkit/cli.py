@@ -297,9 +297,10 @@ def cmd_tune(args) -> int:
     space = build_space(exp)
     objective = build_objective(exp, seed, space)
     controls = _controls(exp, seed)
+    x_start = _x_start(exp, space)
 
     print(render_table(gen_design_table(space)))
-    return _run_and_report(exp, space, seed, objective, controls, out_dir,
+    return _run_and_report(exp, space, seed, objective, controls, out_dir, x_start,
                            meta=_meta(exp, space, seed))
 
 
@@ -318,20 +319,21 @@ def cmd_resume(args) -> int:
     exp.update(meta["experiment"])
     objective = build_objective(exp, seed, space)
     controls = _controls(exp, seed)
+    x_start = _x_start(exp, space)
     if bumped:      # a later plain resume keeps the new budget
         tn.atomic_write(os.path.join(args.out, "run_state.json"),
                         json.dumps(state.to_dict()))
-    return _run_and_report(exp, space, seed, objective, controls, args.out,
+    return _run_and_report(exp, space, seed, objective, controls, args.out, x_start,
                            state=state)
 
 
 def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
-                    controls, out_dir: str, **run_kw) -> int:
-    """Run (or continue, given ``state=``) the tuner, write the artifacts,
-    report the best configuration and, for ToyNet, retrain and test it: the
-    shared tail of ``tune`` and ``resume``. Returns the exit code."""
+                    controls, out_dir: str, x_start: dict | None, **run_kw) -> int:
+    """Run (or continue, given ``state=``) the tuner from the checked start
+    configuration ``x_start``, write the artifacts, report the best
+    configuration and, for ToyNet, retrain and test it: the shared tail of
+    ``tune`` and ``resume``. Returns the exit code."""
     tuner_cfg, design_cfg, surr_cfg = controls
-    x_start = _x_start(exp, space)
     try:
         state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
                        X_start=x_start, out_dir=out_dir, **run_kw)

@@ -81,6 +81,10 @@ NUGGET_LOG10_BOUNDS = (-8.0, -1.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# a warm fit (``fit(..., start=...)``) takes model_fun_evals // this many
+# likelihood evaluations
+WARM_BUDGET_DIVISOR = 4
+
 # _kernel forms its d x rows x n terms, and fit's likelihood its stack of
 # n x n matrices, for about this many elements at a time, so a large batch
 # (the infill probes, the likelihood screen) needs little memory
@@ -233,23 +237,31 @@ def _nll(R: np.ndarray, rhs: np.ndarray) -> list[float]:
 
     A one-matrix stack (every golden-section step, and every screen block
     once ``_KERNEL_BLOCK // n**2 == 1``) is factored alone and evaluated by
-    ``_likelihood_one``. A larger stack is factored by one
-    ``np.linalg.cholesky`` call, with the same bits per matrix as factoring
-    each alone, and evaluated by ``_likelihood``. If any matrix is not
-    positive definite the stack raises, and the matrices are taken one at a
-    time.
+    ``_likelihood_one``. A larger stack is factored by one ``_cholesky``
+    call, with the same bits per matrix as factoring each alone, and
+    evaluated by ``_likelihood``. If any matrix is not positive definite the
+    stack raises, and the matrices are taken one at a time.
     """
     if R.shape[0] == 1:
         try:
-            L = np.linalg.cholesky(R[0])
+            L = _cholesky(R[0])
         except np.linalg.LinAlgError:
             return [math.inf]
         return [_likelihood_one(L, rhs)[0]]
     try:
-        L = np.linalg.cholesky(R)
+        L = _cholesky(R)
     except np.linalg.LinAlgError:
         return [_nll(Ri[None], rhs)[0] for Ri in R]
     return _likelihood(L, rhs)
+
+
+def _cholesky(R: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each matrix in ``R`` (n x n, or a b x n x n
+    stack), raising ``np.linalg.LinAlgError`` when one is not positive
+    definite: every factorization of the surrogate goes through here.
+    ``np.linalg.cholesky`` is looked up at each call, so a wrapper installed
+    on it after import still sees every factorization."""
+    return np.linalg.cholesky(R)
 
 
 def _likelihood_one(L: np.ndarray, rhs: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -314,23 +326,31 @@ def _likelihood(L: np.ndarray, rhs: np.ndarray) -> list[float]:
 
 # -- fitting ----------------------------------------------------------------
 
-def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> KrigingModel:
+def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
+        start=None) -> KrigingModel:
     """Fit theta (and the nugget when ``noise``) by budgeted likelihood search.
 
     The budget ``model_fun_evals`` caps the number of likelihood
     evaluations: 80% go to a Latin-hypercube screen of the parameter box,
     the remainder to coordinate-wise golden-section refinement around the
-    best screened point. The squared distances and the right-hand side
-    (y, ones) are built once per fit. The screen's points are evaluated in
-    blocks of ``max(1, _KERNEL_BLOCK // n**2)`` parameter vectors, each
-    golden-section step alone: a block forms its matrices R with one stacked
-    product, factors them with one Cholesky call, solves each for both
-    columns in one triangular solve and takes the NLLs with array
-    operations; a one-matrix block (each golden-section step, and each
-    screen block once n >= 91) takes ``_likelihood_one``. Every value has
-    the bits of evaluating its vector alone, so the block size never
-    changes the search. A NaN or inf in ``y`` raises
-    ``ValueError``, and so do duplicate rows when ``noise`` is off.
+    best screened point; the screen holds the box centre. Given ``start``, a
+    parameter vector of an earlier fit (``theta_log10``, then the log10
+    nugget when ``noise``), the fit is warm: it takes ``model_fun_evals //
+    WARM_BUDGET_DIVISOR`` evaluations, and its screen holds ``start``,
+    clipped into the box, in place of the centre, so a start of the wrong
+    length raises ``ValueError``.
+
+    The squared distances and the right-hand side (y, ones) are built once
+    per fit. The screen's points are evaluated in blocks of
+    ``max(1, _KERNEL_BLOCK // n**2)`` parameter vectors, each golden-section
+    step alone: a block forms its matrices R with one stacked product,
+    factors them with one Cholesky call, solves each for both columns in one
+    triangular solve and takes the NLLs with array operations; a one-matrix
+    block (each golden-section step, and each screen block once n >= 91)
+    takes ``_likelihood_one``. Every value has the bits of evaluating its
+    vector alone, so the block size never changes the search. A NaN or inf
+    in ``y`` raises ``ValueError``, and so do duplicate rows when ``noise``
+    is off.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -394,7 +414,13 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0) -> Kriging
             out += _nll(R.reshape(-1, n, n), rhs)
         return out
 
-    best_v, _ = _budgeted_search(objective, lo, hi, control.model_fun_evals, seed)
+    budget = control.model_fun_evals
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != lo.shape:
+            raise ValueError(f"start must hold {lo.size} parameters")
+        budget //= WARM_BUDGET_DIVISOR
+    best_v, _ = _budgeted_search(objective, lo, hi, budget, seed, start=start)
 
     theta = best_v[:d]
     # the search regularizes with the jitter floor for evaluability; the
@@ -423,7 +449,7 @@ def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
     while True:
         R = _correlation(Z, theta_log10, nugget + jitter)
         try:
-            L = np.linalg.cholesky(R)
+            L = _cholesky(R)
             break
         except np.linalg.LinAlgError:
             jitter = JITTER_FLOOR if jitter == 0.0 else jitter * 10.0
@@ -439,15 +465,16 @@ def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
     )
 
 
-def _budgeted_search(objective, lo, hi, budget: int, seed: int):
+def _budgeted_search(objective, lo, hi, budget: int, seed: int, *, start=None):
     """LHS screen (80% of budget), then coordinate-wise golden sections.
-    ``objective`` maps an m x dims array of parameter vectors to m values."""
+    ``objective`` maps an m x dims array of parameter vectors to m values.
+    The screen's first point is ``start`` clipped into the box, or the box
+    centre when ``start`` is None."""
     rng = np.random.default_rng(seed)
     dims = lo.size
     n_screen = max(2, int(0.8 * budget))
     pts = lhs_unit(rng, n_screen, dims) * (hi - lo) + lo
-    center = 0.5 * (lo + hi)
-    pts[0] = center        # always include the box center
+    pts[0] = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
     best_v, best_f = None, math.inf
     for v, f in zip(pts, objective(pts)):
         if f < best_f:      # the first strict improvement; never NaN or inf

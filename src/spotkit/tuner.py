@@ -4,7 +4,11 @@ Evaluate an optional start point and the full initial design, then
 alternate: fit the Kriging surrogate on everything seen (exact repeats
 averaged into one row when the surrogate is noise-free), propose the
 points of lowest predicted mean not yet evaluated, evaluate, append.
-Stops on the evaluation budget or the wall-time budget (checked between
+A fit is warm (``surrogate.fit``'s ``start``) from the parameters of the
+fit that proposed the last evaluation, which ``RunState.params`` keeps so
+that a resume repeats it; it is cold when that evaluation has none or the
+count of sequential evaluations is a multiple of ``COLD_FIT_EVERY``. Stops
+on the evaluation budget or the wall-time budget (checked between
 evaluations, so one fit or search can overrun it; the initial design always
 runs to completion).
 """
@@ -25,6 +29,10 @@ from .design import DesignControl, child_seed, latin_hypercube, require_counts
 from .searchspace import SearchSpace
 
 DEFAULT_TOLERANCE_X = float(np.sqrt(np.spacing(1.0)))
+
+# every this many sequential evaluations the surrogate fit is cold (full
+# budget, from scratch); the fits between are warm from the previous one
+COLD_FIT_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,7 @@ class RunState:
     metrics: list = field(default_factory=list)
     phases: list = field(default_factory=list)     # "initial" | "sequential"
     elapsed: list = field(default_factory=list)    # wall seconds since the previous one
+    params: list = field(default_factory=list)     # proposing fit's parameters, or None
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -79,12 +88,13 @@ class RunState:
         return sum(1 for p in self.phases if p == "initial")
 
     def append(self, vec: np.ndarray, loss: float, metric: float, phase: str,
-               seconds: float) -> None:
+               seconds: float, params: list | None = None) -> None:
         self.X.append(np.asarray(vec, dtype=float))
         self.y.append(float(loss))
         self.metrics.append(float(metric))
         self.phases.append(phase)
         self.elapsed.append(float(seconds))
+        self.params.append(params)
 
     def to_dict(self) -> dict:
         return {
@@ -95,10 +105,13 @@ class RunState:
             "metrics": list(self.metrics),
             "phases": list(self.phases),
             "elapsed": list(self.elapsed),
+            "params": list(self.params),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunState":
+        """The state ``to_dict`` wrote. A document without ``params`` (from
+        an earlier version) loads with None for every evaluation."""
         try:
             state = cls(
                 X=[np.asarray(row, dtype=float) for row in doc["X"]],
@@ -106,12 +119,14 @@ class RunState:
                 metrics=[float(v) for v in doc["metrics"]],
                 phases=list(doc["phases"]),
                 elapsed=[float(v) for v in doc["elapsed"]],
+                params=[None if v is None else [float(t) for t in v]
+                        for v in doc.get("params", [None] * len(doc["y"]))],
                 meta=dict(doc.get("meta", {})),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"corrupt run state: {err}") from err
         if not (len(state.X) == len(state.y) == len(state.phases)
-                == len(state.metrics) == len(state.elapsed)):
+                == len(state.metrics) == len(state.elapsed) == len(state.params)):
             raise ValueError("corrupt run state: column lengths differ")
         return state
 
@@ -133,9 +148,10 @@ def worst_sentinel(ys) -> float:
 
 
 def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
-              phase: str, since: float) -> float:
+              phase: str, since: float, params: list | None = None) -> float:
     """Decode ``vec``, evaluate it and append the outcome to ``state`` with
-    the seconds from the monotonic time ``since``; returns its end time.
+    the seconds from the monotonic time ``since`` and the parameters
+    ``params`` of the fit that proposed it; returns its end time.
 
     An exception or a non-finite loss is recorded at ``worst_sentinel`` of
     the losses so far, with a NaN metric on an exception.
@@ -150,7 +166,7 @@ def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
     if not math.isfinite(loss):
         loss = worst_sentinel(state.y)
     end = time.monotonic()
-    state.append(vec, loss, metric, phase, end - since)
+    state.append(vec, loss, metric, phase, end - since, params)
     return end
 
 
@@ -185,6 +201,15 @@ def _fit_inputs(state: RunState, space: SearchSpace,
     order = np.argsort(first)
     mean = np.bincount(inverse, weights=y) / np.bincount(inverse)
     return X[first[order]], mean[order]
+
+
+def _fitted_params(model: sg.KrigingModel, noise: bool) -> list | None:
+    """The parameter vector a warm fit starts from (``theta_log10``, then the
+    log10 nugget when ``noise``); None for a constant-data model."""
+    if model.weights is None:
+        return None
+    params = model.theta_log10.tolist()
+    return params + [math.log10(model.nugget)] if noise else params
 
 
 def _random_full_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
@@ -371,6 +396,10 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     ``out_dir`` set, ``run_state.json`` and ``events.csv`` are rewritten
     atomically after every evaluation.
 
+    Each evaluation records in ``params`` the parameters of the fit that
+    proposed it (None without a fit), and the next fit starts warm from
+    them unless the schedule makes it cold.
+
     Each ``elapsed`` entry is the seconds since the session's previous
     evaluation ended (or it started), fits, searches and writes included.
     When ``max_time`` stops the session, the seconds since its last
@@ -391,9 +420,9 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     budget_consumed = sum(state.elapsed)
     n_before = len(state)
 
-    def evaluate(vec: np.ndarray, phase: str) -> None:
+    def evaluate(vec: np.ndarray, phase: str, params: list | None = None) -> None:
         nonlocal last_end
-        last_end = _evaluate(objective, space, state, vec, phase, last_end)
+        last_end = _evaluate(objective, space, state, vec, phase, last_end, params)
         if writer:
             writer.write(state)
 
@@ -416,14 +445,17 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     # -- sequential phase
     while len(state) < tuner.fun_evals and not out_of_time():
         k = len(state) - state.n_initial      # stable across resumes
-        model = None
+        start = state.params[-1] if state.params and k % COLD_FIT_EVERY else None
+        model = params = None
         if len(state) >= 2:
             try:
                 model = sg.fit(*_fit_inputs(state, space, surrogate_control.noise),
                                surrogate_control,
-                               seed=child_seed(tuner.seed, 1, k))
+                               seed=child_seed(tuner.seed, 1, k), start=start)
             except (ValueError, sg.FitError):
                 pass
+            else:
+                params = _fitted_params(model, surrogate_control.noise)
         cands = suggest_next(
             state, model, space, tuner.n_points, 200 + 100 * space.n_active,
             seed=child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,
@@ -432,7 +464,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
             for _ in range(tuner.fun_repeats):
                 if len(state) >= tuner.fun_evals or out_of_time():
                     return state
-                evaluate(cand, "sequential")
+                evaluate(cand, "sequential", params)
     return state
 
 

@@ -186,7 +186,7 @@ class TestResume:
         # simulate a crash: drop everything past the initial design
         doc = json.load(open(os.path.join(out2, "run_state.json")))
         keep = 9
-        for key in ("X", "y", "metrics", "phases", "elapsed"):
+        for key in ("X", "y", "metrics", "phases", "elapsed", "params"):
             doc[key] = doc[key][:keep]
         doc["elapsed_total"] = sum(doc["elapsed"])
         json.dump(doc, open(os.path.join(out2, "run_state.json"), "w"))
@@ -220,6 +220,36 @@ class TestResume:
         assert events[0].count("\n") == 31
         doc = json.load(open(os.path.join(bumped, "run_state.json")))
         assert doc["meta"]["experiment"]["tuner"]["fun_evals"] == 30
+
+    def test_resume_at_warm_iteration_matches_full_run(self, tmp_path):
+        # after a 10-point design, the resumed session's first fit (sequential
+        # evaluation 13) starts warm from the persisted parameters
+        cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4",
+                           model="mixed4", design={"init_size": 10})
+        full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+        assert main(["tune", "--config", cfg, "--out", full, "--fun-evals", "30"]) == 0
+        assert main(["tune", "--config", cfg, "--out", cut, "--fun-evals", "23"]) == 0
+        assert main(["resume", "--out", cut, "--fun-evals", "30"]) == 0
+        events = [open(os.path.join(d, "events.csv")).read() for d in (full, cut)]
+        assert events[0] == events[1]
+        docs = [json.load(open(os.path.join(d, "run_state.json"))) for d in (full, cut)]
+        assert docs[0]["params"] == docs[1]["params"]
+
+    def test_run_state_without_params_resumes(self, tmp_path):
+        # a run state written before the params column: its first fit is cold
+        cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4",
+                           model="mixed4", design={"init_size": 10})
+        out = str(tmp_path / "run")
+        assert main(["tune", "--config", cfg, "--out", out, "--fun-evals", "23"]) == 0
+        path = os.path.join(out, "run_state.json")
+        doc = json.load(open(path))
+        del doc["params"]
+        json.dump(doc, open(path, "w"))
+        assert main(["resume", "--out", out, "--fun-evals", "30"]) == 0
+        doc = json.load(open(path))
+        assert len(doc["y"]) == 30
+        assert doc["params"][:23] == [None] * 23
+        assert all(len(p) == 4 for p in doc["params"][23:])
 
     def test_budget_bump_persists_for_plain_resume(self, sphere_config, tmp_path):
         out = str(tmp_path / "run")
@@ -286,7 +316,7 @@ class TestResume:
         assert main(["tune", "--config", cfg, "--out", cut]) == 0
         path = os.path.join(cut, "run_state.json")
         doc = json.load(open(path))
-        for key in ("X", "y", "metrics", "phases", "elapsed"):
+        for key in ("X", "y", "metrics", "phases", "elapsed", "params"):
             doc[key] = doc[key][:13]
         doc["elapsed_total"] = sum(doc["elapsed"])
         doc["meta"]["model"] = "mixed4"
@@ -419,6 +449,33 @@ def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")
             and key in line]
+
+
+@pytest.mark.parametrize("command", ["tune", "resume"])
+def test_bad_x_start_reported_before_any_output(command, tmp_path, capsys):
+    # the start point was checked only after tune printed the design table,
+    # and after resume wrote a bumped budget into the run state
+    bad = {"x1": 0.5, "x2": 0.5, "width": 10, "kind": "a"}
+    out = str(tmp_path / "o")
+    path = os.path.join(out, "run_state.json")
+    mixed4 = {"objective": "builtin:mixed4", "model": "mixed4"}
+    if command == "tune":
+        argv = ["tune", "--config", write_config(tmp_path / "exp.json", **mixed4,
+                                                 x_start=bad), "--out", out]
+    else:
+        cfg = write_config(tmp_path / "exp.json", **mixed4)
+        assert main(["tune", "--config", cfg, "--out", out]) == 0
+        doc = json.load(open(path))
+        doc["meta"]["experiment"]["x_start"] = bad
+        json.dump(doc, open(path, "w"))
+        argv = ["resume", "--out", out, "--fun-evals", "16"]
+    before = open(path).read() if os.path.exists(path) else None
+    capsys.readouterr()
+    assert main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: x_start: width 10 is not a point")
+    assert (open(path).read() if os.path.exists(path) else None) == before
 
 
 @pytest.mark.parametrize("command", ["tune", "bench"])

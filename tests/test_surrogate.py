@@ -71,7 +71,7 @@ def fit_objective(monkeypatch, X, y, control):
     """The likelihood function ``fit`` hands to its search, with the box."""
     captured = []
 
-    def capture(objective, lo, hi, budget, seed):
+    def capture(objective, lo, hi, budget, seed, *, start=None):
         captured.append((objective, lo, hi))
         return 0.5 * (lo + hi), 0.0
 
@@ -516,6 +516,65 @@ class TestLhsScreen:
                * (hi - lo) + lo)
         ref[0] = 0.5 * (lo + hi)
         assert np.array_equal(np.asarray(seen[:n_screen]), ref)
+
+
+class TestWarmFit:
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(11)
+        X = rng.random((15, 2))
+        return X, np.sin(4 * X[:, 0]) + X[:, 1] ** 2
+
+    def test_quarter_budget_and_start_reach_the_search(self, monkeypatch):
+        seen = []
+
+        def capture(objective, lo, hi, budget, seed, *, start=None):
+            seen.append((budget, None if start is None else start.tolist()))
+            return 0.5 * (lo + hi), 0.0
+
+        monkeypatch.setattr(sg, "_budgeted_search", capture)
+        X, y = self.data()
+        control = SurrogateControl(model_fun_evals=300)
+        fit(X, y, control, seed=0)
+        fit(X, y, control, seed=0, start=[0.5, -1.0])
+        assert seen == [(300, None), (300 // sg.WARM_BUDGET_DIVISOR, [0.5, -1.0])]
+
+    def test_screen_holds_clipped_start_in_place_of_centre(self):
+        def screened(**kw):
+            seen = []
+
+            def objective(V):
+                seen.extend(V.copy())
+                return [float(np.sum((v - 0.3) ** 2)) for v in V]
+
+            sg._budgeted_search(objective, lo, hi, 75, seed=17, **kw)
+            return np.asarray(seen[:60])
+
+        lo, hi = np.full(3, -4.0), np.full(3, 3.0)
+        cold = screened()
+        warm = screened(start=np.array([0.5, -9.0, 7.0]))
+        assert cold[0].tolist() == [-0.5, -0.5, -0.5]
+        assert warm[0].tolist() == [0.5, -4.0, 3.0]
+        assert np.array_equal(warm[1:], cold[1:])
+
+    def test_start_length_checked(self):
+        X, y = self.data()
+        with pytest.raises(ValueError, match="start must hold 2 parameters"):
+            fit(X, y, SurrogateControl(model_fun_evals=100), start=[0.0])
+        with pytest.raises(ValueError, match="start must hold 3 parameters"):
+            fit(X, y, SurrogateControl(noise=True, model_fun_evals=100),
+                start=[0.0, 0.0])
+
+    def test_warm_fit_from_a_cold_optimum_is_no_worse(self):
+        # the warm screen evaluates the start itself
+        X, y = self.data()
+        control = SurrogateControl(model_fun_evals=300)
+        for seed in range(5):
+            cold = fit(X, y, control, seed=seed)
+            warm = fit(X, y, control, seed=seed + 1, start=cold.theta_log10)
+            nll = [neg_log_likelihood(m.Z, y, m.theta_log10, JITTER_FLOOR)
+                   for m in (cold, warm)]
+            assert nll[1] <= nll[0] + 1e-9
 
 
 def test_rescaled_column_leaves_ranking_unchanged():

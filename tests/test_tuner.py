@@ -973,6 +973,64 @@ class TestPersistence:
         assert type(cfg.n_points) is int and type(cfg.fun_repeats) is int
 
 
+class TestWarmFits:
+    @staticmethod
+    def fit_starts(monkeypatch) -> list:
+        """The ``start`` of every ``fit`` the loop makes, recorded as a list
+        (None for a cold fit)."""
+        import spotkit.surrogate as sg
+
+        starts, real_fit = [], sg.fit
+
+        def spy(*args, start=None, **kw):
+            starts.append(None if start is None else list(start))
+            return real_fit(*args, start=start, **kw)
+
+        monkeypatch.setattr(sg, "fit", spy)
+        return starts
+
+    def test_cold_every_fifth_evaluation_warm_from_the_last_between(self, monkeypatch):
+        starts = self.fit_starts(monkeypatch)
+        state = run(sphere, float_space(2), TunerConfig(fun_evals=30, seed=4),
+                    DesignControl(init_size=8, seed=1), FAST_SURROGATE)
+        assert state.params[:8] == [None] * 8
+        seq = state.params[8:]
+        assert all(p is not None and len(p) == 2 for p in seq)
+        assert starts == [None if k % tuner.COLD_FIT_EVERY == 0 else seq[k - 1]
+                          for k in range(22)]
+
+    def test_noise_params_end_with_the_log10_nugget(self, monkeypatch):
+        starts = self.fit_starts(monkeypatch)
+        state = run(sphere, float_space(2), TunerConfig(fun_evals=16, seed=4),
+                    DesignControl(init_size=8, seed=1),
+                    SurrogateControl(noise=True, model_fun_evals=300))
+        assert all(len(p) == 3 and -8.0 <= p[2] <= -0.99 for p in state.params[8:])
+        assert starts[1] == state.params[8]
+
+    def test_constant_data_model_leaves_the_next_fit_cold(self, monkeypatch):
+        starts = self.fit_starts(monkeypatch)
+        state = run(lambda config: EvalResult(loss=1.0, metric=math.nan),
+                    float_space(2), TunerConfig(fun_evals=14, seed=4),
+                    DesignControl(init_size=8, seed=1), FAST_SURROGATE)
+        assert state.params == [None] * 14
+        assert starts == [None] * 6
+
+    def test_random_search_stores_no_params(self):
+        assert random_search(sphere, float_space(2), 5, seed=1).params == [None] * 5
+
+    def test_params_round_trip_and_length_checked(self, tmp_path):
+        state = run(sphere, float_space(2), TunerConfig(fun_evals=12, seed=0),
+                    DesignControl(init_size=8, seed=1), FAST_SURROGATE,
+                    out_dir=str(tmp_path))
+        assert load_run_state(str(tmp_path)).params == state.params
+        doc = state.to_dict()
+        doc["params"] = doc["params"][:-1]
+        with pytest.raises(ValueError, match="column lengths differ"):
+            RunState.from_dict(doc)
+        del doc["params"]
+        assert RunState.from_dict(doc).params == [None] * 12
+
+
 def test_random_search_failures_map_to_sentinel():
     calls = {"n": 0}
 

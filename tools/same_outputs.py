@@ -18,8 +18,11 @@ nugget, two points per iteration and two repeats per point, and
 ``tune_mixed4_points4`` with four points per iteration, so the infill search
 runs four Nelder-Mead starts and de-duplicates a four-point batch.
 ``resume_mixed4`` is two steps in one output directory, a 20-evaluation
-``tune`` and a ``resume`` to 30; the printed output of each step and the
-final artifacts are compared. Prints
+``tune`` and a ``resume`` to 30, and ``resume_mixed4_warm`` the same from a
+23-evaluation ``tune``, so that the resumed session's first surrogate fit is
+warm (started from the parameters ``run_state.json`` keeps) where
+``resume_mixed4``'s is cold; the printed output of each step and the final
+artifacts are compared. Prints
 one line per command and exits 1 on any difference or failed step, 0
 otherwise. The temporary directories are removed in either case.
 """
@@ -56,6 +59,8 @@ COMMANDS = {
     "bench_mixed4_s97": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "97"]],
     "resume_mixed4": [["tune", "--config", MIXED4, "--fun-evals", "20", "--seed", "1"],
                       ["resume", "--fun-evals", "30"]],
+    "resume_mixed4_warm": [["tune", "--config", MIXED4, "--fun-evals", "23", "--seed", "1"],
+                           ["resume", "--fun-evals", "30"]],
 }
 
 
