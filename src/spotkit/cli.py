@@ -259,7 +259,7 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
     os.makedirs(out_dir, exist_ok=True)
     model = None
     try:
-        model = sg.fit(*tn._fit_inputs(state, space, surr_cfg.noise), surr_cfg,
+        model = sg.fit(np.asarray(state.X)[:, space.active_mask], state.y, surr_cfg,
                        seed=child_seed(seed, 1, len(state)))
     except (ValueError, sg.FitError) as err:
         print(f"warning: surrogate refit for the artifacts failed "

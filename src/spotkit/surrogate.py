@@ -133,6 +133,9 @@ class KrigingModel:
     weights: np.ndarray | None = None       # R^-1 (y - mu)
     Z: np.ndarray | None = field(default=None, repr=False)  # normalized inputs
     neg_t10: np.ndarray | None = field(default=None, repr=False)  # -10**theta_log10
+    # the ``start`` of a later warm fit: theta_log10, then the log10 nugget
+    # when ``noise``; None for a constant-data model
+    params: list | None = None
 
     @property
     def dim(self) -> int:
@@ -349,22 +352,35 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     block (each golden-section step, and each screen block once n >= 91)
     takes ``_likelihood_one``. Every value has the bits of evaluating its
     vector alone, so the block size never changes the search. A NaN or inf
-    in ``y`` raises ``ValueError``, and so do duplicate rows when ``noise``
-    is off.
+    in ``y`` raises ``ValueError``.
+
+    Without ``noise`` the model interpolates, so it cannot take coincident
+    points: the exact repeats of a normalized row (design ``repeats``,
+    ``fun_repeats``) enter as one row at their mean loss, in first-occurrence
+    order. Fewer than two rows, after that averaging, raise ``ValueError``.
+    The model's ``params`` is the ``start`` of a later warm fit on data of
+    the same dimension.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    n, d = X.shape
-    if n < 2:
-        raise ValueError("need at least two observations")
-    if y.size != n:
+    if y.size != X.shape[0]:
         raise ValueError("X and y row counts differ")
 
     norm_min = X.min(axis=0)
     norm_span = X.max(axis=0) - norm_min
     norm_span = np.where(norm_span > 0.0, norm_span, 1.0)
     Z = (X - norm_min) / norm_span
+    if not control.noise:
+        _, first, inverse = np.unique(Z, axis=0, return_index=True,
+                                      return_inverse=True)
+        if first.size < y.size:
+            order = np.argsort(first)
+            y = (np.bincount(inverse, weights=y) / np.bincount(inverse))[order]
+            Z = Z[first[order]]
+    n, d = Z.shape
+    if n < 2:
+        raise ValueError("need at least two distinct observations")
 
     if np.ptp(y) == 0.0:
         # constant observations: degenerate model that predicts the constant
@@ -372,13 +388,6 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
             theta_log10=np.zeros(d), nugget=0.0, mu=float(y[0]),
             norm_min=norm_min, norm_span=norm_span,
         )
-
-    if not control.noise:
-        dup = _has_duplicate_rows(Z)
-        if dup:
-            raise ValueError(
-                "duplicate rows after normalization; refit with noise=True"
-            )
 
     # negated squared per-dimension distances (the kernel's broadcast), one
     # flattened n x n block per row; every likelihood evaluation weights them
@@ -427,13 +436,9 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     # final noise-free factorization re-tries from zero so training targets
     # are reproduced exactly whenever the kernel matrix allows it
     nugget = 10.0 ** best_v[d] if control.noise else 0.0
-    return _finalize(Z, y, theta, float(nugget), norm_min, norm_span)
-
-
-def _has_duplicate_rows(Z: np.ndarray) -> bool:
-    order = np.lexsort(Z.T)
-    S = Z[order]
-    return bool(np.any(np.all(S[1:] == S[:-1], axis=1)))
+    model = _finalize(Z, y, theta, float(nugget), norm_min, norm_span)
+    model.params = theta.tolist() + ([math.log10(model.nugget)] if control.noise else [])
+    return model
 
 
 def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,

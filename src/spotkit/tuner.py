@@ -1,16 +1,15 @@
 """Sequential surrogate-guided tuning loop.
 
 Evaluate an optional start point and the full initial design, then
-alternate: fit the Kriging surrogate on everything seen (exact repeats
-averaged into one row when the surrogate is noise-free), propose the
-points of lowest predicted mean not yet evaluated, evaluate, append.
-A fit is warm (``surrogate.fit``'s ``start``) from the parameters of the
-fit that proposed the last evaluation, which ``RunState.params`` keeps so
-that a resume repeats it; it is cold when that evaluation has none or the
-count of sequential evaluations is a multiple of ``COLD_FIT_EVERY``. Stops
-on the evaluation budget or the wall-time budget (checked between
-evaluations, so one fit or search can overrun it; the initial design always
-runs to completion).
+alternate: fit the Kriging surrogate on everything seen, propose the points
+of lowest predicted mean not yet evaluated, evaluate, append. A fit is warm
+(``surrogate.fit``'s ``start``) from the parameters of the fit that
+proposed the last evaluation, which ``RunState.params`` keeps so that a
+resume repeats it; it is cold when that evaluation has none or the count of
+iterations (``n_points * fun_repeats`` evaluations each) is a multiple of
+``COLD_FIT_EVERY``. Stops on the evaluation budget or the wall-time budget
+(checked between evaluations, so one fit or search can overrun it; the
+initial design always runs to completion).
 """
 from __future__ import annotations
 
@@ -30,8 +29,8 @@ from .searchspace import SearchSpace
 
 DEFAULT_TOLERANCE_X = float(np.sqrt(np.spacing(1.0)))
 
-# every this many sequential evaluations the surrogate fit is cold (full
-# budget, from scratch); the fits between are warm from the previous one
+# every this many iterations the surrogate fit is cold (full budget, from
+# scratch); the fits between are warm from the previous one
 COLD_FIT_EVERY = 5
 
 
@@ -180,36 +179,6 @@ def _is_distinct(cand: np.ndarray, rows: np.ndarray, tolerance_x: float) -> bool
     """True when ``cand`` lies beyond ``tolerance_x`` in max-norm from every
     row of ``rows`` (k x dim, k may be 0)."""
     return bool(np.all(np.max(np.abs(rows - cand), axis=1) > tolerance_x))
-
-
-def _fit_inputs(state: RunState, space: SearchSpace,
-                noise: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Active columns and losses of every evaluation, for a surrogate fit.
-
-    A noise-free surrogate cannot fit repeated rows (design ``repeats``,
-    ``fun_repeats``), so without ``noise`` each exactly repeated row enters
-    once, at its mean loss, in first-occurrence order. Without repeats the
-    arrays are returned as built.
-    """
-    X = np.asarray(state.X)[:, space.active_mask]
-    y = np.asarray(state.y)
-    if noise:
-        return X, y
-    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
-    if first.size == len(X):
-        return X, y
-    order = np.argsort(first)
-    mean = np.bincount(inverse, weights=y) / np.bincount(inverse)
-    return X[first[order]], mean[order]
-
-
-def _fitted_params(model: sg.KrigingModel, noise: bool) -> list | None:
-    """The parameter vector a warm fit starts from (``theta_log10``, then the
-    log10 nugget when ``noise``); None for a constant-data model."""
-    if model.weights is None:
-        return None
-    params = model.theta_log10.tolist()
-    return params + [math.log10(model.nugget)] if noise else params
 
 
 def _random_full_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
@@ -391,10 +360,10 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     """Execute (or resume) the tuning loop; returns the final run state.
 
     A failed evaluation is recorded at a finite worst-case penalty and the
-    loop continues. The state keeps every evaluation, repeats included; a
-    noise-free surrogate is fitted on the mean of each repeated point. With
-    ``out_dir`` set, ``run_state.json`` and ``events.csv`` are rewritten
-    atomically after every evaluation.
+    loop continues. The state keeps every evaluation, repeats included, and
+    every fit sees them all (``surrogate.fit`` averages repeats when it is
+    noise-free). With ``out_dir`` set, ``run_state.json`` and ``events.csv``
+    are rewritten atomically after every evaluation.
 
     Each evaluation records in ``params`` the parameters of the fit that
     proposed it (None without a fit), and the next fit starts warm from
@@ -445,17 +414,16 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     # -- sequential phase
     while len(state) < tuner.fun_evals and not out_of_time():
         k = len(state) - state.n_initial      # stable across resumes
-        start = state.params[-1] if state.params and k % COLD_FIT_EVERY else None
+        cold = k // (tuner.n_points * tuner.fun_repeats) % COLD_FIT_EVERY == 0
+        start = None if cold else state.params[-1]
         model = params = None
-        if len(state) >= 2:
-            try:
-                model = sg.fit(*_fit_inputs(state, space, surrogate_control.noise),
-                               surrogate_control,
-                               seed=child_seed(tuner.seed, 1, k), start=start)
-            except (ValueError, sg.FitError):
-                pass
-            else:
-                params = _fitted_params(model, surrogate_control.noise)
+        try:
+            model = sg.fit(np.asarray(state.X)[:, space.active_mask], state.y,
+                           surrogate_control, seed=child_seed(tuner.seed, 1, k),
+                           start=start)
+            params = model.params
+        except (ValueError, sg.FitError):
+            pass
         cands = suggest_next(
             state, model, space, tuner.n_points, 200 + 100 * space.n_active,
             seed=child_seed(tuner.seed, 2, k), tolerance_x=tuner.tolerance_x,

@@ -296,17 +296,26 @@ class TestFit:
         rmse = float(np.sqrt(np.mean(np.square(errs))))
         assert rmse < 0.05 * np.ptp(y)
 
-    def test_duplicate_rows_need_noise(self):
+    def test_noise_free_fit_averages_repeats(self):
         X = np.array([[0.0], [0.0], [1.0]])
         y = np.array([0.0, 0.1, 1.0])
-        with pytest.raises(ValueError, match="noise=True"):
-            fit(X, y, SurrogateControl(noise=False, model_fun_evals=50))
+        model = fit(X, y, SurrogateControl(noise=False, model_fun_evals=50))
+        assert model.predict([0.0]) == pytest.approx(0.05, abs=1e-9)
         model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=300), seed=0)
         assert model.nugget > 0
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two"):
             fit(np.array([[0.0]]), np.array([1.0]))
+
+    def test_needs_two_distinct_points_without_noise(self):
+        X = np.full((3, 2), 0.3)
+        y = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="two distinct"):
+            fit(X, y, SurrogateControl(model_fun_evals=50))
+        # the nugget takes them all, and the mean at the point is theirs
+        model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=50), seed=0)
+        assert model.predict([0.3, 0.3]) == pytest.approx(2.0, abs=1e-9)
 
     def test_fitted_theta_beats_64_random(self):
         # likelihood-consistency: the budgeted search must never lose to a
@@ -564,6 +573,25 @@ class TestWarmFit:
         with pytest.raises(ValueError, match="start must hold 3 parameters"):
             fit(X, y, SurrogateControl(noise=True, model_fun_evals=100),
                 start=[0.0, 0.0])
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_params_round_trip_through_start(self, monkeypatch, noise):
+        seen, real_search = [], sg._budgeted_search
+
+        def spy(objective, lo, hi, budget, seed, *, start=None):
+            seen.append(None if start is None else np.clip(start, lo, hi).tolist())
+            return real_search(objective, lo, hi, budget, seed, start=start)
+
+        monkeypatch.setattr(sg, "_budgeted_search", spy)
+        X, y = self.data()
+        control = SurrogateControl(noise=noise, model_fun_evals=300)
+        model = fit(X, y, control, seed=0)
+        assert model.params == model.theta_log10.tolist() + (
+            [math.log10(model.nugget)] if noise else [])
+        # the screen's first point is the vector itself, clipping changes nothing
+        fit(X, y, control, seed=1, start=model.params)
+        assert seen == [None, model.params]
+        assert fit(X, np.full(15, 2.0), control).params is None   # constant data
 
     def test_warm_fit_from_a_cold_optimum_is_no_worse(self):
         # the warm screen evaluates the start itself

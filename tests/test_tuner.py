@@ -11,7 +11,7 @@ from spotkit.evalharness import EvalResult
 from spotkit.searchspace import ParamSpec, SearchSpace
 from spotkit.surrogate import KrigingModel, SurrogateControl, fit
 from spotkit.tuner import (
-    RunState, TunerConfig, _embed_active, _fit_inputs, _is_distinct, _nelder_mead,
+    RunState, TunerConfig, _embed_active, _is_distinct, _nelder_mead,
     _random_full_point, best, events_csv, load_run_state, random_search, run,
     suggest_next, worst_sentinel,
 )
@@ -162,8 +162,9 @@ class TestFunRepeats:
 
 
 class TestRepeatsReachSurrogate:
-    """A noise-free surrogate cannot fit repeated rows; the loop fits their
-    mean instead of falling back to random proposals."""
+    """A noise-free surrogate cannot fit repeated rows; ``fit`` averages
+    them, so the loop fits their mean instead of falling back to random
+    proposals."""
 
     @pytest.mark.parametrize("repeats", [
         dict(design=DesignControl(init_size=10, repeats=2, seed=5)),
@@ -206,25 +207,32 @@ class TestRepeatsReachSurrogate:
         assert max(row["importance"] for row in report) == 100.0
 
     def test_collapse_to_mean_in_first_occurrence_order(self):
-        space = float_space(2)
-        state = RunState()
-        for row, loss in [([0.5, 1.0], 1.0), ([0.0, 0.0], 4.0), ([0.5, 1.0], 3.0),
-                          ([0.2, 0.3], 7.0), ([0.0, 0.0], 6.0)]:
-            state.append(np.array(row), loss, math.nan, "initial", 0.0)
-        X, y = _fit_inputs(state, space, noise=False)
-        assert X.tolist() == [[0.5, 1.0], [0.0, 0.0], [0.2, 0.3]]
-        assert y.tolist() == [2.0, 5.0, 7.0]
-        X, y = _fit_inputs(state, space, noise=True)     # the nugget absorbs repeats
-        assert len(X) == len(y) == 5
+        X = np.array([[0.5, 1.0], [0.0, 0.0], [0.5, 1.0], [0.2, 0.3], [0.0, 0.0]])
+        y = np.array([1.0, 4.0, 3.0, 7.0, 6.0])
+        model = fit(X, y, FAST_SURROGATE, seed=0)
+        distinct = np.array([[0.5, 1.0], [0.0, 0.0], [0.2, 0.3]])
+        assert np.array_equal(model.Z, (distinct - model.norm_min) / model.norm_span)
+        for row, mean in zip(distinct, [2.0, 5.0, 7.0]):
+            assert model.predict(row) == pytest.approx(mean, abs=1e-6)
+        # the nugget absorbs repeats
+        model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=300), seed=0)
+        assert len(model.Z) == 5
 
     def test_distinct_rows_pass_through(self):
-        space = float_space(3)
-        state = RunState()
-        for row in np.random.default_rng(0).random((6, 3)):
-            state.append(row, float(row.sum()), math.nan, "initial", 0.0)
-        X, y = _fit_inputs(state, space, noise=False)
-        assert np.array_equal(X, np.asarray(state.X))
-        assert np.array_equal(y, state.y)
+        X = np.random.default_rng(0).random((6, 3))
+        y = X.sum(axis=1)
+        model = fit(X, y, FAST_SURROGATE, seed=0)
+        assert np.array_equal(model.Z, (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0)))
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-6)
+
+    @pytest.mark.parametrize("init_size, repeats", [(1, 1), (1, 2)])
+    def test_one_distinct_point_proposes_at_random(self, init_size, repeats):
+        # fit raises on fewer than two distinct rows; the loop goes on
+        state = run(sphere, float_space(2), TunerConfig(fun_evals=4, seed=0),
+                    DesignControl(init_size=init_size, repeats=repeats, seed=1),
+                    FAST_SURROGATE)
+        assert len(state) == 4
+        assert state.params[init_size * repeats] is None
 
 
 def lattice_space(dims, upper):
@@ -998,6 +1006,20 @@ class TestWarmFits:
         assert all(p is not None and len(p) == 2 for p in seq)
         assert starts == [None if k % tuner.COLD_FIT_EVERY == 0 else seq[k - 1]
                           for k in range(22)]
+
+    @pytest.mark.parametrize("n_points, fun_repeats", [(5, 1), (1, 5), (2, 1)])
+    def test_cold_every_fifth_iteration(self, monkeypatch, n_points, fun_repeats):
+        # an iteration of 5 evaluations once made every fit cold
+        starts = self.fit_starts(monkeypatch)
+        per = n_points * fun_repeats
+        state = run(sphere, float_space(2),
+                    TunerConfig(fun_evals=8 + 7 * per, n_points=n_points,
+                                fun_repeats=fun_repeats, seed=4),
+                    DesignControl(init_size=8, seed=1), FAST_SURROGATE)
+        seq = state.params[8:]
+        assert len(seq) == 7 * per and all(p is not None for p in seq)
+        assert starts == [None if i % tuner.COLD_FIT_EVERY == 0 else seq[i * per - 1]
+                          for i in range(7)]
 
     def test_noise_params_end_with_the_log10_nugget(self, monkeypatch):
         starts = self.fit_starts(monkeypatch)

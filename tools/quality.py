@@ -16,6 +16,10 @@ Per row and seed it prints:
 - each side's median log10 best loss;
 - each side's wins of the tuned run over random search at equal
   evaluations;
+- each side's total training epochs over its tuned runs (calls of
+  ``evalharness.train_one_epoch``, 0 on an objective without training), so
+  that a change which moves the search towards costlier configurations
+  shows before the benchmark runs;
 - a verdict, "better", "worse" or "same", from an exact two-sided sign
   test at 0.05 over the non-tied pairs.
 
@@ -39,20 +43,31 @@ SEEDS = (1, 97)
 REPS = 20
 ALPHA = 0.05
 
-# records the best loss of each run that ``bench`` makes, then prints them
-# as the last line of stdout
+# records the best loss of each run that ``bench`` makes and the training
+# epochs of the tuned runs, then prints them as the last line of stdout
 CHILD = """
 import json, sys
-from spotkit import cli, tuner as tn
+from spotkit import cli, evalharness, tuner as tn
 
-best = {"spot": [], "random": []}
+best = {"spot": [], "random": [], "epochs": 0}
+calls = [0]
+train_one_epoch = evalharness.train_one_epoch
+
+def counted(*args, **kw):
+    calls[0] += 1
+    return train_one_epoch(*args, **kw)
 
 def recorded(fn, key):
     def call(*args, **kw):
+        before = calls[0]
         state = fn(*args, **kw)
         best[key].append(state.best_y)
+        if key == "spot":
+            best["epochs"] += calls[0] - before
         return state
     return call
+
+evalharness.train_one_epoch = counted
 
 tn.run = recorded(tn.run, "spot")
 tn.random_search = recorded(tn.random_search, "random")
@@ -108,7 +123,8 @@ def report(name: str, seed: int, old: dict, new: dict) -> tuple[str, str]:
             f"{wins} won, {losses} lost, {len(pairs) - wins - losses} tied; "
             f"median log10 best {median_log10(new['spot']):.3f} "
             f"(rev {median_log10(old['spot']):.3f}); "
-            f"beats random {spot_wins(new)}/{REPS} (rev {spot_wins(old)}/{REPS})")
+            f"beats random {spot_wins(new)}/{REPS} (rev {spot_wins(old)}/{REPS}); "
+            f"training epochs {new['epochs']} (rev {old['epochs']})")
     return verdict, line
 
 

@@ -8,15 +8,17 @@ reference commands below against both source trees with
 printed output (stdout and stderr) and every artifact byte for byte.
 ``run_state.json`` holds wall-clock timings in its ``elapsed`` column, so it
 is compared without that column, as re-dumped JSON text (text, since a NaN
-metric never equals itself once parsed). Five commands run derived configs
+metric never equals itself once parsed). Six commands run derived configs
 written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
 runs it validating on the explicit test split (``test_hold_out``),
 ``tune_toy_test_cv`` cross-validates it on the test split (``test_cv``),
 ``tune_mixed4_noise`` runs ``configs/bench_mixed4.json`` with a fitted
-nugget, two points per iteration and two repeats per point, and
+nugget, two points per iteration and two repeats per point,
 ``tune_mixed4_points4`` with four points per iteration, so the infill search
-runs four Nelder-Mead starts and de-duplicates a four-point batch.
+runs four Nelder-Mead starts and de-duplicates a four-point batch, and
+``tune_mixed4_repeats`` noise-free with two repeats of every design point
+and every proposal, so each fit averages repeated rows.
 ``resume_mixed4`` is two steps in one output directory, a 20-evaluation
 ``tune`` and a ``resume`` to 30, and ``resume_mixed4_warm`` the same from a
 23-evaluation ``tune``, so that the resumed session's first surrogate fit is
@@ -44,6 +46,7 @@ TOY_TEST = "toy_test.json"
 TOY_TEST_CV = "toy_test_cv.json"
 MIXED4_NOISE = "mixed4_noise.json"
 MIXED4_POINTS4 = "mixed4_points4.json"
+MIXED4_REPEATS = "mixed4_repeats.json"
 # each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
@@ -53,6 +56,7 @@ COMMANDS = {
     "tune_mixed4": [["tune", "--config", MIXED4]],
     "tune_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--seed", "3"]],
     "tune_mixed4_points4": [["tune", "--config", MIXED4_POINTS4, "--fun-evals", "40"]],
+    "tune_mixed4_repeats": [["tune", "--config", MIXED4_REPEATS, "--fun-evals", "40"]],
     "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
     "tune_mixed4_100_s97": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"]],
     "bench_mixed4_s1": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"]],
@@ -79,8 +83,12 @@ def write_derived(work: str) -> None:
     mixed4_noise["surrogate"] = {"noise": True, "model_fun_evals": 300}
     mixed4_points4 = load("bench_mixed4.json")
     mixed4_points4["tuner"]["n_points"] = 4
+    mixed4_repeats = load("bench_mixed4.json")
+    mixed4_repeats["tuner"]["fun_repeats"] = 2
+    mixed4_repeats["design"]["repeats"] = 2
     for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (TOY_TEST_CV, toy_test_cv),
-                      (MIXED4_NOISE, mixed4_noise), (MIXED4_POINTS4, mixed4_points4)):
+                      (MIXED4_NOISE, mixed4_noise), (MIXED4_POINTS4, mixed4_points4),
+                      (MIXED4_REPEATS, mixed4_repeats)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(exp, fh)
 
