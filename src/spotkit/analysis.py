@@ -104,8 +104,7 @@ def export_contour(model: KrigingModel, space: SearchSpace,
     grid_a, grid_b = np.repeat(axis(spec_a), grid), np.tile(axis(spec_b), grid)
     V = np.tile(base_full[space.active_mask], (grid * grid, 1))
     V[:, ia], V[:, ib] = grid_a, grid_b
-    # predict, not predict_batch: each mean keeps the bits of a direct call
-    # at its point, which predict_batch's matrix-vector product does not
+    # each mean keeps the bits of a direct call at its point
     means = model.predict(V)
     return [{name_a: va, name_b: vb, "mean": mean}
             for va, vb, mean in zip(grid_a.tolist(), grid_b.tolist(), means.tolist())]

@@ -197,7 +197,9 @@ def _train_on_splits(hp: HyperConfig, input_dim: int, splits, shuffle: bool,
     ``seed`` and a fresh optimizer state; child seed 2 seeds the one stream
     that shuffles the training batches of all pairs (``shuffle`` off keeps
     their order). Child seed 0 is the callers' split seed. A failing pair
-    fails the whole evaluation. ``save_path`` checkpoints each new best.
+    fails the whole evaluation. With ``save_path``, the weights of each new
+    best are kept, and the last of them are written there once when training
+    ends, failed or not.
     """
     try:
         opt_config = optimizer_handler(hp.optimizer, hp.lr_mult, hp.sgd_momentum)
@@ -206,20 +208,31 @@ def _train_on_splits(hp: HyperConfig, input_dim: int, splits, shuffle: bool,
     weight_seed, shuffle_seed = child_seed(seed, 1), child_seed(seed, 2)
     net = ToyNet(input_dim, hp.l1, hp.l2, seed=weight_seed)
     rng = np.random.default_rng(np.random.SeedSequence(shuffle_seed)) if shuffle else None
-    on_best = (lambda: save_weights(net, save_path)) if save_path else None
+    best = None
+
+    def keep_best():
+        nonlocal best
+        best = net.get_params()
+
     results = []
-    for tr, val in splits:
-        net.reset_weights(weight_seed)
-        opt_state = init_state(opt_config, net.n_params)
-        val_batches = make_batches(val, hp.batch_size)
-        res = run_training_loop(
-            hp.epochs, hp.patience,
-            lambda _: train_one_epoch(net, make_batches(tr, hp.batch_size, rng),
-                                      opt_config, opt_state),
-            lambda _: validate_one_epoch(net, val_batches), on_best)
-        if res.failed:
-            return failure_result()
-        results.append(res)
+    try:
+        for tr, val in splits:
+            net.reset_weights(weight_seed)
+            opt_state = init_state(opt_config, net.n_params)
+            val_batches = make_batches(val, hp.batch_size)
+            res = run_training_loop(
+                hp.epochs, hp.patience,
+                lambda _: train_one_epoch(net, make_batches(tr, hp.batch_size, rng),
+                                          opt_config, opt_state),
+                lambda _: validate_one_epoch(net, val_batches),
+                keep_best if save_path else None)
+            if res.failed:
+                return failure_result()
+            results.append(res)
+    finally:
+        if best is not None:
+            net.set_params(best)
+            save_weights(net, save_path)
     return EvalResult(
         loss=float(np.mean([r.loss for r in results])),
         metric=float(np.mean([r.metric for r in results])),
@@ -269,7 +282,8 @@ def evaluate_cv(hp: HyperConfig, dataset: SyntheticDataset,
 
 def train_tuned(hp: HyperConfig, train_dataset: SyntheticDataset, seed: int = 0,
                 save_path: str | None = None) -> EvalResult:
-    """Hold-out training of the tuned architecture, checkpointing each new best."""
+    """Hold-out training of the tuned architecture; ``save_path`` receives
+    the weights of its last new best."""
     return evaluate_hold_out(hp, train_dataset, "train_hold_out", shuffle=True,
                              seed=seed, save_path=save_path)
 

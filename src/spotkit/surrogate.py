@@ -15,9 +15,9 @@ value with the bits of evaluating its vector alone; a one-matrix block
 takes a single-matrix path with the same bits.
 
 A fitted ``KrigingModel`` predicts only the mean: ``predict_batch`` at
-each row of an array, and ``predict`` at a point or at rows, each value with
-the bits of predicting its point alone, for the infill search and the
-contour export.
+each row of an array, and ``predict`` at a point or at rows, for the infill
+search and the contour export. Both take the same per-row product, so every
+value has the bits of predicting its point alone.
 
 The only LAPACK wrapper taken from scipy is ``dpotrs`` (likelihood and
 weights); ``_load_flapack`` loads scipy's compiled wrappers from their
@@ -85,6 +85,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # likelihood evaluations
 WARM_BUDGET_DIVISOR = 4
 
+# from this many distinct rows per tuned dimension a warm fit keeps its start
+# instead of searching: about 10 d rows determine a Gaussian-process model's
+# parameters well (Loeppky, Sacks & Welch, "Choosing the sample size of a
+# computer experiment: a practical guide", Technometrics 51(4), 2009), so one
+# more row barely moves the likelihood optimum
+KEEP_START_ROWS_PER_DIM = 10
+
 # _kernel forms its d x rows x n terms, and fit's likelihood its stack of
 # n x n matrices, for about this many elements at a time, so a large batch
 # (the infill probes, the likelihood screen) needs little memory
@@ -118,11 +125,11 @@ class KrigingModel:
     """Fitted surrogate; immutable in practice, safe to share across threads.
 
     ``predict_batch`` gives the mean at each row, scoring the infill
-    probes; ``predict`` the mean at a point or at each row with the bits of
-    that point alone, for the infill search's Nelder-Mead and the contour
-    export. Both build the cross-correlations with ``_kernel``, so they
-    agree bit for bit on one point. ``_finalize`` builds the model with the
-    per-model arrays they share; a constant-data model has none of them.
+    probes; ``predict`` the mean at a point or at each row, for the infill
+    search's Nelder-Mead and the contour export. Both take ``_mean``, whose
+    every value has the bits of its point alone. ``_finalize`` builds the
+    model with the per-model arrays it reads; a constant-data model has none
+    of them.
     """
 
     theta_log10: np.ndarray       # d activity exponents
@@ -141,38 +148,33 @@ class KrigingModel:
     def dim(self) -> int:
         return self.norm_min.size
 
-    def _unit(self, Q: np.ndarray) -> np.ndarray:
-        """The rows of the 2-D array ``Q`` normalized and clamped into the
-        unit box."""
-        return np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
-
     def predict_batch(self, X) -> np.ndarray:
-        """Kriging mean at each row of ``X`` (clamped into the data box)."""
-        Q = self._unit(np.atleast_2d(np.asarray(X, dtype=float)))
-        if self.weights is None:   # constant-data model
-            return np.full(Q.shape[0], self.mu)
-        return self.mu + _kernel(Q, self.Z, self.neg_t10) @ self.weights
+        """Kriging mean at each row of ``X`` (clamped into the data box), as
+        ``predict`` gives it at those rows."""
+        return self._mean(np.atleast_2d(np.asarray(X, dtype=float)))
 
     def predict(self, x):
         """Kriging mean at one point ``x`` (a 1-D list or array of length d),
-        as a float, or at each row of an m x d array, as an m-vector.
-
-        Every value has the bits of ``predict_batch`` at that point alone:
-        the cross-correlations come from ``_kernel``, and one stacked
-        (m, 1, n) @ (n,) product makes one BLAS call per row, the call a
-        one-row product makes (a plain (m, n) @ (n,) product sums in
-        another order). An array is used as it is, a point as its one row,
-        with no ``np.atleast_2d``. Does not modify ``x``.
+        as a float, or at each row of an m x d array, as an m-vector. An
+        array is used as it is, a point as its one row, with no
+        ``np.atleast_2d``. Does not modify ``x``.
         """
         Q = np.asarray(x, dtype=float)
-        one = Q.ndim == 1
-        Q = self._unit(Q.reshape(1, -1) if Q.ndim < 2 else Q)
+        mean = self._mean(Q.reshape(1, -1) if Q.ndim < 2 else Q)
+        return float(mean[0]) if Q.ndim == 1 else mean
+
+    def _mean(self, Q: np.ndarray) -> np.ndarray:
+        """Kriging mean at each row of the 2-D array ``Q``, normalized and
+        clamped into the unit box, every value with the bits of that row
+        alone: the cross-correlations come from ``_kernel``, and one stacked
+        (m, 1, n) @ (n,) product makes one BLAS call per row, the call a
+        one-row product makes (a plain (m, n) @ (n,) product sums in another
+        order)."""
+        Q = np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
         if self.weights is None:   # constant-data model
-            mean = np.full(Q.shape[0], self.mu)
-        else:
-            psi = _kernel(Q, self.Z, self.neg_t10)
-            mean = self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
-        return float(mean[0]) if one else mean
+            return np.full(Q.shape[0], self.mu)
+        psi = _kernel(Q, self.Z, self.neg_t10)
+        return self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
 
 
 # -- likelihood ------------------------------------------------------------
@@ -341,7 +343,10 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     nugget when ``noise``), the fit is warm: it takes ``model_fun_evals //
     WARM_BUDGET_DIVISOR`` evaluations, and its screen holds ``start``,
     clipped into the box, in place of the centre, so a start of the wrong
-    length raises ``ValueError``.
+    length raises ``ValueError``. On at least ``KEEP_START_ROWS_PER_DIM * d``
+    rows (counted after repeats are averaged, d the columns of ``X``) a warm
+    fit searches nothing: it keeps the clipped ``start`` and factors once,
+    and only a ``FitError`` there sends it to the warm search.
 
     The squared distances and the right-hand side (y, ones) are built once
     per fit. The screen's points are evaluated in blocks of
@@ -389,6 +394,33 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
             norm_min=norm_min, norm_span=norm_span,
         )
 
+    lo = np.full(d, control.min_theta)
+    hi = np.full(d, control.max_theta)
+    if control.noise:
+        lo = np.append(lo, NUGGET_LOG10_BOUNDS[0])
+        hi = np.append(hi, NUGGET_LOG10_BOUNDS[1])
+
+    def finalize(v: np.ndarray) -> KrigingModel:
+        # the search regularizes with the jitter floor for evaluability; the
+        # final noise-free factorization re-tries from zero so training
+        # targets are reproduced exactly whenever the kernel matrix allows it
+        nugget = 10.0 ** v[d] if control.noise else 0.0
+        model = _finalize(Z, y, v[:d], float(nugget), norm_min, norm_span)
+        model.params = v[:d].tolist() + ([math.log10(model.nugget)] if control.noise else [])
+        return model
+
+    budget = control.model_fun_evals
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != lo.shape:
+            raise ValueError(f"start must hold {lo.size} parameters")
+        if n >= KEEP_START_ROWS_PER_DIM * d:
+            try:
+                return finalize(np.clip(start, lo, hi))
+            except FitError:
+                pass
+        budget //= WARM_BUDGET_DIVISOR
+
     # negated squared per-dimension distances (the kernel's broadcast), one
     # flattened n x n block per row; every likelihood evaluation weights them
     # with one (1, d) @ (d, n*n) product, which is then exactly the negated
@@ -397,13 +429,6 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     D *= -D
     D = D.reshape(d, n * n)
     rhs = _rhs(y)
-
-    lo = np.full(d, control.min_theta)
-    hi = np.full(d, control.max_theta)
-    if control.noise:
-        lo = np.append(lo, NUGGET_LOG10_BOUNDS[0])
-        hi = np.append(hi, NUGGET_LOG10_BOUNDS[1])
-
     rows = max(1, _KERNEL_BLOCK // (n * n))
 
     def objective(V: np.ndarray) -> list[float]:
@@ -423,22 +448,8 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
             out += _nll(R.reshape(-1, n, n), rhs)
         return out
 
-    budget = control.model_fun_evals
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != lo.shape:
-            raise ValueError(f"start must hold {lo.size} parameters")
-        budget //= WARM_BUDGET_DIVISOR
     best_v, _ = _budgeted_search(objective, lo, hi, budget, seed, start=start)
-
-    theta = best_v[:d]
-    # the search regularizes with the jitter floor for evaluability; the
-    # final noise-free factorization re-tries from zero so training targets
-    # are reproduced exactly whenever the kernel matrix allows it
-    nugget = 10.0 ** best_v[d] if control.noise else 0.0
-    model = _finalize(Z, y, theta, float(nugget), norm_min, norm_span)
-    model.params = theta.tolist() + ([math.log10(model.nugget)] if control.noise else [])
-    return model
+    return finalize(best_v)
 
 
 def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,

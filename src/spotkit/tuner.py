@@ -7,7 +7,10 @@ of lowest predicted mean not yet evaluated, evaluate, append. A fit is warm
 proposed the last evaluation, which ``RunState.params`` keeps so that a
 resume repeats it; it is cold when that evaluation has none or the count of
 iterations (``n_points * fun_repeats`` evaluations each) is a multiple of
-``COLD_FIT_EVERY``. Stops on the evaluation budget or the wall-time budget
+``COLD_FIT_EVERY``. Once the fit sees ``surrogate.KEEP_START_ROWS_PER_DIM``
+distinct rows per active dimension, a warm fit keeps those parameters
+without a search, so the cold fits alone re-estimate them. Stops on the
+evaluation budget or the wall-time budget
 (checked between evaluations, so one fit or search can overrun it; the
 initial design always runs to completion).
 """

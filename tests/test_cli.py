@@ -235,6 +235,23 @@ class TestResume:
         docs = [json.load(open(os.path.join(d, "run_state.json"))) for d in (full, cut)]
         assert docs[0]["params"] == docs[1]["params"]
 
+    def test_resume_past_kept_parameters_matches_full_run(self, tmp_path):
+        # mixed4 tunes 4 dimensions, so from 40 rows its warm fits keep the
+        # persisted parameters without a search; the resumed session starts
+        # at 45 evaluations
+        cfg = os.path.join(REPO, "configs", "bench_mixed4.json")
+        full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+        assert main(["tune", "--config", cfg, "--out", full, "--fun-evals", "60"]) == 0
+        assert main(["tune", "--config", cfg, "--out", cut, "--fun-evals", "45"]) == 0
+        assert main(["resume", "--out", cut, "--fun-evals", "60"]) == 0
+        events = [open(os.path.join(d, "events.csv")).read() for d in (full, cut)]
+        assert events[0] == events[1]
+        assert events[0].count("\n") == 61
+        docs = [json.load(open(os.path.join(d, "run_state.json"))) for d in (full, cut)]
+        for doc in docs:
+            del doc["elapsed"]
+        assert docs[0] == docs[1]
+
     def test_run_state_without_params_resumes(self, tmp_path):
         # a run state written before the params column: its first fit is cold
         cfg = write_config(tmp_path / "exp.json", objective="builtin:mixed4",

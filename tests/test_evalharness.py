@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -361,6 +362,56 @@ class TestTunedTrainTest:
         t2 = run_test_tuned(HP, test, weights_path=path)
         assert t1 == t2            # shuffle off: bit-deterministic
         assert 0.0 <= t1.metric <= 1.0
+
+    @pytest.mark.parametrize("fail_at", [None, 3, 1])
+    def test_checkpoint_written_once_as_the_last_best(self, toy_data, tmp_path,
+                                                      monkeypatch, fail_at):
+        # the reference file is rewritten at each new best, as a checkpoint per
+        # best would be; a non-finite validation loss at epoch ``fail_at``
+        # fails the training, at epoch 1 before any best
+        from spotkit import evalharness
+
+        train, _ = toy_data
+        ref, path = str(tmp_path / "ref.json"), str(tmp_path / "w.json")
+        nets, writes, bests = [], [], []
+
+        class Recorded(ToyNet):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                nets.append(self)
+
+        real_loop, real_save = evalharness.run_training_loop, evalharness.save_weights
+
+        def loop(epochs, patience, train_epoch, validate_epoch, on_best):
+            epoch_of = [0]
+
+            def validate(epoch):
+                epoch_of[0] = epoch
+                return (0.5, math.nan) if epoch == fail_at else validate_epoch(epoch)
+
+            def each_best():
+                bests.append(epoch_of[0])
+                save_weights(nets[-1], ref)
+                on_best()
+
+            return real_loop(epochs, patience, train_epoch, validate, each_best)
+
+        def save(net, where):
+            writes.append(where)
+            real_save(net, where)
+
+        monkeypatch.setattr(evalharness, "ToyNet", Recorded)
+        monkeypatch.setattr(evalharness, "run_training_loop", loop)
+        monkeypatch.setattr(evalharness, "save_weights", save)
+        hp = dataclasses.replace(HP, epochs=6, patience=6)
+        res = train_tuned(hp, train, seed=2, save_path=path)
+        assert res.failed == (fail_at is not None)
+        assert bests == {None: [1, 2, 3, 4, 5, 6], 3: [1, 2], 1: []}[fail_at]
+        if fail_at == 1:
+            assert writes == [] and not (tmp_path / "w.json").exists()
+        else:
+            assert writes == [path]
+            assert (tmp_path / "w.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_checkpoint_round_trip_bit_exact(self, toy_data, tmp_path):
         train, _ = toy_data

@@ -463,8 +463,9 @@ class TestMeanAt:
 
 
 class TestPredictRows:
-    """``predict`` on an m x d array: each entry has the bits of ``predict``
-    at that row alone, across ``_kernel``'s row blocks."""
+    """``predict`` and ``predict_batch`` on an m x d array: each entry has
+    the bits of ``predict`` at that row alone, across ``_kernel``'s row
+    blocks."""
 
     def test_bit_equal_to_one_point_calls(self):
         rng = np.random.default_rng(11)
@@ -483,6 +484,7 @@ class TestPredictRows:
                 means = model.predict(Q)
                 assert means.shape == (m,)
                 assert [model.predict(q) for q in Q] == means.tolist()
+                assert np.array_equal(model.predict_batch(Q), means)
                 assert np.array_equal(np.signbit(means),
                                       [np.signbit(model.predict(q)) for q in Q])
 
@@ -603,6 +605,103 @@ class TestWarmFit:
             nll = [neg_log_likelihood(m.Z, y, m.theta_log10, JITTER_FLOOR)
                    for m in (cold, warm)]
             assert nll[1] <= nll[0] + 1e-9
+
+
+class TestKeptStart:
+    """From ``KEEP_START_ROWS_PER_DIM * d`` distinct rows a warm fit keeps
+    its clipped start and factors once; below that it searches."""
+
+    D = 2
+    ROWS = sg.KEEP_START_ROWS_PER_DIM * D
+
+    @staticmethod
+    def data(n, d=2):
+        rng = np.random.default_rng(23)
+        X = rng.random((n, d))
+        return X, np.sin(4 * X[:, 0]) + X[:, 1] ** 2
+
+    @staticmethod
+    def spy_search(monkeypatch) -> list:
+        """The budget of every ``_budgeted_search`` call; the search runs."""
+        budgets, real_search = [], sg._budgeted_search
+
+        def spy(objective, lo, hi, budget, seed, *, start=None):
+            budgets.append(budget)
+            return real_search(objective, lo, hi, budget, seed, start=start)
+
+        monkeypatch.setattr(sg, "_budgeted_search", spy)
+        return budgets
+
+    def test_keeps_the_clipped_start_without_a_search(self, monkeypatch):
+        budgets = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS)
+        start = [0.5, 9.0]                # the second clips to max_theta 3.0
+        model = fit(X, y, SurrogateControl(model_fun_evals=300), seed=0, start=start)
+        assert budgets == []
+        assert model.params == [0.5, 3.0]
+        assert model.theta_log10.tolist() == [0.5, 3.0]
+        ref = sg._finalize(model.Z, y, np.array([0.5, 3.0]), 0.0,
+                           model.norm_min, model.norm_span)
+        probes = np.random.default_rng(1).random((50, self.D)) * 1.4 - 0.2
+        assert ref.nugget == model.nugget
+        assert np.array_equal(ref.weights, model.weights)
+        assert np.array_equal(ref.predict_batch(probes), model.predict_batch(probes))
+
+    def test_one_row_fewer_searches_on_the_warm_budget(self, monkeypatch):
+        budgets = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS - 1)
+        control = SurrogateControl(model_fun_evals=300)
+        model = fit(X, y, control, seed=0, start=[0.5, 3.0])
+        assert budgets == [300 // sg.WARM_BUDGET_DIVISOR]
+        assert model.params != [0.5, 3.0]
+        fit(X, y, control, seed=0)        # a cold fit searches on the full budget
+        assert budgets[1:] == [300]
+
+    def test_rows_counted_after_repeats_are_averaged(self, monkeypatch):
+        budgets = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS)
+        X[-1] = X[0]                      # 19 distinct rows without noise
+        fit(X, y, SurrogateControl(model_fun_evals=300), seed=0, start=[0.5, 0.5])
+        assert budgets == [300 // sg.WARM_BUDGET_DIVISOR]
+        # with noise every row counts, so the same data keep the start
+        model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=300), seed=0,
+                    start=[0.5, 0.5, -3.0])
+        assert budgets == [300 // sg.WARM_BUDGET_DIVISOR]
+        assert model.params[:2] == [0.5, 0.5]
+
+    def test_noise_keeps_the_clipped_nugget(self, monkeypatch):
+        budgets = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS)
+        control = SurrogateControl(noise=True, model_fun_evals=300)
+        for log10_nugget, kept in [(-3.0, -3.0), (0.5, -1.0), (-20.0, -8.0)]:
+            model = fit(X, y, control, seed=0, start=[0.5, 1.0, log10_nugget])
+            assert model.nugget == 10.0 ** kept
+            assert model.params == [0.5, 1.0, math.log10(10.0 ** kept)]
+        assert budgets == []
+
+    def test_fit_error_at_the_start_falls_back_to_the_warm_search(self, monkeypatch):
+        budgets = self.spy_search(monkeypatch)
+        finalized, real_finalize = [], sg._finalize
+
+        def finalize(Z, y, theta_log10, *args):
+            finalized.append(theta_log10.tolist())
+            if len(finalized) == 1:
+                raise sg.FitError("not positive definite")
+            return real_finalize(Z, y, theta_log10, *args)
+
+        monkeypatch.setattr(sg, "_finalize", finalize)
+        X, y = self.data(self.ROWS)
+        model = fit(X, y, SurrogateControl(model_fun_evals=300), seed=0,
+                    start=[0.5, 9.0])
+        assert budgets == [300 // sg.WARM_BUDGET_DIVISOR]
+        assert finalized[0] == [0.5, 3.0]
+        assert model.params == finalized[1]
+
+    def test_dimension_is_the_columns_of_x(self, monkeypatch):
+        budgets = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS, d=3)  # 20 rows, short of 30 for 3 columns
+        fit(X, y, SurrogateControl(model_fun_evals=300), seed=0, start=[0.5, 0.5, 0.5])
+        assert budgets == [300 // sg.WARM_BUDGET_DIVISOR]
 
 
 def test_rescaled_column_leaves_ranking_unchanged():

@@ -5,6 +5,10 @@
 Extracts REV into a temporary directory (``git archive``) and runs
 ``spotkit bench`` on each row's config with both source trees, in child
 processes with ``OPENBLAS_NUM_THREADS=1``, 20 reps at bench seeds 1 and 97.
+The rows are ``configs/bench_mixed4.json`` (40 evaluations), ``mixed4_long``,
+the same at 150 evaluations from a derived config written into the
+temporary directory, so that its fits pass 40 distinct rows, from which a
+warm fit keeps its start (10 per mixed4 dimension), and ``configs/toy.json``.
 The child runs the ``bench`` command itself and records the best loss of
 every tuned and every random-search run, so the rep seeds are derived as
 ``bench`` derives them and the pairs share their seeds across the trees.
@@ -20,6 +24,7 @@ Per row and seed it prints:
   ``evalharness.train_one_epoch``, 0 on an objective without training), so
   that a change which moves the search towards costlier configurations
   shows before the benchmark runs;
+- each side's runtime of the row's child process, in seconds;
 - a verdict, "better", "worse" or "same", from an exact two-sided sign
   test at 0.05 over the non-tied pairs.
 
@@ -38,7 +43,9 @@ import tempfile
 
 from same_outputs import ROOT, extract
 
-ROWS = {"mixed4": "configs/bench_mixed4.json", "toy": "configs/toy.json"}
+MIXED4_LONG = "mixed4_long.json"     # derived; main() writes it
+ROWS = {"mixed4": "configs/bench_mixed4.json", "mixed4_long": MIXED4_LONG,
+        "toy": "configs/toy.json"}
 SEEDS = (1, 97)
 REPS = 20
 ALPHA = 0.05
@@ -46,7 +53,8 @@ ALPHA = 0.05
 # records the best loss of each run that ``bench`` makes and the training
 # epochs of the tuned runs, then prints them as the last line of stdout
 CHILD = """
-import json, sys
+import json, sys, time
+started = time.perf_counter()
 from spotkit import cli, evalharness, tuner as tn
 
 best = {"spot": [], "random": [], "epochs": 0}
@@ -73,8 +81,16 @@ tn.run = recorded(tn.run, "spot")
 tn.random_search = recorded(tn.random_search, "random")
 code = cli.main(["bench", "--config", sys.argv[1], "--reps", sys.argv[2],
                  "--seed", sys.argv[3]])
-print(json.dumps(dict(best, code=code)))
+print(json.dumps(dict(best, code=code, seconds=time.perf_counter() - started)))
 """
+
+
+def write_derived(tmp: str) -> None:
+    with open(os.path.join(ROOT, ROWS["mixed4"]), encoding="utf-8") as fh:
+        exp = json.load(fh)
+    exp["tuner"]["fun_evals"] = 150
+    with open(os.path.join(tmp, MIXED4_LONG), "w", encoding="utf-8") as fh:
+        json.dump(exp, fh)
 
 
 def start(tree: str, config: str, seed: int) -> subprocess.Popen:
@@ -82,7 +98,7 @@ def start(tree: str, config: str, seed: int) -> subprocess.Popen:
                PYTHONPATH=os.path.join(tree, "src"))
     env.pop("SPOTKIT_SEED", None)
     return subprocess.Popen(
-        [sys.executable, "-c", CHILD, os.path.join(tree, config), str(REPS), str(seed)],
+        [sys.executable, "-c", CHILD, config, str(REPS), str(seed)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
 
 
@@ -124,7 +140,8 @@ def report(name: str, seed: int, old: dict, new: dict) -> tuple[str, str]:
             f"median log10 best {median_log10(new['spot']):.3f} "
             f"(rev {median_log10(old['spot']):.3f}); "
             f"beats random {spot_wins(new)}/{REPS} (rev {spot_wins(old)}/{REPS}); "
-            f"training epochs {new['epochs']} (rev {old['epochs']})")
+            f"training epochs {new['epochs']} (rev {old['epochs']}); "
+            f"runtime {new['seconds']:.1f} s (rev {old['seconds']:.1f} s)")
     return verdict, line
 
 
@@ -134,11 +151,16 @@ def main(argv: list[str]) -> int:
         return 64
     ok = True
     with tempfile.TemporaryDirectory(prefix="quality_") as tmp:
-        extract(argv[0], tmp)
+        rev = os.path.join(tmp, "rev")
+        extract(argv[0], rev)
+        write_derived(tmp)
         for name, config in ROWS.items():
             for seed in SEEDS:
+                paths = [os.path.join(tree, config) if config.startswith("configs/")
+                         else os.path.join(tmp, config) for tree in (rev, ROOT)]
                 old, new = [finish(proc) for proc in
-                            [start(tree, config, seed) for tree in (tmp, ROOT)]]
+                            [start(tree, path, seed)
+                             for tree, path in zip((rev, ROOT), paths)]]
                 if old is None or new is None:
                     print(f"{name} seed {seed}: failed", flush=True)
                     ok = False

@@ -23,8 +23,10 @@ and every proposal, so each fit averages repeated rows.
 ``tune`` and a ``resume`` to 30, and ``resume_mixed4_warm`` the same from a
 23-evaluation ``tune``, so that the resumed session's first surrogate fit is
 warm (started from the parameters ``run_state.json`` keeps) where
-``resume_mixed4``'s is cold; the printed output of each step and the final
-artifacts are compared. Prints
+``resume_mixed4``'s is cold. ``resume_mixed4_long`` tunes 45 evaluations and
+resumes to 60, past the 40 distinct rows (10 per mixed4 dimension) from
+which a warm fit keeps the persisted parameters without a search. The
+printed output of each step and the final artifacts are compared. Prints
 one line per command and exits 1 on any difference or failed step, 0
 otherwise. The temporary directories are removed in either case.
 """
@@ -65,6 +67,8 @@ COMMANDS = {
                       ["resume", "--fun-evals", "30"]],
     "resume_mixed4_warm": [["tune", "--config", MIXED4, "--fun-evals", "23", "--seed", "1"],
                            ["resume", "--fun-evals", "30"]],
+    "resume_mixed4_long": [["tune", "--config", MIXED4, "--fun-evals", "45", "--seed", "1"],
+                           ["resume", "--fun-evals", "60"]],
 }
 
 
