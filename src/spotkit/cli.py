@@ -255,12 +255,15 @@ def _resolve_seed(exp: dict, flag_seed: int | None) -> int:
 
 def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
                     surr_cfg: sg.SurrogateControl, seed: int) -> list[dict]:
-    """Refit the surrogate on the full history and write the analysis files."""
+    """Refit the surrogate on the full history and write the analysis files.
+    The refit re-estimates the parameters of the last evaluation's fit
+    (``surrogate.fit``'s ``refresh``): cold on few rows, warm on many."""
     os.makedirs(out_dir, exist_ok=True)
     model = None
     try:
         model = sg.fit(np.asarray(state.X)[:, space.active_mask], state.y, surr_cfg,
-                       seed=child_seed(seed, 1, len(state)))
+                       seed=child_seed(seed, 1, len(state)),
+                       start=state.params[-1], refresh=True)
     except (ValueError, sg.FitError) as err:
         print(f"warning: surrogate refit for the artifacts failed "
               f"({type(err).__name__}: {err}); importance is written as 0 and "

@@ -86,10 +86,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 WARM_BUDGET_DIVISOR = 4
 
 # from this many distinct rows per tuned dimension a warm fit keeps its start
-# instead of searching: about 10 d rows determine a Gaussian-process model's
-# parameters well (Loeppky, Sacks & Welch, "Choosing the sample size of a
-# computer experiment: a practical guide", Technometrics 51(4), 2009), so one
-# more row barely moves the likelihood optimum
+# instead of searching, and a refresh searches warm instead of cold: about
+# 10 d rows determine a Gaussian-process model's parameters well (Loeppky,
+# Sacks & Welch, "Choosing the sample size of a computer experiment: a
+# practical guide", Technometrics 51(4), 2009), so one more row barely moves
+# the likelihood optimum
 KEEP_START_ROWS_PER_DIM = 10
 
 # _kernel forms its d x rows x n terms, and fit's likelihood its stack of
@@ -332,7 +333,7 @@ def _likelihood(L: np.ndarray, rhs: np.ndarray) -> list[float]:
 # -- fitting ----------------------------------------------------------------
 
 def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
-        start=None) -> KrigingModel:
+        start=None, refresh: bool = False) -> KrigingModel:
     """Fit theta (and the nugget when ``noise``) by budgeted likelihood search.
 
     The budget ``model_fun_evals`` caps the number of likelihood
@@ -346,7 +347,10 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     length raises ``ValueError``. On at least ``KEEP_START_ROWS_PER_DIM * d``
     rows (counted after repeats are averaged, d the columns of ``X``) a warm
     fit searches nothing: it keeps the clipped ``start`` and factors once,
-    and only a ``FitError`` there sends it to the warm search.
+    and only a ``FitError`` there sends it to the warm search. With
+    ``refresh`` the parameters are re-estimated: below that many rows the
+    fit is cold, as if ``start`` were None, and from that many on it is the
+    warm search, never keeping the start.
 
     The squared distances and the right-hand side (y, ones) are built once
     per fit. The screen's points are evaluated in blocks of
@@ -414,12 +418,16 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         start = np.asarray(start, dtype=float)
         if start.shape != lo.shape:
             raise ValueError(f"start must hold {lo.size} parameters")
-        if n >= KEEP_START_ROWS_PER_DIM * d:
+        settled = n >= KEEP_START_ROWS_PER_DIM * d
+        if settled and not refresh:
             try:
                 return finalize(np.clip(start, lo, hi))
             except FitError:
                 pass
-        budget //= WARM_BUDGET_DIVISOR
+        if settled or not refresh:
+            budget //= WARM_BUDGET_DIVISOR
+        else:
+            start = None
 
     # negated squared per-dimension distances (the kernel's broadcast), one
     # flattened n x n block per row; every likelihood evaluation weights them

@@ -2,17 +2,18 @@
 
 Evaluate an optional start point and the full initial design, then
 alternate: fit the Kriging surrogate on everything seen, propose the points
-of lowest predicted mean not yet evaluated, evaluate, append. A fit is warm
-(``surrogate.fit``'s ``start``) from the parameters of the fit that
+of lowest predicted mean not yet evaluated, evaluate, append. Every fit
+starts (``surrogate.fit``'s ``start``) from the parameters of the fit that
 proposed the last evaluation, which ``RunState.params`` keeps so that a
-resume repeats it; it is cold when that evaluation has none or the count of
-iterations (``n_points * fun_repeats`` evaluations each) is a multiple of
-``COLD_FIT_EVERY``. Once the fit sees ``surrogate.KEEP_START_ROWS_PER_DIM``
-distinct rows per active dimension, a warm fit keeps those parameters
-without a search, so the cold fits alone re-estimate them. Stops on the
-evaluation budget or the wall-time budget
-(checked between evaluations, so one fit or search can overrun it; the
-initial design always runs to completion).
+resume repeats it; it is cold when that evaluation has none. When the count
+of iterations (``n_points * fun_repeats`` evaluations each) is a multiple
+of ``REFRESH_EVERY`` the fit re-estimates the parameters (``refresh``):
+cold below ``surrogate.KEEP_START_ROWS_PER_DIM`` distinct rows per active
+dimension, a short warm search from that many on. Between refreshes a fit
+searches warm below that many rows and keeps the parameters from there on.
+Stops on the evaluation budget or the wall-time budget (checked between
+evaluations, so one fit or search can overrun it; the initial design
+always runs to completion).
 """
 from __future__ import annotations
 
@@ -32,9 +33,9 @@ from .searchspace import SearchSpace
 
 DEFAULT_TOLERANCE_X = float(np.sqrt(np.spacing(1.0)))
 
-# every this many iterations the surrogate fit is cold (full budget, from
-# scratch); the fits between are warm from the previous one
-COLD_FIT_EVERY = 5
+# every this many iterations the surrogate fit re-estimates its parameters
+# (``surrogate.fit``'s ``refresh``); the fits between start from the previous one
+REFRESH_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -369,8 +370,8 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     are rewritten atomically after every evaluation.
 
     Each evaluation records in ``params`` the parameters of the fit that
-    proposed it (None without a fit), and the next fit starts warm from
-    them unless the schedule makes it cold.
+    proposed it (None without a fit), and the next fit starts from them,
+    re-estimating them when the schedule makes it a refresh.
 
     Each ``elapsed`` entry is the seconds since the session's previous
     evaluation ended (or it started), fits, searches and writes included.
@@ -417,13 +418,12 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
     # -- sequential phase
     while len(state) < tuner.fun_evals and not out_of_time():
         k = len(state) - state.n_initial      # stable across resumes
-        cold = k // (tuner.n_points * tuner.fun_repeats) % COLD_FIT_EVERY == 0
-        start = None if cold else state.params[-1]
+        refresh = k // (tuner.n_points * tuner.fun_repeats) % REFRESH_EVERY == 0
         model = params = None
         try:
             model = sg.fit(np.asarray(state.X)[:, space.active_mask], state.y,
                            surrogate_control, seed=child_seed(tuner.seed, 1, k),
-                           start=start)
+                           start=state.params[-1], refresh=refresh)
             params = model.params
         except (ValueError, sg.FitError):
             pass

@@ -178,6 +178,54 @@ class TestTune:
         assert min(state["y"]) < 0.5
 
 
+class TestArtifactRefit:
+    """``write_artifacts`` refits as a refresh from the last evaluation's
+    parameters: a warm search from 10 distinct rows per tuned dimension (40
+    on mixed4), the cold fit below."""
+
+    CONTROL = sg.SurrogateControl(model_fun_evals=300)
+
+    def tuned(self, fun_evals):
+        from spotkit.cli import _mixed4_objective, _mixed4_space
+        from spotkit.design import DesignControl
+
+        space = _mixed4_space()
+        state = tn.run(_mixed4_objective, space, tn.TunerConfig(fun_evals=fun_evals, seed=3),
+                       DesignControl(init_size=10, seed=5), self.CONTROL)
+        assert state.params[-1] is not None
+        return space, state
+
+    def test_warm_budget_from_ten_rows_per_dimension(self, tmp_path, monkeypatch):
+        from spotkit.cli import write_artifacts
+
+        space, state = self.tuned(45)
+        calls, real_search = [], sg._budgeted_search
+
+        def spy(objective, lo, hi, budget, seed, *, start=None):
+            calls.append((budget, None if start is None else start.tolist()))
+            return real_search(objective, lo, hi, budget, seed, start=start)
+
+        monkeypatch.setattr(sg, "_budgeted_search", spy)
+        write_artifacts(str(tmp_path), space, state, self.CONTROL, seed=3)
+        assert calls == [(300 // sg.WARM_BUDGET_DIVISOR, state.params[-1])]
+
+    def test_fewer_rows_write_the_cold_fit_artifacts(self, tmp_path, monkeypatch):
+        from spotkit.cli import write_artifacts
+
+        space, state = self.tuned(30)
+        write_artifacts(str(tmp_path / "refresh"), space, state, self.CONTROL, seed=3)
+        real_fit = sg.fit
+        monkeypatch.setattr(sg, "fit", lambda *args, start=None, refresh=False, **kw:
+                            real_fit(*args, **kw))
+        write_artifacts(str(tmp_path / "cold"), space, state, self.CONTROL, seed=3)
+        names = sorted(os.listdir(tmp_path / "cold"))
+        assert any(name.startswith("contour_") for name in names)
+        assert sorted(os.listdir(tmp_path / "refresh")) == names
+        for name in names:
+            assert ((tmp_path / "refresh" / name).read_bytes()
+                    == (tmp_path / "cold" / name).read_bytes()), name
+
+
 class TestResume:
     def test_resume_after_truncation_matches_full_run(self, sphere_config, tmp_path):
         out1, out2 = str(tmp_path / "full"), str(tmp_path / "cut")

@@ -704,6 +704,69 @@ class TestKeptStart:
         assert budgets == [300 // sg.WARM_BUDGET_DIVISOR]
 
 
+class TestRefresh:
+    """``fit(..., refresh=True)`` re-estimates the parameters: below
+    ``KEEP_START_ROWS_PER_DIM * d`` distinct rows it is the cold fit, from
+    there on the warm search from the clipped start, never keeping it."""
+
+    ROWS = TestKeptStart.ROWS
+    data = staticmethod(TestKeptStart.data)
+
+    @staticmethod
+    def spy_search(monkeypatch) -> list:
+        """``(budget, clipped start or None, lo, hi)`` of every
+        ``_budgeted_search`` call, as lists; the search runs."""
+        calls, real_search = [], sg._budgeted_search
+
+        def spy(objective, lo, hi, budget, seed, *, start=None):
+            clipped = None if start is None else np.clip(start, lo, hi).tolist()
+            calls.append((budget, clipped, lo.tolist(), hi.tolist()))
+            return real_search(objective, lo, hi, budget, seed, start=start)
+
+        monkeypatch.setattr(sg, "_budgeted_search", spy)
+        return calls
+
+    def test_warm_search_from_the_clipped_start(self, monkeypatch):
+        calls = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS + 1)
+        X[-1] = X[0]                      # 20 distinct rows once averaged
+        model = fit(X, y, SurrogateControl(model_fun_evals=300), seed=0,
+                    start=[0.5, 9.0], refresh=True)
+        assert [c[:2] for c in calls] == [(300 // sg.WARM_BUDGET_DIVISOR, [0.5, 3.0])]
+        assert model.params != [0.5, 3.0]
+        # one distinct row fewer: the refresh is cold
+        fit(X[:-2], y[:-2], SurrogateControl(model_fun_evals=300), seed=0,
+            start=[0.5, 9.0], refresh=True)
+        assert [c[:2] for c in calls[1:]] == [(300, None)]
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_below_ten_rows_per_dimension_equals_the_cold_fit(self, monkeypatch, noise):
+        calls = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS - 1)
+        control = SurrogateControl(noise=noise, model_fun_evals=300)
+        cold = fit(X, y, control, seed=5)
+        refreshed = fit(X, y, control, seed=5, start=[0.5, 3.0, -3.0][:2 + noise],
+                        refresh=True)
+        assert [c[:2] for c in calls] == [(300, None)] * 2
+        assert np.array_equal(refreshed.theta_log10, cold.theta_log10)
+        assert refreshed.nugget == cold.nugget
+        assert refreshed.mu == cold.mu
+        assert np.array_equal(refreshed.weights, cold.weights)
+        assert refreshed.params == cold.params
+
+    def test_noise_searches_the_nugget_too(self, monkeypatch):
+        calls = self.spy_search(monkeypatch)
+        X, y = self.data(self.ROWS)
+        model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=300), seed=0,
+                    start=[0.5, 1.0, 0.5], refresh=True)
+        [(budget, start, lo, hi)] = calls
+        assert budget == 300 // sg.WARM_BUDGET_DIVISOR
+        assert start == [0.5, 1.0, sg.NUGGET_LOG10_BOUNDS[1]]
+        assert (lo[2], hi[2]) == sg.NUGGET_LOG10_BOUNDS
+        assert model.params[2] == math.log10(model.nugget)
+        assert model.params != start
+
+
 def test_rescaled_column_leaves_ranking_unchanged():
     rng = np.random.default_rng(8)
     X = rng.random((14, 2))

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spotkit import tuner
+from spotkit import surrogate as sg, tuner
 from spotkit.analysis import export_contour
 from spotkit.design import DesignControl
 from spotkit.evalharness import EvalResult
@@ -983,34 +983,55 @@ class TestPersistence:
 
 class TestWarmFits:
     @staticmethod
-    def fit_starts(monkeypatch) -> list:
+    def fit_starts(monkeypatch, refreshes=None) -> list:
         """The ``start`` of every ``fit`` the loop makes, recorded as a list
-        (None for a cold fit)."""
-        import spotkit.surrogate as sg
-
+        (None when there is none), and its ``refresh`` flag appended to
+        ``refreshes`` when given."""
         starts, real_fit = [], sg.fit
 
-        def spy(*args, start=None, **kw):
+        def spy(*args, start=None, refresh=False, **kw):
             starts.append(None if start is None else list(start))
-            return real_fit(*args, start=start, **kw)
+            if refreshes is not None:
+                refreshes.append(refresh)
+            return real_fit(*args, start=start, refresh=refresh, **kw)
 
         monkeypatch.setattr(sg, "fit", spy)
         return starts
 
+    @staticmethod
+    def search_budgets(monkeypatch) -> list:
+        """The budget of every ``surrogate._budgeted_search`` call; the
+        search runs."""
+        budgets, real_search = [], sg._budgeted_search
+
+        def spy(objective, lo, hi, budget, seed, *, start=None):
+            budgets.append(budget)
+            return real_search(objective, lo, hi, budget, seed, start=start)
+
+        monkeypatch.setattr(sg, "_budgeted_search", spy)
+        return budgets
+
     def test_cold_every_fifth_evaluation_warm_from_the_last_between(self, monkeypatch):
-        starts = self.fit_starts(monkeypatch)
+        refreshes = []
+        starts = self.fit_starts(monkeypatch, refreshes)
+        budgets = self.search_budgets(monkeypatch)
         state = run(sphere, float_space(2), TunerConfig(fun_evals=30, seed=4),
                     DesignControl(init_size=8, seed=1), FAST_SURROGATE)
         assert state.params[:8] == [None] * 8
         seq = state.params[8:]
         assert all(p is not None and len(p) == 2 for p in seq)
-        assert starts == [None if k % tuner.COLD_FIT_EVERY == 0 else seq[k - 1]
-                          for k in range(22)]
+        assert starts == [None] + seq[:21]
+        assert refreshes == [k % tuner.REFRESH_EVERY == 0 for k in range(22)]
+        # below 20 rows (k < 12) every fit searches, cold on a refresh; from
+        # there the refreshes (k = 15, 20) search warm and the rest keep
+        full, warm = 300, 300 // sg.WARM_BUDGET_DIVISOR
+        assert budgets == ([full] + [warm] * 4) * 2 + [full, warm] + [warm] * 2
 
     @pytest.mark.parametrize("n_points, fun_repeats", [(5, 1), (1, 5), (2, 1)])
     def test_cold_every_fifth_iteration(self, monkeypatch, n_points, fun_repeats):
-        # an iteration of 5 evaluations once made every fit cold
-        starts = self.fit_starts(monkeypatch)
+        # an iteration of 5 evaluations once made every fit a refresh
+        refreshes = []
+        starts = self.fit_starts(monkeypatch, refreshes)
         per = n_points * fun_repeats
         state = run(sphere, float_space(2),
                     TunerConfig(fun_evals=8 + 7 * per, n_points=n_points,
@@ -1018,8 +1039,21 @@ class TestWarmFits:
                     DesignControl(init_size=8, seed=1), FAST_SURROGATE)
         seq = state.params[8:]
         assert len(seq) == 7 * per and all(p is not None for p in seq)
-        assert starts == [None if i % tuner.COLD_FIT_EVERY == 0 else seq[i * per - 1]
-                          for i in range(7)]
+        assert starts == [None] + [seq[i * per - 1] for i in range(1, 7)]
+        assert refreshes == [i % tuner.REFRESH_EVERY == 0 for i in range(7)]
+
+    def test_refresh_searches_warm_from_ten_rows_per_dimension(self, monkeypatch):
+        # mixed4 has 4 dimensions and a 10-point design, so the fit at
+        # iteration k sees 10 + k distinct rows and reaches 40 at k = 30
+        from spotkit.cli import _mixed4_objective, _mixed4_space
+
+        budgets = self.search_budgets(monkeypatch)
+        run(_mixed4_objective, _mixed4_space(), TunerConfig(fun_evals=120, seed=3),
+            DesignControl(init_size=10, seed=5), SurrogateControl(model_fun_evals=300))
+        full, warm = 300, 300 // sg.WARM_BUDGET_DIVISOR
+        # cold refreshes at k = 0, 5, ..., 25, warm ones from k = 30 on, and
+        # kept fits between those
+        assert budgets == ([full] + [warm] * 4) * 6 + [warm] * 16
 
     def test_noise_params_end_with_the_log10_nugget(self, monkeypatch):
         starts = self.fit_starts(monkeypatch)

@@ -5,10 +5,11 @@
 Extracts REV into a temporary directory (``git archive``) and runs
 ``spotkit bench`` on each row's config with both source trees, in child
 processes with ``OPENBLAS_NUM_THREADS=1``, 20 reps at bench seeds 1 and 97.
-The rows are ``configs/bench_mixed4.json`` (40 evaluations), ``mixed4_long``,
-the same at 150 evaluations from a derived config written into the
-temporary directory, so that its fits pass 40 distinct rows, from which a
-warm fit keeps its start (10 per mixed4 dimension), and ``configs/toy.json``.
+The rows are ``configs/bench_mixed4.json`` (40 evaluations), ``mixed4_long``
+and ``mixed4_300``, the same at 150 and 300 evaluations from derived configs
+written into the temporary directory, so that their fits pass 40 distinct
+rows, from which a warm fit keeps its start and a refresh searches warm
+(10 per mixed4 dimension), and ``configs/toy.json``.
 The child runs the ``bench`` command itself and records the best loss of
 every tuned and every random-search run, so the rep seeds are derived as
 ``bench`` derives them and the pairs share their seeds across the trees.
@@ -43,8 +44,10 @@ import tempfile
 
 from same_outputs import ROOT, extract
 
-MIXED4_LONG = "mixed4_long.json"     # derived; main() writes it
-ROWS = {"mixed4": "configs/bench_mixed4.json", "mixed4_long": MIXED4_LONG,
+# derived configs at these evaluation budgets; main() writes them
+DERIVED = {"mixed4_long": 150, "mixed4_300": 300}
+ROWS = {"mixed4": "configs/bench_mixed4.json",
+        **{name: f"{name}.json" for name in DERIVED},
         "toy": "configs/toy.json"}
 SEEDS = (1, 97)
 REPS = 20
@@ -88,9 +91,10 @@ print(json.dumps(dict(best, code=code, seconds=time.perf_counter() - started)))
 def write_derived(tmp: str) -> None:
     with open(os.path.join(ROOT, ROWS["mixed4"]), encoding="utf-8") as fh:
         exp = json.load(fh)
-    exp["tuner"]["fun_evals"] = 150
-    with open(os.path.join(tmp, MIXED4_LONG), "w", encoding="utf-8") as fh:
-        json.dump(exp, fh)
+    for name, fun_evals in DERIVED.items():
+        exp["tuner"]["fun_evals"] = fun_evals
+        with open(os.path.join(tmp, ROWS[name]), "w", encoding="utf-8") as fh:
+            json.dump(exp, fh)
 
 
 def start(tree: str, config: str, seed: int) -> subprocess.Popen:
