@@ -6,8 +6,9 @@ surrogate control blocks. Outputs land in one directory per run:
 run_state.json, events.csv, results.csv, importance.csv, progress.csv,
 parallel.csv plus one contour file per important parameter pair.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure. A runtime
-failure prints ``error: <exception class>: <message>``, and with
+Exit codes: 0 success, 1 configuration error (an unknown top-level key is
+one), 2 runtime failure (a run in which every evaluation failed is one). A
+runtime failure prints ``error: <exception class>: <message>``, and with
 SPOTKIT_DEBUG=1 in the environment also its traceback.
 """
 from __future__ import annotations
@@ -102,6 +103,9 @@ _DEFAULTS = {
     "x_start": "default",
     "out": "spotkit_run",
 }
+# every top-level key the commands read; load_experiment rejects any other
+_KEYS = frozenset(_DEFAULTS) | {"hyper_dict", "modify", "tuner", "design", "surrogate",
+                                "eval_seed", "external_timeout"}
 
 
 def load_experiment(path: str) -> dict:
@@ -116,6 +120,10 @@ def load_experiment(path: str) -> dict:
         raise ConfigError(f"experiment config {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"experiment config {path} must be a JSON object")
+    unknown = sorted(set(doc) - _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown experiment config keys {unknown}; "
+                          f"known keys: {sorted(_KEYS)}")
     exp = dict(_DEFAULTS)
     exp.update(doc)
     for key in ("objective", "model"):
@@ -264,7 +272,7 @@ def write_artifacts(out_dir: str, space: SearchSpace, state: tn.RunState,
         model = sg.fit(np.asarray(state.X)[:, space.active_mask], state.y, surr_cfg,
                        seed=child_seed(seed, 1, len(state)),
                        start=state.params[-1], refresh=True)
-    except (ValueError, sg.FitError) as err:
+    except ValueError as err:
         print(f"warning: surrogate refit for the artifacts failed "
               f"({type(err).__name__}: {err}); importance is written as 0 and "
               f"no contours", file=sys.stderr)
@@ -335,11 +343,14 @@ def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
     """Run (or continue, given ``state=``) the tuner from the checked start
     configuration ``x_start``, write the artifacts, report the best
     configuration and, for ToyNet, retrain and test it: the shared tail of
-    ``tune`` and ``resume``. Returns the exit code."""
+    ``tune`` and ``resume``. Returns the exit code, 2 when every evaluation
+    failed (checked before the artifacts are written)."""
     tuner_cfg, design_cfg, surr_cfg = controls
     try:
         state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
                        X_start=x_start, out_dir=out_dir, **run_kw)
+        if tn.all_failed(state.y):
+            raise RuntimeError(f"all {len(state)} evaluations failed")
         write_artifacts(out_dir, space, state, surr_cfg, seed)
         _report_best(state, space)
         if exp["objective"] == "toynet":

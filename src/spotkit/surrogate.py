@@ -99,7 +99,7 @@ KEEP_START_ROWS_PER_DIM = 10
 _KERNEL_BLOCK = 1 << 14
 
 
-class FitError(RuntimeError):
+class FitError(ValueError):
     """Raised when no positive-definite correlation matrix can be built."""
 
 
@@ -128,9 +128,8 @@ class KrigingModel:
     ``predict_batch`` gives the mean at each row, scoring the infill
     probes; ``predict`` the mean at a point or at each row, for the infill
     search's Nelder-Mead and the contour export. Both take ``_mean``, whose
-    every value has the bits of its point alone. ``_finalize`` builds the
-    model with the per-model arrays it reads; a constant-data model has none
-    of them.
+    every value has the bits of its point alone. ``_finalize`` builds every
+    model, with the per-model arrays it reads.
     """
 
     theta_log10: np.ndarray       # d activity exponents
@@ -138,12 +137,12 @@ class KrigingModel:
     mu: float
     norm_min: np.ndarray          # per-dim normalization offsets
     norm_span: np.ndarray         # per-dim spans (zeros replaced by 1)
-    weights: np.ndarray | None = None       # R^-1 (y - mu)
-    Z: np.ndarray | None = field(default=None, repr=False)  # normalized inputs
-    neg_t10: np.ndarray | None = field(default=None, repr=False)  # -10**theta_log10
+    weights: np.ndarray           # R^-1 (y - mu)
+    Z: np.ndarray = field(repr=False)          # normalized inputs
+    neg_t10: np.ndarray = field(repr=False)    # -10**theta_log10
     # the ``start`` of a later warm fit: theta_log10, then the log10 nugget
-    # when ``noise``; None for a constant-data model
-    params: list | None = None
+    # when ``noise``
+    params: list
 
     @property
     def dim(self) -> int:
@@ -172,8 +171,6 @@ class KrigingModel:
         one-row product makes (a plain (m, n) @ (n,) product sums in another
         order)."""
         Q = np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
-        if self.weights is None:   # constant-data model
-            return np.full(Q.shape[0], self.mu)
         psi = _kernel(Q, self.Z, self.neg_t10)
         return self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
 
@@ -366,9 +363,10 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     Without ``noise`` the model interpolates, so it cannot take coincident
     points: the exact repeats of a normalized row (design ``repeats``,
     ``fun_repeats``) enter as one row at their mean loss, in first-occurrence
-    order. Fewer than two rows, after that averaging, raise ``ValueError``.
-    The model's ``params`` is the ``start`` of a later warm fit on data of
-    the same dimension.
+    order. Equal losses after that averaging (one row included) raise
+    ``ValueError``, as do the search and ``_finalize`` when they find no
+    model. The model's ``params`` is the ``start`` of a later warm fit on
+    data of the same dimension.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -388,30 +386,14 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
             y = (np.bincount(inverse, weights=y) / np.bincount(inverse))[order]
             Z = Z[first[order]]
     n, d = Z.shape
-    if n < 2:
-        raise ValueError("need at least two distinct observations")
-
-    if np.ptp(y) == 0.0:
-        # constant observations: degenerate model that predicts the constant
-        return KrigingModel(
-            theta_log10=np.zeros(d), nugget=0.0, mu=float(y[0]),
-            norm_min=norm_min, norm_span=norm_span,
-        )
+    if np.ptp(y) == 0.0:        # one row is constant too
+        raise ValueError("need at least two distinct observations with unequal losses")
 
     lo = np.full(d, control.min_theta)
     hi = np.full(d, control.max_theta)
     if control.noise:
         lo = np.append(lo, NUGGET_LOG10_BOUNDS[0])
         hi = np.append(hi, NUGGET_LOG10_BOUNDS[1])
-
-    def finalize(v: np.ndarray) -> KrigingModel:
-        # the search regularizes with the jitter floor for evaluability; the
-        # final noise-free factorization re-tries from zero so training
-        # targets are reproduced exactly whenever the kernel matrix allows it
-        nugget = 10.0 ** v[d] if control.noise else 0.0
-        model = _finalize(Z, y, v[:d], float(nugget), norm_min, norm_span)
-        model.params = v[:d].tolist() + ([math.log10(model.nugget)] if control.noise else [])
-        return model
 
     budget = control.model_fun_evals
     if start is not None:
@@ -421,7 +403,8 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         settled = n >= KEEP_START_ROWS_PER_DIM * d
         if settled and not refresh:
             try:
-                return finalize(np.clip(start, lo, hi))
+                return _finalize(Z, y, np.clip(start, lo, hi), control.noise,
+                                 norm_min, norm_span)
             except FitError:
                 pass
         if settled or not refresh:
@@ -457,18 +440,25 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         return out
 
     best_v, _ = _budgeted_search(objective, lo, hi, budget, seed, start=start)
-    return finalize(best_v)
+    return _finalize(Z, y, best_v, control.noise, norm_min, norm_span)
 
 
-def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: float,
+def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
               norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
-    """The model on the normalized inputs ``Z`` at the chosen parameters:
-    factor R, escalating jitter if needed, and take mu and the weights from
-    ``_likelihood_one``.
+    """The model on the normalized inputs ``Z`` at the parameter vector
+    ``v`` (``theta_log10``, then the log10 nugget when ``noise``): factor R,
+    escalating jitter if needed (``FitError`` past ``JITTER_CEIL``), and
+    take mu and the weights from ``_likelihood_one``.
 
-    Any jitter the factorization needs is absorbed into the stored nugget,
-    so the model always describes the matrix actually factored.
+    Without ``noise`` the factorization starts from a zero nugget, not the
+    search's jitter floor, so the model reproduces its training targets
+    whenever the kernel matrix allows it. Any jitter it needs is absorbed
+    into the stored nugget and ``params``: the model describes the matrix
+    actually factored.
     """
+    d = Z.shape[1]
+    theta_log10 = v[:d]
+    nugget = float(10.0 ** v[d]) if noise else 0.0
     jitter = 0.0
     while True:
         R = _correlation(Z, theta_log10, nugget + jitter)
@@ -482,10 +472,12 @@ def _finalize(Z: np.ndarray, y: np.ndarray, theta_log10: np.ndarray, nugget: flo
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
     _, mu, rinv_r = _likelihood_one(L, _rhs(y))
+    nugget += jitter
     return KrigingModel(
-        theta_log10=theta_log10, nugget=float(nugget + jitter),
+        theta_log10=theta_log10, nugget=nugget,
         mu=mu, norm_min=norm_min, norm_span=norm_span,
         weights=rinv_r, Z=Z, neg_t10=-(10.0 ** theta_log10),
+        params=theta_log10.tolist() + ([math.log10(nugget)] if noise else []),
     )
 
 
@@ -493,7 +485,9 @@ def _budgeted_search(objective, lo, hi, budget: int, seed: int, *, start=None):
     """LHS screen (80% of budget), then coordinate-wise golden sections.
     ``objective`` maps an m x dims array of parameter vectors to m values.
     The screen's first point is ``start`` clipped into the box, or the box
-    centre when ``start`` is None."""
+    centre when ``start`` is None. Raises ``ValueError`` when no screened
+    value is finite, as when the losses span so many orders of magnitude
+    that every likelihood overflows."""
     rng = np.random.default_rng(seed)
     dims = lo.size
     n_screen = max(2, int(0.8 * budget))
@@ -503,6 +497,8 @@ def _budgeted_search(objective, lo, hi, budget: int, seed: int, *, start=None):
     for v, f in zip(pts, objective(pts)):
         if f < best_f:      # the first strict improvement; never NaN or inf
             best_v, best_f = v.copy(), f
+    if best_v is None:
+        raise ValueError("no finite likelihood in the parameter box")
     used = n_screen
 
     remaining = budget - used

@@ -11,9 +11,14 @@ of ``REFRESH_EVERY`` the fit re-estimates the parameters (``refresh``):
 cold below ``surrogate.KEEP_START_ROWS_PER_DIM`` distinct rows per active
 dimension, a short warm search from that many on. Between refreshes a fit
 searches warm below that many rows and keeps the parameters from there on.
-Stops on the evaluation budget or the wall-time budget (checked between
-evaluations, so one fit or search can overrun it; the initial design
-always runs to completion).
+A fit that raises ``ValueError`` (equal losses, no finite likelihood, no
+positive-definite matrix) leaves its iteration without a model: the
+proposals are random and record no parameters, so the next fit is cold.
+A failed evaluation is stored at ``worst_sentinel`` of the losses before
+it, which lets ``all_failed`` tell from the losses alone that none
+succeeded. Stops on the evaluation budget or the wall-time budget (checked
+between evaluations, so one fit or search can overrun it; the initial
+design always runs to completion).
 """
 from __future__ import annotations
 
@@ -143,11 +148,30 @@ def best(state: RunState, space: SearchSpace) -> tuple[dict, float]:
 def worst_sentinel(ys) -> float:
     """Finite stand-in for a failed evaluation, clearly worse than anything seen."""
     finite = [v for v in ys if math.isfinite(v)]
-    if not finite:
+    return _sentinel_above(max(finite) if finite else None)
+
+
+def _sentinel_above(m: float | None) -> float:
+    """``worst_sentinel`` of losses whose largest finite one is ``m`` (None
+    for none)."""
+    if m is None:
         return 1e12
-    m = max(finite)
-    span = abs(m) if m != 0.0 else 1.0
-    return m + 9.0 * span
+    return m + 9.0 * (abs(m) if m != 0.0 else 1.0)
+
+
+def all_failed(ys) -> bool:
+    """True when ``ys`` is not empty and every loss in it is the
+    ``worst_sentinel`` of the losses before it, as ``_evaluate`` stores a
+    failed evaluation: a run in which no evaluation succeeded. One pass;
+    each penalty exceeds every loss before it, so the last finite one is
+    the largest."""
+    top = None
+    for v in ys:
+        if v != _sentinel_above(top):
+            return False
+        if math.isfinite(v):
+            top = v
+    return len(ys) > 0
 
 
 def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,
@@ -425,7 +449,7 @@ def run(objective, space: SearchSpace, tuner: TunerConfig | None = None,
                            surrogate_control, seed=child_seed(tuner.seed, 1, k),
                            start=state.params[-1], refresh=refresh)
             params = model.params
-        except (ValueError, sg.FitError):
+        except ValueError:      # no model: suggest_next proposes at random
             pass
         cands = suggest_next(
             state, model, space, tuner.n_points, 200 + 100 * space.n_active,

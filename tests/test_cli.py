@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from spotkit import surrogate as sg, tuner as tn
-from spotkit.cli import main
+from spotkit.cli import build_space, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -150,6 +150,19 @@ class TestTune:
             assert os.path.exists(os.path.join(out, name)), name
         rows = open(os.path.join(out, "importance.csv")).read().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["0.0", "0.0"]
+
+    def test_constant_objective_writes_no_model_artifacts(self, tmp_path, capsys):
+        # equal losses once gave a theta = 0 model, which rated every
+        # parameter 100 and wrote flat contour files
+        cfg = write_config(tmp_path / "exp.json",
+                           **{**EXTERNAL, "objective": """external:echo '{"loss": 1.0}'"""})
+        out = str(tmp_path / "run")
+        assert main(["tune", "--config", cfg, "--out", out]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: surrogate refit")
+        rows = open(os.path.join(out, "importance.csv")).read().splitlines()[1:]
+        assert rows and all(row.split(",")[1] == "0.0" for row in rows)
+        assert not [name for name in os.listdir(out) if name.startswith("contour_")]
 
     def test_external_objective(self, tmp_path):
         code = ("import json,sys; req=json.loads(sys.stdin.readline()); "
@@ -506,6 +519,9 @@ class TestBench:
       "x_start": {"x1": 0.5, "x2": 0.5, "width": 8, "kind": "a", "typo": 1}}, "x_start"),
     ({"objective": "builtin:mixed4", "model": "mixed4",
       "x_start": {"x1": 0.5, "x2": 0.5, "width": 10, "kind": "a"}}, "x_start"),
+    # an unknown top-level key: a misspelled surrogate block ran on the
+    # default model_fun_evals of 10,000
+    ({"surogate": {"model_fun_evals": 300}}, "surogate"),
 ])
 def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", **overrides)
@@ -514,6 +530,29 @@ def test_config_errors_exit_1(overrides, key, tmp_path, capsys):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")
             and key in line]
+
+
+@pytest.mark.parametrize("command", ["tune", "resume"])
+def test_every_evaluation_failed_exits_2(command, tmp_path, capsys):
+    # a run without one successful evaluation printed "best loss
+    # 1000000000000.0" and exited 0
+    cfg = write_config(tmp_path / "exp.json", **{**EXTERNAL, "objective": "external:false"})
+    out = str(tmp_path / "o")
+    argv, n = ["tune", "--config", cfg, "--out", out], 14
+    if command == "resume":
+        assert main(argv + ["--fun-evals", "10"]) == 2
+        argv, n = ["resume", "--out", out, "--fun-evals", "12"], 12
+    capsys.readouterr()
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.err.splitlines() == [f"error: RuntimeError: all {n} evaluations failed"]
+    assert "best loss" not in printed.out
+    # the loop's files stay as it wrote them, and no artifact is written
+    state = tn.load_run_state(out)
+    assert len(state) == n and tn.all_failed(state.y)
+    assert open(os.path.join(out, "events.csv")).read() == tn.events_csv(
+        state, build_space(state.meta["experiment"]))
+    assert sorted(os.listdir(out)) == ["events.csv", "run_state.json"]
 
 
 @pytest.mark.parametrize("command", ["tune", "resume"])

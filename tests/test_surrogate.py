@@ -270,10 +270,13 @@ class TestFit:
             assert model.predict(xi) == pytest.approx(yi, abs=1e-6)
 
     def test_constant_data(self):
+        # equal losses have no likelihood optimum; fit once returned a
+        # theta = 0 model that rated every dimension fully active
         X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
         y = np.full(3, 3.5)
-        model = fit(X, y, SurrogateControl(model_fun_evals=50), seed=0)
-        assert model.predict([0.3, 0.3]) == 3.5
+        for noise in (False, True):
+            with pytest.raises(ValueError, match="two distinct observations"):
+                fit(X, y, SurrogateControl(noise=noise, model_fun_evals=50), seed=0)
 
     def test_noise_free_interpolation_12_points(self):
         rng = np.random.default_rng(5)
@@ -355,13 +358,15 @@ class TestPredict:
         model = fit(X, y, SurrogateControl(model_fun_evals=200), seed=0)
         from spotkit.surrogate import _finalize
 
-        model = _finalize(model.Z, y, np.array([3.0, 3.0]), model.nugget,
+        model = _finalize(model.Z, y, np.array([3.0, 3.0]), False,
                           model.norm_min, model.norm_span)
         assert model.predict([1.0, 0.0]) == pytest.approx(model.mu, abs=1e-6)
 
     def test_symmetry_midpoint(self):
+        # two losses symmetric about 2.0: the midpoint correlates equally
+        # with both, and their weights cancel
         X = np.array([[0.0], [1.0]])
-        y = np.array([2.0, 2.0])
+        y = np.array([1.0, 3.0])
         model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=300), seed=0)
         assert model.predict([0.5]) == pytest.approx(2.0, abs=1e-9)
 
@@ -422,14 +427,6 @@ class TestLapackLoader:
             sg._load_flapack()
 
 
-class TestPredictMean:
-    def test_constant_data_model(self):
-        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
-        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
-        probes = np.array([[0.3, 0.3], [2.0, -1.0]])
-        assert np.array_equal(model.predict_batch(probes), [3.5, 3.5])
-
-
 class TestMeanAt:
     def test_bit_equal_to_predict_mean(self):
         rng = np.random.default_rng(6)
@@ -445,13 +442,6 @@ class TestMeanAt:
             for p in probes:
                 assert model.predict(p) == model.predict_batch(p[None, :])[0]
                 assert type(model.predict(p)) is float
-
-    def test_constant_data_model(self):
-        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
-        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
-        for p in ([0.3, 0.3], [2.0, -1.0]):
-            p = np.array(p)
-            assert model.predict(p) == model.predict_batch(p[None, :])[0] == 3.5
 
     def test_input_left_unchanged(self):
         rng = np.random.default_rng(1)
@@ -488,12 +478,6 @@ class TestPredictRows:
                 assert np.array_equal(np.signbit(means),
                                       [np.signbit(model.predict(q)) for q in Q])
 
-    def test_constant_data_model(self):
-        X = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2]])
-        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
-        means = model.predict(np.array([[0.3, 0.3], [2.0, -1.0], [0.0, 0.0]]))
-        assert means.tolist() == [3.5, 3.5, 3.5]
-
     def test_input_left_unchanged(self):
         rng = np.random.default_rng(1)
         X = rng.random((10, 2))
@@ -501,6 +485,16 @@ class TestPredictRows:
         Q = np.array([[1.5, -0.2], [0.3, 0.4]])
         model.predict(Q)
         assert np.array_equal(Q, [[1.5, -0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("budget", [5, 75])
+def test_search_without_a_finite_likelihood_raises(budget):
+    # with no finite screened value the search once handed None on: to the
+    # golden sections (AttributeError) or, on a budget too small for them,
+    # to the caller
+    lo, hi = np.full(2, -4.0), np.full(2, 3.0)
+    with pytest.raises(ValueError, match="no finite likelihood"):
+        sg._budgeted_search(lambda V: [math.inf] * len(V), lo, hi, budget, seed=0)
 
 
 class TestLhsScreen:
@@ -593,7 +587,8 @@ class TestWarmFit:
         # the screen's first point is the vector itself, clipping changes nothing
         fit(X, y, control, seed=1, start=model.params)
         assert seen == [None, model.params]
-        assert fit(X, np.full(15, 2.0), control).params is None   # constant data
+        with pytest.raises(ValueError):       # constant data: no model, no params
+            fit(X, np.full(15, 2.0), control)
 
     def test_warm_fit_from_a_cold_optimum_is_no_worse(self):
         # the warm screen evaluates the start itself
@@ -640,7 +635,7 @@ class TestKeptStart:
         assert budgets == []
         assert model.params == [0.5, 3.0]
         assert model.theta_log10.tolist() == [0.5, 3.0]
-        ref = sg._finalize(model.Z, y, np.array([0.5, 3.0]), 0.0,
+        ref = sg._finalize(model.Z, y, np.array([0.5, 3.0]), False,
                            model.norm_min, model.norm_span)
         probes = np.random.default_rng(1).random((50, self.D)) * 1.4 - 0.2
         assert ref.nugget == model.nugget
@@ -683,11 +678,11 @@ class TestKeptStart:
         budgets = self.spy_search(monkeypatch)
         finalized, real_finalize = [], sg._finalize
 
-        def finalize(Z, y, theta_log10, *args):
-            finalized.append(theta_log10.tolist())
+        def finalize(Z, y, v, *args):
+            finalized.append(v.tolist())
             if len(finalized) == 1:
                 raise sg.FitError("not positive definite")
-            return real_finalize(Z, y, theta_log10, *args)
+            return real_finalize(Z, y, v, *args)
 
         monkeypatch.setattr(sg, "_finalize", finalize)
         X, y = self.data(self.ROWS)

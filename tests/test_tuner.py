@@ -118,6 +118,18 @@ class TestRunBehaviour:
         assert all(math.isfinite(v) for v in state.y)
         assert state.y[2] == pytest.approx(worst_sentinel(state.y[:2]))
 
+    def test_every_evaluation_failing_runs_the_whole_budget(self):
+        # the compounding penalties reach 1e156 at evaluation 145, where no
+        # likelihood of the screen is finite; the fit raised TypeError or
+        # AttributeError there and ended the run
+        def failing(config):
+            raise RuntimeError("boom")
+
+        state = run(failing, float_space(2), TunerConfig(fun_evals=150, seed=2),
+                    DesignControl(init_size=8, seed=7), FAST_SURROGATE)
+        assert len(state) == 150
+        assert tuner.all_failed(state.y)
+
     def test_nan_loss_maps_to_sentinel(self):
         def sometimes_nan(config):
             if config["x0"] > 0:
@@ -180,7 +192,7 @@ class TestRepeatsReachSurrogate:
         def counting_fit(*args, **kwargs):
             try:
                 model = real_fit(*args, **kwargs)
-            except (ValueError, sg.FitError):
+            except ValueError:
                 fits["failed"] += 1
                 raise
             fits["ok"] += 1
@@ -342,6 +354,17 @@ class TestWorstSentinel:
     def test_negative_history_still_worse(self):
         s = worst_sentinel([-5.0, -2.0])
         assert s > -2.0
+
+    def test_all_failed_reads_the_penalties(self):
+        ys = []
+        for _ in range(320):        # the penalty overflows to inf past 300
+            ys.append(worst_sentinel(ys))
+        assert math.isinf(ys[-1])
+        assert tuner.all_failed(ys) and tuner.all_failed(ys[:1])
+        assert not tuner.all_failed([])
+        assert not tuner.all_failed([0.5] + ys[1:])
+        assert not tuner.all_failed(ys[:5] + [1.0])
+        assert not tuner.all_failed([2.0, worst_sentinel([2.0])])
 
 
 class TestSuggestNext:
@@ -577,6 +600,23 @@ def sequential_nelder_mead(f, x0, lo, hi, maxfev) -> tuple[np.ndarray, float, in
     return sim[0], fsim.min(), nfev
 
 
+class ConstantMean:
+    """A surrogate whose mean is ``value`` everywhere, with
+    ``KrigingModel``'s ``predict`` and ``predict_batch`` shapes: the flat
+    surface on which every Nelder-Mead vertex ties. ``fit`` makes no model
+    of equal losses."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict_batch(self, X):
+        return np.full(np.atleast_2d(X).shape[0], self.value)
+
+    def predict(self, x):
+        Q = np.asarray(x, dtype=float)
+        return self.value if Q.ndim == 1 else self.predict_batch(Q)
+
+
 def rows_of(f):
     """``f`` of one point, as the function of rows ``_nelder_mead`` calls."""
     return lambda X: np.array([f(x) for x in X])
@@ -630,8 +670,7 @@ class TestNelderMead:
             assert_same_as_scipy(model.predict, rng.uniform(lo, hi), lo, hi, maxfev)
 
     def test_constant_data_model(self):
-        X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
-        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        model = ConstantMean(3.5)
         lo, hi = np.zeros(3), np.ones(3)
         assert_same_as_scipy(model.predict, np.array([0.2, 0.7, 0.4]), lo, hi, 400)
 
@@ -640,8 +679,7 @@ class TestNelderMead:
         # contracts inside and shrinks: 4 initial calls, then 2 + 3 per
         # iteration; cutting at 4 + 2 * 5 + 2 + k leaves a shrink after
         # k < 3 of its vertices (k = 0: cut just before the first one)
-        X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
-        model = fit(X, np.full(3, -1.0), SurrogateControl(model_fun_evals=50), seed=0)
+        model = ConstantMean(-1.0)
         lo, hi = np.zeros(3), np.ones(3)
         x0 = np.array([0.2, 0.7, 0.4])
         for k in range(3):
@@ -689,8 +727,7 @@ class TestLockstepNelderMead:
     def test_constant_data_model(self):
         # every vertex ties: each round reflects, contracts and shrinks, and
         # the starts' shrinks share a call
-        X = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.2], [1.0, 0.2, 0.9]])
-        model = fit(X, np.full(3, 3.5), SurrogateControl(model_fun_evals=50), seed=0)
+        model = ConstantMean(3.5)
         lo, hi = np.zeros(3), np.ones(3)
         X0 = np.random.default_rng(5).random((6, 3))
         for maxfev in range(1, 121):
@@ -826,9 +863,7 @@ class TestSuggestNextStopRule:
         # a constant model on a box narrower than xatol: every start stops
         # after its 7 initial evaluations, well inside its 21, and still
         # only the 19 starts the split allows run
-        X = np.random.default_rng(0).random((8, 6))
-        model = fit(X, np.full(8, 2.0), FAST_SURROGATE, seed=0)
-        waves = self.compare(monkeypatch, model, float_space(6, 0.0, 1e-9),
+        waves = self.compare(monkeypatch, ConstantMean(2.0), float_space(6, 0.0, 1e-9),
                              25, 800, range(2))
         assert all([len(x) for x in w] == [19] for w in waves)
 

@@ -8,7 +8,7 @@ reference commands below against both source trees with
 printed output (stdout and stderr) and every artifact byte for byte.
 ``run_state.json`` holds wall-clock timings in its ``elapsed`` column, so it
 is compared without that column, as re-dumped JSON text (text, since a NaN
-metric never equals itself once parsed). Six commands run derived configs
+metric never equals itself once parsed). Eight commands run derived configs
 written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
 runs it validating on the explicit test split (``test_hold_out``),
@@ -19,6 +19,11 @@ nugget, two points per iteration and two repeats per point,
 runs four Nelder-Mead starts and de-duplicates a four-point batch, and
 ``tune_mixed4_repeats`` noise-free with two repeats of every design point
 and every proposal, so each fit averages repeated rows.
+``tune_constant`` runs ``configs/toy.json``'s space on an ``external:``
+objective that prints the loss 1.0 every time, so no surrogate can be
+fitted: every proposal is random and the artifacts hold zero importance
+and no contours. ``tune_all_failed`` runs it on ``external:false``, every
+evaluation of which fails; it is expected to exit 2.
 ``resume_mixed4`` is two steps in one output directory, a 20-evaluation
 ``tune`` and a ``resume`` to 30, and ``resume_mixed4_warm`` the same from a
 23-evaluation ``tune``, so that the resumed session's first surrogate fit is
@@ -27,7 +32,8 @@ warm (started from the parameters ``run_state.json`` keeps) where
 resumes to 60, past the 40 distinct rows (10 per mixed4 dimension) from
 which a warm fit keeps the persisted parameters without a search. The
 printed output of each step and the final artifacts are compared. Prints
-one line per command and exits 1 on any difference or failed step, 0
+one line per command and exits 1 on any difference or on a step that exits
+other than expected (0, or the command's ``EXIT_CODES`` entry), 0
 otherwise. The temporary directories are removed in either case.
 """
 from __future__ import annotations
@@ -49,6 +55,8 @@ TOY_TEST_CV = "toy_test_cv.json"
 MIXED4_NOISE = "mixed4_noise.json"
 MIXED4_POINTS4 = "mixed4_points4.json"
 MIXED4_REPEATS = "mixed4_repeats.json"
+TOY_CONSTANT = "toy_constant.json"
+TOY_ALL_FAILED = "toy_all_failed.json"
 # each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
@@ -59,6 +67,8 @@ COMMANDS = {
     "tune_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--seed", "3"]],
     "tune_mixed4_points4": [["tune", "--config", MIXED4_POINTS4, "--fun-evals", "40"]],
     "tune_mixed4_repeats": [["tune", "--config", MIXED4_REPEATS, "--fun-evals", "40"]],
+    "tune_constant": [["tune", "--config", TOY_CONSTANT, "--fun-evals", "14"]],
+    "tune_all_failed": [["tune", "--config", TOY_ALL_FAILED, "--fun-evals", "14"]],
     "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
     "tune_mixed4_100_s97": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"]],
     "bench_mixed4_s1": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"]],
@@ -70,6 +80,8 @@ COMMANDS = {
     "resume_mixed4_long": [["tune", "--config", MIXED4, "--fun-evals", "45", "--seed", "1"],
                            ["resume", "--fun-evals", "60"]],
 }
+# the exit code of each step of a command that is not expected to exit 0
+EXIT_CODES = {"tune_all_failed": 2}
 
 
 def write_derived(work: str) -> None:
@@ -90,9 +102,12 @@ def write_derived(work: str) -> None:
     mixed4_repeats = load("bench_mixed4.json")
     mixed4_repeats["tuner"]["fun_repeats"] = 2
     mixed4_repeats["design"]["repeats"] = 2
+    toy_constant = dict(load("toy.json"), objective="""external:echo '{"loss": 1.0}'""")
+    toy_all_failed = dict(load("toy.json"), objective="external:false")
     for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (TOY_TEST_CV, toy_test_cv),
                       (MIXED4_NOISE, mixed4_noise), (MIXED4_POINTS4, mixed4_points4),
-                      (MIXED4_REPEATS, mixed4_repeats)):
+                      (MIXED4_REPEATS, mixed4_repeats), (TOY_CONSTANT, toy_constant),
+                      (TOY_ALL_FAILED, toy_all_failed)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(exp, fh)
 
@@ -155,7 +170,8 @@ def main(argv: list[str]) -> int:
         for name, command in COMMANDS.items():
             old, new = [run(tree, work, name, command) for tree, work in trees]
             differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-            failed = any(k.startswith("<exit code") and v != b"0"
+            want = str(EXIT_CODES.get(name, 0)).encode()
+            failed = any(k.startswith("<exit code") and v != want
                          for files in (old, new) for k, v in files.items())
             ok = ok and not differ and not failed
             n_artifacts = sum(1 for k in new if not k.startswith("<"))
