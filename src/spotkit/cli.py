@@ -7,8 +7,10 @@ run_state.json, events.csv, results.csv, importance.csv, progress.csv,
 parallel.csv plus one contour file per important parameter pair.
 
 Exit codes: 0 success, 1 configuration error (an unknown top-level key is
-one), 2 runtime failure (a run in which every evaluation failed is one). A
-runtime failure prints ``error: <exception class>: <message>``, and with
+one), 2 any other error (a run in which every evaluation failed is one, and
+so is a failed write of ``bench.csv``). ``main`` is the one place that maps
+exceptions to these codes: a ``ConfigError`` prints ``error: <message>``,
+any other exception ``error: <exception class>: <message>``, and with
 SPOTKIT_DEBUG=1 in the environment also its traceback.
 """
 from __future__ import annotations
@@ -343,20 +345,17 @@ def _run_and_report(exp: dict, space: SearchSpace, seed: int, objective,
     """Run (or continue, given ``state=``) the tuner from the checked start
     configuration ``x_start``, write the artifacts, report the best
     configuration and, for ToyNet, retrain and test it: the shared tail of
-    ``tune`` and ``resume``. Returns the exit code, 2 when every evaluation
-    failed (checked before the artifacts are written)."""
+    ``tune`` and ``resume``. Returns 0; raises ``RuntimeError`` when every
+    evaluation failed (checked before the artifacts are written)."""
     tuner_cfg, design_cfg, surr_cfg = controls
-    try:
-        state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
-                       X_start=x_start, out_dir=out_dir, **run_kw)
-        if tn.all_failed(state.y):
-            raise RuntimeError(f"all {len(state)} evaluations failed")
-        write_artifacts(out_dir, space, state, surr_cfg, seed)
-        _report_best(state, space)
-        if exp["objective"] == "toynet":
-            _final_train_test(exp, space, state, out_dir, seed)
-    except Exception as err:
-        return _runtime_error(err)
+    state = tn.run(objective, space, tuner_cfg, design_cfg, surr_cfg,
+                   X_start=x_start, out_dir=out_dir, **run_kw)
+    if tn.all_failed(state.y):
+        raise RuntimeError(f"all {len(state)} evaluations failed")
+    write_artifacts(out_dir, space, state, surr_cfg, seed)
+    _report_best(state, space)
+    if exp["objective"] == "toynet":
+        _final_train_test(exp, space, state, out_dir, seed)
     return 0
 
 
@@ -374,27 +373,22 @@ def cmd_bench(args) -> int:
         raise ConfigError("initial design exceeds the bench budget")
 
     spot_best, rand_best = [], []
-    try:
-        for rep in range(args.reps):
-            rep_seed = child_seed(seed, 100, rep)
-            objective = build_objective(exp, rep_seed, space)
-            spot_state = tn.run(
-                objective, space, dataclasses.replace(tuner_cfg, seed=rep_seed),
-                dataclasses.replace(design_cfg, seed=child_seed(rep_seed, 5)),
-                surr_cfg)
-            if len(spot_state) < budget:
-                print(f"error: tuner.max_time ended the tuned run after "
-                      f"{len(spot_state)} of {budget} evaluations; bench compares "
-                      "equal budgets", file=sys.stderr)
-                return 2
-            rand_state = tn.random_search(objective, space, budget,
-                                          seed=child_seed(rep_seed, 6))
-            spot_best.append(spot_state.best_y)
-            rand_best.append(rand_state.best_y)
-    except ConfigError:        # from the first rep's build_objective
-        raise
-    except Exception as err:
-        return _runtime_error(err)
+    for rep in range(args.reps):
+        rep_seed = child_seed(seed, 100, rep)
+        objective = build_objective(exp, rep_seed, space)
+        spot_state = tn.run(
+            objective, space, dataclasses.replace(tuner_cfg, seed=rep_seed),
+            dataclasses.replace(design_cfg, seed=child_seed(rep_seed, 5)),
+            surr_cfg)
+        if len(spot_state) < budget:
+            print(f"error: tuner.max_time ended the tuned run after "
+                  f"{len(spot_state)} of {budget} evaluations; bench compares "
+                  "equal budgets", file=sys.stderr)
+            return 2
+        rand_state = tn.random_search(objective, space, budget,
+                                      seed=child_seed(rep_seed, 6))
+        spot_best.append(spot_state.best_y)
+        rand_best.append(rand_state.best_y)
 
     wins = sum(1 for s, r in zip(spot_best, rand_best) if s < r)
     rows = [
@@ -422,7 +416,8 @@ def _bench_row(method: str, evals: int, bests: list[float], wins: str) -> dict:
 # -- shared helpers ----------------------------------------------------------------
 
 def _runtime_error(err: Exception) -> int:
-    """Report a failure of a running command on stderr; the exit code 2."""
+    """Report a command's failure other than a configuration error on
+    stderr; the exit code 2."""
     print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
     if os.environ.get(DEBUG_ENV_VAR) == "1":
         traceback.print_exception(type(err), err, err.__traceback__, file=sys.stderr)
@@ -532,6 +527,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except Exception as err:
+        return _runtime_error(err)
 
 
 if __name__ == "__main__":

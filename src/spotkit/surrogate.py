@@ -99,10 +99,6 @@ KEEP_START_ROWS_PER_DIM = 10
 _KERNEL_BLOCK = 1 << 14
 
 
-class FitError(ValueError):
-    """Raised when no positive-definite correlation matrix can be built."""
-
-
 @dataclass(frozen=True)
 class SurrogateControl:
     noise: bool = False
@@ -344,7 +340,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     length raises ``ValueError``. On at least ``KEEP_START_ROWS_PER_DIM * d``
     rows (counted after repeats are averaged, d the columns of ``X``) a warm
     fit searches nothing: it keeps the clipped ``start`` and factors once,
-    and only a ``FitError`` there sends it to the warm search. With
+    and only a ``ValueError`` there sends it to the warm search. With
     ``refresh`` the parameters are re-estimated: below that many rows the
     fit is cold, as if ``start`` were None, and from that many on it is the
     warm search, never keeping the start.
@@ -363,10 +359,11 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     Without ``noise`` the model interpolates, so it cannot take coincident
     points: the exact repeats of a normalized row (design ``repeats``,
     ``fun_repeats``) enter as one row at their mean loss, in first-occurrence
-    order. Equal losses after that averaging (one row included) raise
-    ``ValueError``, as do the search and ``_finalize`` when they find no
-    model. The model's ``params`` is the ``start`` of a later warm fit on
-    data of the same dimension.
+    order. ``ValueError`` is the one exception for a fit without a model:
+    equal losses after that averaging (one row included) raise it, and so
+    do the search and ``_finalize`` when they find none. The model's
+    ``params`` is the ``start`` of a later warm fit on data of the same
+    dimension.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -405,7 +402,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
             try:
                 return _finalize(Z, y, np.clip(start, lo, hi), control.noise,
                                  norm_min, norm_span)
-            except FitError:
+            except ValueError:
                 pass
         if settled or not refresh:
             budget //= WARM_BUDGET_DIVISOR
@@ -447,7 +444,7 @@ def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
               norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
     """The model on the normalized inputs ``Z`` at the parameter vector
     ``v`` (``theta_log10``, then the log10 nugget when ``noise``): factor R,
-    escalating jitter if needed (``FitError`` past ``JITTER_CEIL``), and
+    escalating jitter if needed (``ValueError`` past ``JITTER_CEIL``), and
     take mu and the weights from ``_likelihood_one``.
 
     Without ``noise`` the factorization starts from a zero nugget, not the
@@ -468,7 +465,7 @@ def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
         except np.linalg.LinAlgError:
             jitter = JITTER_FLOOR if jitter == 0.0 else jitter * 10.0
             if jitter > JITTER_CEIL:
-                raise FitError(
+                raise ValueError(
                     "correlation matrix not positive definite at jitter ceiling"
                 ) from None
     _, mu, rinv_r = _likelihood_one(L, _rhs(y))
@@ -486,8 +483,8 @@ def _budgeted_search(objective, lo, hi, budget: int, seed: int, *, start=None):
     ``objective`` maps an m x dims array of parameter vectors to m values.
     The screen's first point is ``start`` clipped into the box, or the box
     centre when ``start`` is None. Raises ``ValueError`` when no screened
-    value is finite, as when the losses span so many orders of magnitude
-    that every likelihood overflows."""
+    value is finite, as when no screened matrix is positive definite or the
+    losses are so large that every likelihood overflows."""
     rng = np.random.default_rng(seed)
     dims = lo.size
     n_screen = max(2, int(0.8 * budget))

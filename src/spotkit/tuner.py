@@ -15,7 +15,8 @@ A fit that raises ``ValueError`` (equal losses, no finite likelihood, no
 positive-definite matrix) leaves its iteration without a model: the
 proposals are random and record no parameters, so the next fit is cold.
 A failed evaluation is stored at ``worst_sentinel`` of the losses before
-it, which lets ``all_failed`` tell from the losses alone that none
+it, a penalty above the largest successful one that earlier penalties do
+not raise, which lets ``all_failed`` tell from the losses alone that none
 succeeded. Stops on the evaluation budget or the wall-time budget (checked
 between evaluations, so one fit or search can overrun it; the initial
 design always runs to completion).
@@ -146,32 +147,35 @@ def best(state: RunState, space: SearchSpace) -> tuple[dict, float]:
 
 
 def worst_sentinel(ys) -> float:
-    """Finite stand-in for a failed evaluation, clearly worse than anything seen."""
-    finite = [v for v in ys if math.isfinite(v)]
-    return _sentinel_above(max(finite) if finite else None)
+    """Finite stand-in for a failed evaluation after the losses ``ys``:
+    ``_sentinel_above`` their largest successful loss, so no penalty
+    depends on an earlier penalty."""
+    return _sentinel_above(_worst_success(ys))
 
 
 def _sentinel_above(m: float | None) -> float:
-    """``worst_sentinel`` of losses whose largest finite one is ``m`` (None
-    for none)."""
+    """The penalty above the largest successful loss ``m`` (None for none):
+    nine times its magnitude (one for 0) above it, 1e12 before any success."""
     if m is None:
         return 1e12
     return m + 9.0 * (abs(m) if m != 0.0 else 1.0)
 
 
-def all_failed(ys) -> bool:
-    """True when ``ys`` is not empty and every loss in it is the
-    ``worst_sentinel`` of the losses before it, as ``_evaluate`` stores a
-    failed evaluation: a run in which no evaluation succeeded. One pass;
-    each penalty exceeds every loss before it, so the last finite one is
-    the largest."""
+def _worst_success(ys) -> float | None:
+    """The largest successful loss in ``ys``, None for none. A loss equal to
+    ``_sentinel_above`` of the successful losses before it is a failed
+    evaluation's penalty, as ``_evaluate`` stores it."""
     top = None
     for v in ys:
-        if v != _sentinel_above(top):
-            return False
-        if math.isfinite(v):
+        if v != _sentinel_above(top) and (top is None or v > top):
             top = v
-    return len(ys) > 0
+    return top
+
+
+def all_failed(ys) -> bool:
+    """True when ``ys`` is not empty and holds no successful loss: a run in
+    which no evaluation succeeded."""
+    return len(ys) > 0 and _worst_success(ys) is None
 
 
 def _evaluate(objective, space: SearchSpace, state: RunState, vec: np.ndarray,

@@ -139,13 +139,13 @@ class TestTune:
     def test_artifact_refit_failure_reported(self, sphere_config, tmp_path,
                                              monkeypatch, capsys):
         def failing_fit(*args, **kwargs):
-            raise sg.FitError("synthetic refit failure")
+            raise ValueError("synthetic refit failure")
 
         monkeypatch.setattr(sg, "fit", failing_fit)
         out = str(tmp_path / "run")
         assert main(["tune", "--config", sphere_config, "--out", out]) == 0
         err = capsys.readouterr().err
-        assert err.count("FitError: synthetic refit failure") == 1
+        assert err.count("ValueError: synthetic refit failure") == 1
         for name in ARTIFACTS:
             assert os.path.exists(os.path.join(out, name)), name
         rows = open(os.path.join(out, "importance.csv")).read().splitlines()[1:]
@@ -637,6 +637,19 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert "error: RuntimeError: boom" in err
         assert ("Traceback (most recent call last)" in err) == (debug == "1")
+
+    def test_bench_out_naming_a_file_exits_2(self, sphere_config, tmp_path,
+                                             monkeypatch, capsys):
+        # raised after every rep had run, outside the loop's handler: a
+        # traceback and the configuration-error exit code 1
+        monkeypatch.delenv("SPOTKIT_DEBUG", raising=False)
+        out = tmp_path / "bench.csv"
+        out.write_text("")
+        assert main(["bench", "--config", sphere_config, "--reps", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: FileExistsError: [Errno 17] File exists: "
+                                    f"{str(out)!r}"]
 
 
 def tune_at_blas_threads(tmp_path, config, fun_evals):

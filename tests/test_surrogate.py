@@ -674,14 +674,14 @@ class TestKeptStart:
             assert model.params == [0.5, 1.0, math.log10(10.0 ** kept)]
         assert budgets == []
 
-    def test_fit_error_at_the_start_falls_back_to_the_warm_search(self, monkeypatch):
+    def test_value_error_at_the_start_falls_back_to_the_warm_search(self, monkeypatch):
         budgets = self.spy_search(monkeypatch)
         finalized, real_finalize = [], sg._finalize
 
         def finalize(Z, y, v, *args):
             finalized.append(v.tolist())
             if len(finalized) == 1:
-                raise sg.FitError("not positive definite")
+                raise ValueError("not positive definite")
             return real_finalize(Z, y, v, *args)
 
         monkeypatch.setattr(sg, "_finalize", finalize)

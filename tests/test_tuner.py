@@ -118,10 +118,11 @@ class TestRunBehaviour:
         assert all(math.isfinite(v) for v in state.y)
         assert state.y[2] == pytest.approx(worst_sentinel(state.y[:2]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_evaluation_failing_runs_the_whole_budget(self):
-        # the compounding penalties reach 1e156 at evaluation 145, where no
-        # likelihood of the screen is finite; the fit raised TypeError or
-        # AttributeError there and ended the run
+        # every penalty is 1e12, so every fit meets constant losses and
+        # raises ValueError, and every proposal is random; penalties that
+        # compounded once overflowed the likelihood and ended the run
         def failing(config):
             raise RuntimeError("boom")
 
@@ -357,14 +358,43 @@ class TestWorstSentinel:
 
     def test_all_failed_reads_the_penalties(self):
         ys = []
-        for _ in range(320):        # the penalty overflows to inf past 300
+        for _ in range(320):        # compounding penalties overflowed past 300
             ys.append(worst_sentinel(ys))
-        assert math.isinf(ys[-1])
+        assert ys == [1e12] * 320
         assert tuner.all_failed(ys) and tuner.all_failed(ys[:1])
         assert not tuner.all_failed([])
         assert not tuner.all_failed([0.5] + ys[1:])
         assert not tuner.all_failed(ys[:5] + [1.0])
         assert not tuner.all_failed([2.0, worst_sentinel([2.0])])
+
+    def test_failures_in_a_row_share_the_penalty(self):
+        # each penalty counted the ones before it: 20, 200, 2000
+        calls = {"n": 0}
+
+        def flaky(config):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise RuntimeError("boom")
+            return EvalResult(loss=2.0, metric=math.nan)
+
+        state = random_search(flaky, float_space(2), 4, seed=1)
+        assert state.y == [2.0, 20.0, 20.0, 20.0]
+        assert worst_sentinel(state.y) == 20.0
+        assert not tuner.all_failed(state.y)
+
+    def test_penalties_follow_the_successful_losses_only(self):
+        def half_failing(config):
+            if config["x0"] > 0:
+                raise RuntimeError("boom")
+            return sphere(config)
+
+        state = run(half_failing, float_space(1), TunerConfig(fun_evals=20, seed=3),
+                    DesignControl(init_size=8, seed=4), FAST_SURROGATE)
+        failed = [x[0] > 0 for x in state.X]
+        assert 2 <= sum(failed) < len(state)
+        for i in np.flatnonzero(failed):
+            successes = [v for v, f in zip(state.y[:i], failed) if not f]
+            assert state.y[i] == worst_sentinel(successes)
 
 
 class TestSuggestNext:

@@ -8,7 +8,7 @@ reference commands below against both source trees with
 printed output (stdout and stderr) and every artifact byte for byte.
 ``run_state.json`` holds wall-clock timings in its ``elapsed`` column, so it
 is compared without that column, as re-dumped JSON text (text, since a NaN
-metric never equals itself once parsed). Eight commands run derived configs
+metric never equals itself once parsed). Nine commands run derived configs
 written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
 runs it validating on the explicit test split (``test_hold_out``),
@@ -23,7 +23,12 @@ and every proposal, so each fit averages repeated rows.
 objective that prints the loss 1.0 every time, so no surrogate can be
 fitted: every proposal is random and the artifacts hold zero importance
 and no contours. ``tune_all_failed`` runs it on ``external:false``, every
-evaluation of which fails; it is expected to exit 2.
+evaluation of which fails; it is expected to exit 2. ``tune_some_failed``
+runs it for 20 evaluations on an ``external:`` objective that fails
+whenever ``l1`` exceeds 32 and otherwise prints ``l1 / 128 + epochs / 16``,
+so the run stores failure penalties among successful losses (three of them
+in its initial design); against a revision whose penalties still compound
+it is expected to differ.
 ``resume_mixed4`` is two steps in one output directory, a 20-evaluation
 ``tune`` and a ``resume`` to 30, and ``resume_mixed4_warm`` the same from a
 23-evaluation ``tune``, so that the resumed session's first surrogate fit is
@@ -57,6 +62,11 @@ MIXED4_POINTS4 = "mixed4_points4.json"
 MIXED4_REPEATS = "mixed4_repeats.json"
 TOY_CONSTANT = "toy_constant.json"
 TOY_ALL_FAILED = "toy_all_failed.json"
+TOY_SOME_FAILED = "toy_some_failed.json"
+SOME_FAILED_OBJECTIVE = (
+    "external:python3 -c \"import json, sys; c = json.load(sys.stdin)['config']; "
+    "c['l1'] > 32 and sys.exit(1); "
+    "print(json.dumps({'loss': c['l1'] / 128 + c['epochs'] / 16}))\"")
 # each command is a list of steps run in turn with the same --out directory
 COMMANDS = {
     "tune_toy": [["tune", "--config", "configs/toy.json"]],
@@ -69,6 +79,7 @@ COMMANDS = {
     "tune_mixed4_repeats": [["tune", "--config", MIXED4_REPEATS, "--fun-evals", "40"]],
     "tune_constant": [["tune", "--config", TOY_CONSTANT, "--fun-evals", "14"]],
     "tune_all_failed": [["tune", "--config", TOY_ALL_FAILED, "--fun-evals", "14"]],
+    "tune_some_failed": [["tune", "--config", TOY_SOME_FAILED, "--fun-evals", "20"]],
     "tune_mixed4_100_s1": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "1"]],
     "tune_mixed4_100_s97": [["tune", "--config", MIXED4, "--fun-evals", "100", "--seed", "97"]],
     "bench_mixed4_s1": [["bench", "--config", MIXED4, "--reps", "5", "--seed", "1"]],
@@ -104,10 +115,11 @@ def write_derived(work: str) -> None:
     mixed4_repeats["design"]["repeats"] = 2
     toy_constant = dict(load("toy.json"), objective="""external:echo '{"loss": 1.0}'""")
     toy_all_failed = dict(load("toy.json"), objective="external:false")
+    toy_some_failed = dict(load("toy.json"), objective=SOME_FAILED_OBJECTIVE)
     for name, exp in ((TOY_CV, toy_cv), (TOY_TEST, toy_test), (TOY_TEST_CV, toy_test_cv),
                       (MIXED4_NOISE, mixed4_noise), (MIXED4_POINTS4, mixed4_points4),
                       (MIXED4_REPEATS, mixed4_repeats), (TOY_CONSTANT, toy_constant),
-                      (TOY_ALL_FAILED, toy_all_failed)):
+                      (TOY_ALL_FAILED, toy_all_failed), (TOY_SOME_FAILED, toy_some_failed)):
         with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
             json.dump(exp, fh)
 
