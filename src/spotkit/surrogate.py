@@ -140,6 +140,12 @@ class KrigingModel:
     # when ``noise``
     params: list
 
+    def __post_init__(self):
+        # the layouts ``_kernel_rows`` reads, built once per model: Z as
+        # (d, 1, n) and the weights as (d, 1, 1)
+        self._Zt = np.ascontiguousarray(self.Z.T)[:, None, :]
+        self._w = self.neg_t10[:, None, None]
+
     @property
     def dim(self) -> int:
         return self.norm_min.size
@@ -161,13 +167,17 @@ class KrigingModel:
 
     def _mean(self, Q: np.ndarray) -> np.ndarray:
         """Kriging mean at each row of the 2-D array ``Q``, normalized and
-        clamped into the unit box, every value with the bits of that row
-        alone: the cross-correlations come from ``_kernel``, and one stacked
+        clamped into the unit box in one copy of ``Q``, every value with the
+        bits of that row alone: the cross-correlations come from
+        ``_kernel_rows`` on the model's layouts, and one stacked
         (m, 1, n) @ (n,) product makes one BLAS call per row, the call a
         one-row product makes (a plain (m, n) @ (n,) product sums in another
         order)."""
-        Q = np.minimum(np.maximum((Q - self.norm_min) / self.norm_span, 0.0), 1.0)
-        psi = _kernel(Q, self.Z, self.neg_t10)
+        U = Q - self.norm_min
+        U /= self.norm_span
+        np.maximum(U, 0.0, out=U)
+        np.minimum(U, 1.0, out=U)
+        psi = _kernel_rows(U, self._Zt, self._w)
         return self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
 
 
@@ -201,21 +211,29 @@ def _kernel(A: np.ndarray, B: np.ndarray, neg_t10: np.ndarray) -> np.ndarray:
     symmetric in sign. When all rows of ``A`` fit one block, as for every
     Nelder-Mead round and every single point, that block is the result.
     """
-    rows = max(1, _KERNEL_BLOCK // B.size)
+    return _kernel_rows(A, np.ascontiguousarray(B.T)[:, None, :], neg_t10[:, None, None])
+
+
+def _kernel_rows(A: np.ndarray, Bt: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``_kernel`` with ``B`` laid out as ``Bt`` (d x 1 x n) and the negated
+    weights as ``w`` (d x 1 x 1), the layouts a model keeps."""
+    rows = max(1, _KERNEL_BLOCK // Bt.size)
     if A.shape[0] <= rows:
-        return _kernel_block(A, B, neg_t10)
-    out = np.empty((A.shape[0], B.shape[0]))
+        return _kernel_block(A, Bt, w)
+    out = np.empty((A.shape[0], Bt.shape[2]))
     for i in range(0, A.shape[0], rows):
-        _kernel_block(A[i:i + rows], B, neg_t10, out[i:i + rows])
+        _kernel_block(A[i:i + rows], Bt, w, out[i:i + rows])
     return out
 
 
-def _kernel_block(A: np.ndarray, B: np.ndarray, neg_t10: np.ndarray, out=None):
-    """``_kernel`` of rows of ``A`` that fit one block, into ``out`` if given."""
-    diff = np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
-    w = diff * neg_t10[:, None, None]
-    w *= diff
-    return np.exp(np.add.reduce(w, axis=0), out=out)
+def _kernel_block(A: np.ndarray, Bt: np.ndarray, w: np.ndarray, out=None):
+    """``_kernel_rows`` of rows of ``A`` that fit one block, into ``out`` if
+    given."""
+    diff = np.subtract(A.T[:, :, None], Bt, order="C")
+    t = diff * w
+    t *= diff
+    s = np.add.reduce(t, axis=0, out=out)
+    return np.exp(s, out=s)
 
 
 def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.ndarray:
@@ -375,13 +393,12 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     norm_span = X.max(axis=0) - norm_min
     norm_span = np.where(norm_span > 0.0, norm_span, 1.0)
     Z = (X - norm_min) / norm_span
-    if not control.noise:
+    if not control.noise and _has_repeats(Z):
         _, first, inverse = np.unique(Z, axis=0, return_index=True,
                                       return_inverse=True)
-        if first.size < y.size:
-            order = np.argsort(first)
-            y = (np.bincount(inverse, weights=y) / np.bincount(inverse))[order]
-            Z = Z[first[order]]
+        order = np.argsort(first)
+        y = (np.bincount(inverse, weights=y) / np.bincount(inverse))[order]
+        Z = Z[first[order]]
     n, d = Z.shape
     if np.ptp(y) == 0.0:        # one row is constant too
         raise ValueError("need at least two distinct observations with unequal losses")
@@ -440,6 +457,14 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     return _finalize(Z, y, best_v, control.noise, norm_min, norm_span)
 
 
+def _has_repeats(Z: np.ndarray) -> bool:
+    """True when two rows of ``Z`` are equal, compared as floats as
+    ``np.unique`` compares them (-0.0 equals 0.0, NaN equals nothing): after
+    a lexsort equal rows are neighbours."""
+    S = Z[np.lexsort(Z.T)]
+    return bool((S[1:] == S[:-1]).all(axis=1).any())
+
+
 def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
               norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
     """The model on the normalized inputs ``Z`` at the parameter vector
@@ -451,14 +476,18 @@ def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
     search's jitter floor, so the model reproduces its training targets
     whenever the kernel matrix allows it. Any jitter it needs is absorbed
     into the stored nugget and ``params``: the model describes the matrix
-    actually factored.
+    actually factored. The kernel is formed once; each attempt adds
+    ``nugget + jitter`` to the diagonal of a copy, ``_correlation``'s bits.
     """
     d = Z.shape[1]
     theta_log10 = v[:d]
+    neg_t10 = -(10.0 ** theta_log10)
     nugget = float(10.0 ** v[d]) if noise else 0.0
+    K = _kernel(Z, Z, neg_t10)
     jitter = 0.0
     while True:
-        R = _correlation(Z, theta_log10, nugget + jitter)
+        R = K.copy()
+        R[np.diag_indices_from(R)] += nugget + jitter
         try:
             L = _cholesky(R)
             break
@@ -473,7 +502,7 @@ def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
     return KrigingModel(
         theta_log10=theta_log10, nugget=nugget,
         mu=mu, norm_min=norm_min, norm_span=norm_span,
-        weights=rinv_r, Z=Z, neg_t10=-(10.0 ** theta_log10),
+        weights=rinv_r, Z=Z, neg_t10=neg_t10,
         params=theta_log10.tolist() + ([math.log10(nugget)] if noise else []),
     )
 

@@ -243,7 +243,10 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     of all shrinking simplices. Per start, the value test runs on Python
     floats (a NaN from ``inf - inf`` fails it, as in ``np.max``), the x test
     only where the value test passes, and the chosen vertex moves by scalar
-    indexing. ``f`` maps an m x N array to m values, each with the bits of
+    indexing. The value test compares the best vertex with the last of its
+    sorted row alone: ``|fl(f0 - v)|`` cannot decrease as ``v`` grows, and
+    inf and NaN sort last, so it passes exactly when scipy's test over every
+    vertex does. ``f`` maps an m x N array to m values, each with the bits of
     scoring its row alone, and must not modify its argument; then every
     start's ``(x, fun, nfev)`` has the bits scipy returns for that start
     run alone.
@@ -274,7 +277,7 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             f0 = Fl[j][0]
             # the x test only where the value test passes; NaN fails it
             if nfev[j] < maxfev and not (
-                    all(abs(f0 - v) <= 1e-12 for v in Fl[j][1:])
+                    abs(f0 - Fl[j][-1]) <= 1e-12
                     and np.abs(S[j, 1:] - S[j, :1]).max() <= 1e-8):
                 keep.append(j)
             else:
@@ -286,8 +289,12 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             live, nfev = [live[j] for j in keep], [nfev[j] for j in keep]
             Fl = [Fl[j] for j in keep]
             rows = np.arange(len(live))[:, None]
-        xbar = np.add.reduce(S[:, :-1], 1) / N
-        C = np.minimum(np.maximum(_STEP_A * xbar[:, None] + _STEP_B * S[:, -1:], lo), hi)
+        xbar = np.add.reduce(S[:, :-1], 1)
+        xbar /= N
+        C = _STEP_A * xbar[:, None]
+        C += _STEP_B * S[:, -1:]
+        np.maximum(C, lo, out=C)
+        np.minimum(C, hi, out=C)
         fc = f(C.reshape(-1, N)).reshape(len(live), 4).tolist()
         shrink = []
         for j, ((fr, fe, foc, fic), fs) in enumerate(zip(fc, Fl)):
@@ -346,7 +353,7 @@ def suggest_next(state: RunState, model: sg.KrigingModel | None, space: SearchSp
     be distinct in that sense, then any draw.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pool: list[tuple[float, np.ndarray]] = []
+    pool = ()           # candidates in the order of their means; none without a model
     if model is not None:
         active = space.active
         lo = np.array([p.lower for p in active])
@@ -356,20 +363,23 @@ def suggest_next(state: RunState, model: sg.KrigingModel | None, space: SearchSp
         n_probe = max(2 * n_points, budget // 2)
         probes = rng.uniform(lo, hi, size=(n_probe, d))
         mu = model.predict_batch(probes)
-        order = np.argsort(mu, kind="stable")
 
         remaining = budget - n_probe
         n_starts = min(max(n_points, 3), remaining // (3 * (d + 1)))
+        refined = []
         if n_starts > 0:
-            starts = probes[order[:n_starts]]
-            pool += [(float(fun), x) for x, fun, _ in
-                     _nelder_mead(model.predict, starts, lo, hi, remaining // n_starts)]
-        pool.extend((float(mu[i]), probes[i]) for i in order)
-        pool.sort(key=lambda t: t[0])
+            starts = probes[np.argsort(mu, kind="stable")[:n_starts]]
+            refined = _nelder_mead(model.predict, starts, lo, hi, remaining // n_starts)
+        # the refined points, then the probes; a stable sort keeps that order
+        # among equal means
+        points = [x for x, _, _ in refined]
+        means = np.concatenate(([fun for _, fun, _ in refined], mu))
+        pool = (points[i] if i < len(points) else probes[i - len(points)]
+                for i in np.argsort(means, kind="stable").tolist())
 
     seen = np.asarray(state.X, dtype=float).reshape(-1, space.dim)
     n_seen = len(seen)
-    for _, v in pool:
+    for v in pool:
         if len(seen) - n_seen == n_points:
             break
         cand = _embed_active(space, v)
@@ -511,25 +521,44 @@ def events_csv(state: RunState, space: SearchSpace, start: int = 0) -> str:
     return buf.getvalue()
 
 
+# the per-evaluation columns of ``RunState.to_dict``, in its key order
+_COLUMNS = ("X", "y", "metrics", "phases", "elapsed", "params")
+
+
 class _RunWriter:
     """Rewrites ``run_state.json`` and ``events.csv`` after each evaluation.
 
-    The state only grows between writes, so the rendered events text is kept
-    and each write decodes just the evaluations appended since the last one.
+    The state only grows between writes, so the writer keeps the JSON text of
+    every entry written and the rendered events text, and each write renders
+    just the evaluations appended since the last one, plus the last
+    ``elapsed`` entry again (a ``max_time`` stop adds to it). ``meta`` is
+    rendered at the first write. The ``run_state.json`` text equals
+    ``json.dumps(state.to_dict())``, the format's reference.
     """
 
     def __init__(self, out_dir: str, space: SearchSpace):
         self.out_dir = out_dir
         self.space = space
+        self.head = ""
+        self.items = {key: [] for key in _COLUMNS}     # JSON text per entry
         self.events = ""
-        self.n_events = 0
         os.makedirs(out_dir, exist_ok=True)
 
     def write(self, state: RunState) -> None:
-        atomic_write(os.path.join(self.out_dir, "run_state.json"),
-                     json.dumps(state.to_dict()))
-        self.events += events_csv(state, self.space, self.n_events)
-        self.n_events = len(state)
+        items = self.items
+        n = len(items["y"])
+        if not self.head:
+            self.head = '{"version": 1, "meta": ' + json.dumps(state.meta)
+        if n:
+            items["elapsed"][-1] = json.dumps(state.elapsed[n - 1])
+        for i in range(n, len(state)):
+            for key, value in zip(_COLUMNS, (
+                    list(map(float, state.X[i])), state.y[i], state.metrics[i],
+                    state.phases[i], state.elapsed[i], state.params[i])):
+                items[key].append(json.dumps(value))
+        body = "".join(f', "{key}": [{", ".join(items[key])}]' for key in _COLUMNS)
+        atomic_write(os.path.join(self.out_dir, "run_state.json"), self.head + body + "}")
+        self.events += events_csv(state, self.space, n)
         atomic_write(os.path.join(self.out_dir, "events.csv"), self.events)
 
 

@@ -762,6 +762,90 @@ class TestRefresh:
         assert model.params != start
 
 
+class TestRepeatGate:
+    """Without ``noise``, ``fit`` averages repeated rows through
+    ``np.unique`` only when a lexsort of the normalized rows finds two equal
+    neighbours."""
+
+    @staticmethod
+    def spy_unique(monkeypatch) -> list:
+        calls, real_unique = [], np.unique
+
+        def spy(*args, **kw):
+            calls.append(args)
+            return real_unique(*args, **kw)
+
+        monkeypatch.setattr(np, "unique", spy)
+        return calls
+
+    def test_rows_equal_up_to_signed_zero_are_averaged(self, monkeypatch):
+        calls = self.spy_unique(monkeypatch)
+        # the first column normalizes to -0.0 and 0.0, equal as floats
+        X = np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([0.0, 0.1, 1.0])
+        assert sg._has_repeats(np.array([[-0.0, 0.5], [0.0, 0.5]]))
+        model = fit(X, y, SurrogateControl(model_fun_evals=50))
+        assert len(calls) == 1 and model.Z.shape == (2, 2)
+        assert model.predict([0.0, 1.0]) == pytest.approx(0.05, abs=1e-9)
+
+    def test_distinct_rows_skip_unique_with_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.random((15, 3))
+        X[3, 0] = X[5, 0]                 # equal in one column only
+        y = np.cos(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+        control = SurrogateControl(model_fun_evals=200)
+        calls = self.spy_unique(monkeypatch)
+        model = fit(X, y, control, seed=2)
+        assert calls == []
+        # the averaging path on rows without repeats is the identity
+        monkeypatch.setattr(sg, "_has_repeats", lambda Z: True)
+        ref = fit(X, y, control, seed=2)
+        assert len(calls) == 1
+        for name in ("theta_log10", "Z", "weights", "params"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name))
+        assert (model.nugget, model.mu) == (ref.nugget, ref.mu)
+
+    def test_noise_keeps_every_row(self, monkeypatch):
+        calls = self.spy_unique(monkeypatch)
+        X = np.array([[0.0, 0.5], [0.0, 0.5], [1.0, 0.0], [0.5, 1.0]])
+        y = np.array([0.0, 0.2, 1.0, 0.4])
+        model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=100), seed=0)
+        assert calls == [] and model.Z.shape == (4, 2)
+
+
+class TestFinalizeJitter:
+    def test_kernel_formed_once_as_the_jitter_escalates(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        Z = rng.random((10, 2))
+        y = Z[:, 0] - Z[:, 1] ** 2
+        v = np.array([0.3, 1.1])
+        kernels, real_kernel = [], sg._kernel
+        failures, real_cholesky = [], sg._cholesky
+
+        def kernel(*args):
+            kernels.append(args)
+            return real_kernel(*args)
+
+        def cholesky(R):
+            if len(failures) < 2:
+                failures.append(R.copy())
+                raise np.linalg.LinAlgError("not positive definite")
+            return real_cholesky(R)
+
+        monkeypatch.setattr(sg, "_kernel", kernel)
+        monkeypatch.setattr(sg, "_cholesky", cholesky)
+        model = sg._finalize(Z, y, v, False, np.zeros(2), np.ones(2))
+        monkeypatch.undo()
+        assert len(kernels) == 1
+        # zero, the floor, then ten times the floor: _correlation's matrices
+        for R, nugget in zip(failures, (0.0, JITTER_FLOOR)):
+            assert np.array_equal(R, sg._correlation(Z, v, nugget))
+        assert model.nugget == 10 * JITTER_FLOOR
+        L = np.linalg.cholesky(sg._correlation(Z, v, 10 * JITTER_FLOOR))
+        _, mu, weights = sg._likelihood_one(L, sg._rhs(y))
+        assert model.mu == mu and np.array_equal(model.weights, weights)
+
+
 def test_rescaled_column_leaves_ranking_unchanged():
     rng = np.random.default_rng(8)
     X = rng.random((14, 2))

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -11,7 +12,7 @@ from spotkit.evalharness import EvalResult
 from spotkit.searchspace import ParamSpec, SearchSpace
 from spotkit.surrogate import KrigingModel, SurrogateControl, fit
 from spotkit.tuner import (
-    RunState, TunerConfig, _embed_active, _is_distinct, _nelder_mead,
+    RunState, TunerConfig, _RunWriter, _embed_active, _is_distinct, _nelder_mead,
     _random_full_point, best, events_csv, load_run_state, random_search, run,
     suggest_next, worst_sentinel,
 )
@@ -1044,6 +1045,74 @@ class TestPersistence:
         cfg = TunerConfig(fun_evals=10, n_points=2.0, fun_repeats=3.0)
         assert (cfg.n_points, cfg.fun_repeats) == (2, 3)
         assert type(cfg.n_points) is int and type(cfg.fun_repeats) is int
+
+
+class TestRunWriter:
+    """``_RunWriter`` renders only what is new, and its ``run_state.json``
+    text is ``json.dumps(state.to_dict())`` after every write."""
+
+    @staticmethod
+    def check(tmp_path, writer, state, monkeypatch):
+        monkeypatch.setattr(RunState, "to_dict", None)     # the writer never calls it
+        writer.write(state)
+        monkeypatch.undo()
+        text = (tmp_path / "run_state.json").read_text(encoding="utf-8")
+        assert text == json.dumps(state.to_dict())
+        assert (tmp_path / "events.csv").read_text() == events_csv(state, writer.space)
+
+    def test_every_append(self, tmp_path, monkeypatch):
+        writer = _RunWriter(str(tmp_path), float_space(2))
+        state = RunState(meta={"tag": "t", "space": {"x0": [-1.0, 1.0]}})
+        rng = np.random.default_rng(0)
+        shared = [0.25, -1.5]                    # fun_repeats rows share params
+        rows = [("initial", None), ("initial", None), ("sequential", shared),
+                ("sequential", shared), ("sequential", [1e-300, 3.0])]
+        for i, (phase, params) in enumerate(rows):
+            state.append(rng.uniform(-1, 1, 2), 0.1 * i - 0.05, i / 7, phase,
+                         0.01 * (i + 1), params)
+            self.check(tmp_path, writer, state, monkeypatch)
+
+    def test_nan_metric_none_params_and_elapsed_bump(self, tmp_path, monkeypatch):
+        writer = _RunWriter(str(tmp_path), float_space(2))
+        state = RunState()
+        state.append(np.array([-0.0, 1.0]), 1e12, math.nan, "initial", 0.5)
+        self.check(tmp_path, writer, state, monkeypatch)
+        assert '"metrics": [NaN]' in (tmp_path / "run_state.json").read_text()
+        state.elapsed[-1] += 0.375               # a max_time stop adds to it
+        self.check(tmp_path, writer, state, monkeypatch)
+        state.append(np.array([0.5, 0.5]), 2.0, math.inf, "sequential", 1.0, None)
+        state.elapsed[-1] += 1.0
+        self.check(tmp_path, writer, state, monkeypatch)
+
+    def test_writer_on_a_resumed_state(self, tmp_path, monkeypatch):
+        space = float_space(2)
+        kw = dict(design=DesignControl(init_size=6, seed=2),
+                  surrogate_control=FAST_SURROGATE, out_dir=str(tmp_path))
+        run(sphere, space, TunerConfig(fun_evals=9, fun_repeats=2, seed=3), **kw)
+        state = load_run_state(str(tmp_path))
+        writer = _RunWriter(str(tmp_path / "again"), space)
+        self.check(tmp_path / "again", writer, state, monkeypatch)
+        state.append(np.array([0.1, 0.2]), 0.05, math.nan, "sequential", 0.2,
+                     state.params[-1])
+        self.check(tmp_path / "again", writer, state, monkeypatch)
+
+    def test_run_files_match_the_reference(self, tmp_path):
+        kw = dict(design=DesignControl(init_size=6, seed=2),
+                  surrogate_control=FAST_SURROGATE)
+        # fun_repeats rows share one params list
+        state = run(sphere, float_space(2), TunerConfig(fun_evals=12, fun_repeats=2,
+                                                        seed=3), out_dir=str(tmp_path), **kw)
+        assert state.params[-1] is state.params[-2] is not None
+        text = (tmp_path / "run_state.json").read_text(encoding="utf-8")
+        assert text == json.dumps(state.to_dict())
+        # a max_time stop after the design adds to the last elapsed entry and
+        # writes once more
+        out = tmp_path / "timed"
+        state = run(sphere, float_space(2), TunerConfig(fun_evals=20, max_time=1e-9,
+                                                        seed=3), out_dir=str(out), **kw)
+        assert len(state) == 6
+        assert (out / "run_state.json").read_text(encoding="utf-8") == json.dumps(
+            state.to_dict())
 
 
 class TestWarmFits:
