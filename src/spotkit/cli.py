@@ -404,13 +404,25 @@ def cmd_bench(args) -> int:
 
 
 def _bench_row(method: str, evals: int, bests: list[float], wins: str) -> dict:
-    arr = np.asarray(bests, dtype=float)
-    q1, med, q3 = np.percentile(arr, [25, 50, 75])
+    s = sorted(map(float, bests))
+    q1, med, q3 = (_percentile(s, q) for q in (0.25, 0.5, 0.75))
     return {
-        "method": method, "evals": evals, "median_best": float(med),
-        "iqr": float(q3 - q1), "min_best": float(arr.min()),
-        "max_best": float(arr.max()), "wins": wins,
+        "method": method, "evals": evals, "median_best": med,
+        "iqr": q3 - q1, "min_best": s[0], "max_best": s[-1], "wins": wins,
     }
+
+
+def _percentile(s: list[float], q: float) -> float:
+    """The ``q`` quantile of the sorted values ``s``, with the bits of
+    ``np.percentile``'s default ``linear`` method, whose first call imports
+    ``numpy.ma`` (about 13 ms): ``s`` interpolated at ``(len(s) - 1) * q``
+    from the nearer neighbour's side. One value takes index -1 and weight 1,
+    as numpy takes it."""
+    i = (len(s) - 1) * q
+    lo = min(int(i), len(s) - 2)
+    t = i - lo
+    a, b = s[lo], s[lo + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # -- shared helpers ----------------------------------------------------------------

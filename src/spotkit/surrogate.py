@@ -315,11 +315,10 @@ def _likelihood(L: np.ndarray, rhs: np.ndarray) -> list[float]:
 
     ``rhs`` holds ``y`` and ones as ``_rhs`` builds them, once per fit. One
     LAPACK solve per matrix serves both; passed the factor's transpose as
-    the upper factor, f2py does not copy it, and the bits are those of two
-    ``cho_solve`` calls. The inner products are stacked ``np.matmul`` calls,
-    one ``ddot`` each as for single vectors, and the scalar tail is per
-    matrix in Python floats, so every value has the bits of a one-matrix
-    evaluation. A non-finite solution (from a NaN or inf in ``y``) raises
+    the upper factor, f2py does not copy it. The inner products are stacked
+    ``np.matmul`` calls, one ``ddot`` each as for single vectors, and the
+    scalar tail is per matrix in Python floats, so every value has the bits
+    of a one-matrix evaluation. A non-finite solution (from a NaN or inf in ``y``) raises
     ``ValueError``.
     """
     b, n = L.shape[0], L.shape[1]

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spotkit import surrogate as sg, tuner as tn
-from spotkit.cli import build_space, main
+from spotkit.cli import _bench_row, build_space, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -471,6 +472,32 @@ class TestBench:
     def test_reps_below_one_rejected(self, reps, sphere_config, capsys):
         assert main(["bench", "--config", sphere_config, "--reps", reps]) == 1
         assert "error: --reps must be >= 1" in capsys.readouterr().err
+
+    def test_quartiles_bit_equal_to_np_percentile(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 26):
+            for values in (rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6),
+                           rng.integers(0, 4, n) / 3.0):     # ties
+                bests = values.tolist()
+                row = _bench_row("spot", 40, bests, "")
+                q1, med, q3 = np.percentile(np.asarray(bests), [25, 50, 75])
+                assert row["median_best"].hex() == float(med).hex()
+                assert row["iqr"].hex() == float(q3 - q1).hex()
+                assert (row["min_best"], row["max_best"]) == (min(bests), max(bests))
+
+    def test_bench_does_not_import_numpy_ma(self, sphere_config):
+        # np.percentile imports numpy.ma at its first call, about 13 ms of
+        # every bench command
+        code = ("import sys\nfrom spotkit.cli import main\n"
+                f"assert main(['bench', '--config', {sphere_config!r}, '--reps', '2']) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from spotkit import surrogate as sg
 from spotkit.design import DesignControl, latin_hypercube
@@ -39,7 +39,7 @@ def dense_inverse_nll(X, y, theta_log10, nugget):
 
 def two_solve_nll(Z, y, v, noise):
     """Reference for the fit objective: R from np.tensordot over the squared
-    distances, then one cho_solve per right-hand side."""
+    distances, then one solve for the two right-hand sides y and ones."""
     n, d = Z.shape
     D = np.empty((d, n, n))
     for k in range(d):
@@ -52,15 +52,18 @@ def two_solve_nll(Z, y, v, noise):
 
 def cho_nll(R, y):
     """Reference NLL of one correlation matrix: its Cholesky factor, then one
-    cho_solve per right-hand side; +inf when R is not positive definite."""
+    LAPACK solve for the columns y and ones, the call the code makes (two
+    one-column solves give other bits on some OpenBLAS kernels); +inf when R
+    is not positive definite."""
     n = y.size
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         return math.inf
     one = np.ones(n)
-    rinv_y = cho_solve((L, True), y)
-    rinv_one = cho_solve((L, True), one)
+    sol, info = dpotrs(L.T, np.column_stack((y, one)), lower=0)
+    assert info == 0
+    rinv_y, rinv_one = sol[:, 0], sol[:, 1]
     mu = (one @ rinv_y) / (one @ rinv_one)
     rinv_r = rinv_y - mu * rinv_one
     sigma2 = max(float((y - mu) @ rinv_r) / n, 1e-300)
