@@ -7,8 +7,9 @@ to the unit box:
 
 with ``theta`` searched on a log10 scale inside [min_theta, max_theta]. A
 nugget on the diagonal turns interpolation into regression; with
-``noise=False`` it stays at a jitter floor so the model reproduces its
-training targets.
+``noise=False`` it is the fixed floor ``JITTER_FLOOR`` (1e-10), so the model
+reproduces its training targets to within about the floor times its largest
+weight, and the likelihood search and the model factor one matrix.
 
 ``fit`` evaluates the likelihood over blocks of parameter vectors, each
 value with the bits of evaluating its vector alone; a one-matrix block
@@ -75,8 +76,9 @@ def _load_flapack():
 
 dpotrs = _load_flapack().dpotrs
 
-JITTER_FLOOR = 1e-12
-JITTER_CEIL = 1e-6
+# the nugget of every noise-free matrix R, which bounds cond(R) (Ranjan,
+# Haynes & Karsten, Technometrics 53(4), 2011)
+JITTER_FLOOR = 1e-10
 NUGGET_LOG10_BOUNDS = (-8.0, -1.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -318,8 +320,8 @@ def _likelihood(L: np.ndarray, rhs: np.ndarray) -> list[float]:
     the upper factor, f2py does not copy it. The inner products are stacked
     ``np.matmul`` calls, one ``ddot`` each as for single vectors, and the
     scalar tail is per matrix in Python floats, so every value has the bits
-    of a one-matrix evaluation. A non-finite solution (from a NaN or inf in ``y``) raises
-    ``ValueError``.
+    of a one-matrix evaluation. A non-finite solution (from a NaN or inf in
+    ``y``) raises ``ValueError``.
     """
     b, n = L.shape[0], L.shape[1]
     sol = np.empty((b, 2, 1, n))        # rows R^-1 y, R^-1 1 of each matrix
@@ -373,14 +375,14 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
     vector alone, so the block size never changes the search. A NaN or inf
     in ``y`` raises ``ValueError``.
 
-    Without ``noise`` the model interpolates, so it cannot take coincident
-    points: the exact repeats of a normalized row (design ``repeats``,
-    ``fun_repeats``) enter as one row at their mean loss, in first-occurrence
-    order. ``ValueError`` is the one exception for a fit without a model:
-    equal losses after that averaging (one row included) raise it, and so
-    do the search and ``_finalize`` when they find none. The model's
-    ``params`` is the ``start`` of a later warm fit on data of the same
-    dimension.
+    Without ``noise`` the model nearly interpolates, so it cannot take
+    coincident points: the exact repeats of a normalized row (design
+    ``repeats``, ``fun_repeats``) enter as one row at their mean loss, in
+    first-occurrence order. ``ValueError`` is the one exception for a fit
+    without a model: equal losses after that averaging (one row included)
+    raise it, and so do the search and ``_finalize`` when they find none.
+    The model's ``params`` is the ``start`` of a later warm fit on data of
+    the same dimension.
     """
     control = control or SurrogateControl()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -467,41 +469,22 @@ def _has_repeats(Z: np.ndarray) -> bool:
 def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
               norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
     """The model on the normalized inputs ``Z`` at the parameter vector
-    ``v`` (``theta_log10``, then the log10 nugget when ``noise``): factor R,
-    escalating jitter if needed (``ValueError`` past ``JITTER_CEIL``), and
-    take mu and the weights from ``_likelihood_one``.
-
-    Without ``noise`` the factorization starts from a zero nugget, not the
-    search's jitter floor, so the model reproduces its training targets
-    whenever the kernel matrix allows it. Any jitter it needs is absorbed
-    into the stored nugget and ``params``: the model describes the matrix
-    actually factored. The kernel is formed once; each attempt adds
-    ``nugget + jitter`` to the diagonal of a copy, ``_correlation``'s bits.
-    """
+    ``v`` (``theta_log10``, then the log10 nugget when ``noise``): R with
+    the nugget ``10**v[d]``, or ``JITTER_FLOOR`` without ``noise``, as the
+    likelihood search scores it, factored once (``ValueError`` when it is
+    not positive definite); mu and the weights from ``_likelihood_one``."""
     d = Z.shape[1]
     theta_log10 = v[:d]
-    neg_t10 = -(10.0 ** theta_log10)
-    nugget = float(10.0 ** v[d]) if noise else 0.0
-    K = _kernel(Z, Z, neg_t10)
-    jitter = 0.0
-    while True:
-        R = K.copy()
-        R[np.diag_indices_from(R)] += nugget + jitter
-        try:
-            L = _cholesky(R)
-            break
-        except np.linalg.LinAlgError:
-            jitter = JITTER_FLOOR if jitter == 0.0 else jitter * 10.0
-            if jitter > JITTER_CEIL:
-                raise ValueError(
-                    "correlation matrix not positive definite at jitter ceiling"
-                ) from None
+    nugget = float(10.0 ** v[d]) if noise else JITTER_FLOOR
+    try:
+        L = _cholesky(_correlation(Z, theta_log10, nugget))
+    except np.linalg.LinAlgError:
+        raise ValueError("correlation matrix not positive definite") from None
     _, mu, rinv_r = _likelihood_one(L, _rhs(y))
-    nugget += jitter
     return KrigingModel(
         theta_log10=theta_log10, nugget=nugget,
         mu=mu, norm_min=norm_min, norm_span=norm_span,
-        weights=rinv_r, Z=Z, neg_t10=neg_t10,
+        weights=rinv_r, Z=Z, neg_t10=-(10.0 ** theta_log10),
         params=theta_log10.tolist() + ([math.log10(nugget)] if noise else []),
     )
 

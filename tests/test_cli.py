@@ -679,21 +679,41 @@ class TestRuntimeErrors:
                                     f"{str(out)!r}"]
 
 
-def tune_at_blas_threads(tmp_path, config, fun_evals):
-    """Output directories of one tune run with BLAS at one thread and at two."""
+# numpy's AVX2 loops and OpenBLAS's Haswell kernels: an older x86-64 CPU,
+# emulated in one child process
+EMULATED_CPU = {"OPENBLAS_CORETYPE": "Haswell",
+                "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def tune_in_children(tmp_path, config, fun_evals, envs, seed=None):
+    """Output directories of one tune run per entry of ``envs``: a name and
+    the variables changed in that child's environment (None removes one)."""
     outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    for name, changes in envs.items():
+        env = dict(os.environ)
         env.pop("SPOTKIT_SEED", None)
+        for key, value in changes.items():
+            if value is None:
+                env.pop(key, None)
+            else:
+                env[key] = value
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
-        out = tmp_path / f"threads{threads}"
+        out = tmp_path / name
         subprocess.run([sys.executable, "-m", "spotkit.cli", "tune", "--config",
                         os.path.join(REPO, "configs", config),
-                        "--fun-evals", str(fun_evals), "--out", str(out)],
+                        "--fun-evals", str(fun_evals), "--out", str(out)]
+                       + ([] if seed is None else ["--seed", str(seed)]),
                        env=env, check=True, capture_output=True, timeout=300)
         outs.append(out)
     return outs
+
+
+def tune_at_blas_threads(tmp_path, config, fun_evals, seed=None):
+    """Output directories of one tune run with BLAS at one thread and at two."""
+    return tune_in_children(
+        tmp_path, config, fun_evals,
+        {f"threads{t}": {"OPENBLAS_NUM_THREADS": t} for t in ("1", "2")}, seed)
 
 
 def test_events_independent_of_blas_threads(tmp_path):
@@ -714,3 +734,23 @@ def test_kriging_outputs_independent_of_blas_threads(tmp_path):
     assert names and names == sorted(p.name for p in two.glob("contour_*.csv"))
     for name in ["events.csv", *names]:
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def test_long_mixed4_events_independent_of_blas_threads(tmp_path):
+    """A 140-evaluation mixed4 tune writes the same events.csv with BLAS at
+    one thread and at two, although from 128 rows the Cholesky factor's last
+    bits depend on the thread count: the nugget floor keeps R conditioned
+    well enough that they do not change a proposal."""
+    one, two = tune_at_blas_threads(tmp_path, "bench_mixed4.json", 140, seed=1)
+    assert (one / "events.csv").read_bytes() == (two / "events.csv").read_bytes()
+
+
+def test_mixed4_events_independent_of_cpu_kernels(tmp_path):
+    """A 100-evaluation mixed4 tune writes the same events.csv by default and
+    under numpy's AVX2 loops with OpenBLAS's Haswell kernels, which give
+    other last bits of exp and of the triangular solves."""
+    default, emulated = tune_in_children(
+        tmp_path, "bench_mixed4.json", 100,
+        {"default": {"OPENBLAS_NUM_THREADS": "1", **dict.fromkeys(EMULATED_CPU)},
+         "emulated": {"OPENBLAS_NUM_THREADS": "1", **EMULATED_CPU}}, seed=97)
+    assert (default / "events.csv").read_bytes() == (emulated / "events.csv").read_bytes()

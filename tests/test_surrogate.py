@@ -343,13 +343,16 @@ class TestPredict:
     def data():
         rng = np.random.default_rng(2)
         X = rng.random((10, 2))
-        return X, X[:, 0] + 2 * X[:, 1]
+        return X, np.sin(6 * X[:, 0]) + np.cos(5 * X[:, 1])
 
     @pytest.fixture
     def model(self):
         return fit(*self.data(), SurrogateControl(model_fun_evals=500), seed=0)
 
-    def test_training_site_variance_tiny(self, model):
+    def test_reproduces_training_targets(self, model):
+        # a well-conditioned R (cond about 5e3): the floor nugget moves the
+        # mean at a site by about the floor times the largest weight, here
+        # 3e-9; a linear y drives theta to its lower bound and R to 1e11
         for xi, yi in zip(*self.data()):
             assert model.predict(xi) == pytest.approx(yi, abs=1e-6)
 
@@ -816,37 +819,46 @@ class TestRepeatGate:
         assert calls == [] and model.Z.shape == (4, 2)
 
 
-class TestFinalizeJitter:
-    def test_kernel_formed_once_as_the_jitter_escalates(self, monkeypatch):
+class TestFinalize:
+    @staticmethod
+    def data():
         rng = np.random.default_rng(12)
         Z = rng.random((10, 2))
-        y = Z[:, 0] - Z[:, 1] ** 2
-        v = np.array([0.3, 1.1])
-        kernels, real_kernel = [], sg._kernel
-        failures, real_cholesky = [], sg._cholesky
+        return Z, Z[:, 0] - Z[:, 1] ** 2, np.array([0.3, 1.1])
 
-        def kernel(*args):
-            kernels.append(args)
-            return real_kernel(*args)
+    def test_one_factorization_at_the_floor(self, monkeypatch):
+        Z, y, v = self.data()
+        factored, real_cholesky = [], sg._cholesky
 
         def cholesky(R):
-            if len(failures) < 2:
-                failures.append(R.copy())
-                raise np.linalg.LinAlgError("not positive definite")
+            factored.append(R.copy())
             return real_cholesky(R)
 
-        monkeypatch.setattr(sg, "_kernel", kernel)
         monkeypatch.setattr(sg, "_cholesky", cholesky)
         model = sg._finalize(Z, y, v, False, np.zeros(2), np.ones(2))
-        monkeypatch.undo()
-        assert len(kernels) == 1
-        # zero, the floor, then ten times the floor: _correlation's matrices
-        for R, nugget in zip(failures, (0.0, JITTER_FLOOR)):
-            assert np.array_equal(R, sg._correlation(Z, v, nugget))
-        assert model.nugget == 10 * JITTER_FLOOR
-        L = np.linalg.cholesky(sg._correlation(Z, v, 10 * JITTER_FLOOR))
+        assert len(factored) == 1
+        # the kernel plus the floor: _correlation's matrix, the one the
+        # likelihood search scores
+        assert np.array_equal(factored[0], sg._correlation(Z, v, JITTER_FLOOR))
+        assert model.nugget == JITTER_FLOOR and model.params == v.tolist()
+        L = np.linalg.cholesky(factored[0])
         _, mu, weights = sg._likelihood_one(L, sg._rhs(y))
         assert model.mu == mu and np.array_equal(model.weights, weights)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_not_positive_definite_raises_value_error(self, monkeypatch, noise):
+        Z, y, v = self.data()
+        calls = []
+
+        def cholesky(R):
+            calls.append(R)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sg, "_cholesky", cholesky)
+        v = np.append(v, -6.0) if noise else v
+        with pytest.raises(ValueError, match="not positive definite"):
+            sg._finalize(Z, y, v, noise, np.zeros(2), np.ones(2))
+        assert len(calls) == 1
 
 
 def test_rescaled_column_leaves_ranking_unchanged():

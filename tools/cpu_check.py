@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EMULATED = {"OPENBLAS_CORETYPE": "Haswell",
@@ -57,10 +58,8 @@ def main(argv: list[str]) -> int:
         if result is None:
             print(f"{name}: no test report")
             return 1
-        counts = {}
-        for kind in result.values():
-            counts[kind] = counts.get(kind, 0) + 1
-        print(f"{name}: " + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())))
+        counts = sorted(Counter(result.values()).items())
+        print(f"{name}: " + ", ".join(f"{v} {k}" for k, v in counts))
     default, emulated = runs["default"], runs["emulated"]
     differ = sorted(t for t in default.keys() | emulated.keys()
                     if default.get(t) != emulated.get(t))
