@@ -9,7 +9,14 @@ with ``theta`` searched on a log10 scale inside [min_theta, max_theta]. A
 nugget on the diagonal turns interpolation into regression; with
 ``noise=False`` it is the fixed floor ``JITTER_FLOOR`` (1e-10), so the model
 reproduces its training targets to within about the floor times its largest
-weight, and the likelihood search and the model factor one matrix.
+weight.
+
+One helper, ``_corr``, forms every correlation: the negated squared
+per-dimension differences weighted by ``10**theta`` in one length-d product
+per matrix or per row, then ``exp``. The likelihood search,
+``neg_log_likelihood``, ``_finalize`` and the mean all take it, so the model
+factors, bit for bit, the matrix the search scored at its parameters, and
+``neg_log_likelihood`` there gives the search's value.
 
 ``fit`` evaluates the likelihood over blocks of parameter vectors, each
 value with the bits of evaluating its vector alone; a one-matrix block
@@ -17,8 +24,8 @@ takes a single-matrix path with the same bits.
 
 A fitted ``KrigingModel`` predicts only the mean: ``predict_batch`` at
 each row of an array, and ``predict`` at a point or at rows, for the infill
-search and the contour export. Both take the same per-row product, so every
-value has the bits of predicting its point alone.
+search and the contour export. Both take the same per-row products, so
+every value has the bits of predicting its point alone.
 
 The only LAPACK wrapper taken from scipy is ``dpotrs`` (likelihood and
 weights); ``_load_flapack`` loads scipy's compiled wrappers from their
@@ -95,9 +102,9 @@ WARM_BUDGET_DIVISOR = 4
 # the likelihood optimum
 KEEP_START_ROWS_PER_DIM = 10
 
-# _kernel forms its d x rows x n terms, and fit's likelihood its stack of
-# n x n matrices, for about this many elements at a time, so a large batch
-# (the infill probes, the likelihood screen) needs little memory
+# a model's mean forms its rows x d x n differences, and fit's likelihood its
+# stack of n x n matrices, for about this many elements at a time, so a large
+# batch (the infill probes, the likelihood screen) needs little memory
 _KERNEL_BLOCK = 1 << 14
 
 
@@ -127,7 +134,7 @@ class KrigingModel:
     probes; ``predict`` the mean at a point or at each row, for the infill
     search's Nelder-Mead and the contour export. Both take ``_mean``, whose
     every value has the bits of its point alone. ``_finalize`` builds every
-    model, with the per-model arrays it reads.
+    model from the matrix the likelihood search scores at its parameters.
     """
 
     theta_log10: np.ndarray       # d activity exponents
@@ -137,16 +144,15 @@ class KrigingModel:
     norm_span: np.ndarray         # per-dim spans (zeros replaced by 1)
     weights: np.ndarray           # R^-1 (y - mu)
     Z: np.ndarray = field(repr=False)          # normalized inputs
-    neg_t10: np.ndarray = field(repr=False)    # -10**theta_log10
     # the ``start`` of a later warm fit: theta_log10, then the log10 nugget
     # when ``noise``
     params: list
 
     def __post_init__(self):
-        # the layouts ``_kernel_rows`` reads, built once per model: Z as
-        # (d, 1, n) and the weights as (d, 1, 1)
-        self._Zt = np.ascontiguousarray(self.Z.T)[:, None, :]
-        self._w = self.neg_t10[:, None, None]
+        # what ``_mean`` reads, built once per model: Z as d x n and the
+        # weights 10**theta as one (1, d) row
+        self._Zt = np.ascontiguousarray(self.Z.T)
+        self._t10 = 10.0 ** self.theta_log10[None, :]
 
     @property
     def dim(self) -> int:
@@ -170,17 +176,22 @@ class KrigingModel:
     def _mean(self, Q: np.ndarray) -> np.ndarray:
         """Kriging mean at each row of the 2-D array ``Q``, normalized and
         clamped into the unit box in one copy of ``Q``, every value with the
-        bits of that row alone: the cross-correlations come from
-        ``_kernel_rows`` on the model's layouts, and one stacked
-        (m, 1, n) @ (n,) product makes one BLAS call per row, the call a
-        one-row product makes (a plain (m, n) @ (n,) product sums in another
-        order)."""
+        bits of that row alone. Rows go in blocks of about ``_KERNEL_BLOCK``
+        differences; in a block, ``_corr`` weights each row's d x n
+        differences with its own (1, d) @ (d, n) product, and each mean is
+        one (1, n) @ (n,) product: the BLAS calls of a one-row block, which
+        a plain (rows, d) or (rows, n) product would not make."""
         U = Q - self.norm_min
         U /= self.norm_span
         np.maximum(U, 0.0, out=U)
         np.minimum(U, 1.0, out=U)
-        psi = _kernel_rows(U, self._Zt, self._w)
-        return self.mu + np.matmul(psi[:, None, :], self.weights)[:, 0]
+        rows = max(1, _KERNEL_BLOCK // self._Zt.size)
+        out = np.empty(U.shape[0])
+        for i in range(0, U.shape[0], rows):
+            psi = _corr(self._t10, _neg_sq_diffs(U[i:i + rows, :, None], self._Zt))
+            np.matmul(psi, self.weights, out=out[i:i + rows, None])
+        out += self.mu
+        return out
 
 
 # -- likelihood ------------------------------------------------------------
@@ -191,57 +202,43 @@ def neg_log_likelihood(X, y, theta_log10, nugget: float) -> float:
     Inputs are taken as already normalized. Returns
     ``n * log(sigma2_hat) + log det(R)`` with the process mean and variance
     concentrated out analytically; a non-positive-definite correlation
-    matrix signals +inf.
+    matrix signals +inf. On a fitted model's ``Z`` and (averaged) losses at
+    its ``theta_log10`` and nugget it gives the value the likelihood search
+    found there, bit for bit.
     """
     Z = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    R = _correlation(Z, np.asarray(theta_log10, dtype=float), float(nugget))
-    return _nll(R[None], _rhs(y))[0]
+    t10 = 10.0 ** np.asarray(theta_log10, dtype=float)[None, :]
+    R = _corr(t10, _pair_diffs(Z))
+    R[0, ::y.size + 1] += float(nugget)
+    return _nll(R.reshape(1, y.size, y.size), _rhs(y))[0]
 
 
-def _kernel(A: np.ndarray, B: np.ndarray, neg_t10: np.ndarray) -> np.ndarray:
-    """Correlations ``exp(-sum_k t10_k (a_k - b_k)**2)`` between the rows of
-    ``A`` (m x d) and ``B`` (n x d), as an m x n array, given the negated
-    weights ``neg_t10 = -t10``.
-
-    For a block of rows of ``A``, the terms ``(neg_t10_k * diff) * diff``
-    fill a C-ordered d x rows x n array whose outer-axis sum adds them in
-    dimension order: the same bits as accumulating one dimension at a time,
-    whatever the block. (Summing a contiguous axis could reorder them
-    pairwise, as when rows = n = 1 and d >= 8; models hold n >= 2.) The sum
-    is exactly the negated sum of the ``t10`` terms, since IEEE rounding is
-    symmetric in sign. When all rows of ``A`` fit one block, as for every
-    Nelder-Mead round and every single point, that block is the result.
-    """
-    return _kernel_rows(A, np.ascontiguousarray(B.T)[:, None, :], neg_t10[:, None, None])
+def _neg_sq_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``-(A - B)**2`` as a new C-ordered array, broadcasting ``A`` against
+    ``B``; exactly the negated squares, since IEEE rounding is symmetric in
+    sign."""
+    D = np.subtract(A, B, order="C")
+    D *= -D
+    return D
 
 
-def _kernel_rows(A: np.ndarray, Bt: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``_kernel`` with ``B`` laid out as ``Bt`` (d x 1 x n) and the negated
-    weights as ``w`` (d x 1 x 1), the layouts a model keeps."""
-    rows = max(1, _KERNEL_BLOCK // Bt.size)
-    if A.shape[0] <= rows:
-        return _kernel_block(A, Bt, w)
-    out = np.empty((A.shape[0], Bt.shape[2]))
-    for i in range(0, A.shape[0], rows):
-        _kernel_block(A[i:i + rows], Bt, w, out[i:i + rows])
-    return out
+def _pair_diffs(Z: np.ndarray) -> np.ndarray:
+    """The negated squared per-dimension differences between the rows of
+    ``Z`` (n x d), one flattened n x n block per dimension: d x n*n."""
+    n, d = Z.shape
+    return _neg_sq_diffs(Z.T[:, :, None], Z.T[:, None, :]).reshape(d, n * n)
 
 
-def _kernel_block(A: np.ndarray, Bt: np.ndarray, w: np.ndarray, out=None):
-    """``_kernel_rows`` of rows of ``A`` that fit one block, into ``out`` if
-    given."""
-    diff = np.subtract(A.T[:, :, None], Bt, order="C")
-    t = diff * w
-    t *= diff
-    s = np.add.reduce(t, axis=0, out=out)
-    return np.exp(s, out=s)
-
-
-def _correlation(Z: np.ndarray, theta_log10: np.ndarray, nugget: float) -> np.ndarray:
-    R = _kernel(Z, Z, -(10.0 ** theta_log10))
-    R[np.diag_indices_from(R)] += nugget
-    return R
+def _corr(t10: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Correlations ``exp(t10 @ D)``, as a new array, of the weights
+    ``t10 = 10**theta`` (a (1, d) row, or a (b, 1, d) stack of rows for b
+    parameter vectors) and the negated squared differences ``D`` (d x k, or
+    a (rows, d, k) stack for rows of points). Each output row is one
+    (1, d) @ (d, k) product, so it has the bits of its weights and its
+    differences alone."""
+    R = np.matmul(t10, D)
+    return np.exp(R, out=R)
 
 
 def _rhs(y: np.ndarray) -> np.ndarray:
@@ -410,6 +407,8 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         lo = np.append(lo, NUGGET_LOG10_BOUNDS[0])
         hi = np.append(hi, NUGGET_LOG10_BOUNDS[1])
 
+    # the squared differences the search and the model weight
+    D = _pair_diffs(Z)
     budget = control.model_fun_evals
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -419,7 +418,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         if settled and not refresh:
             try:
                 return _finalize(Z, y, np.clip(start, lo, hi), control.noise,
-                                 norm_min, norm_span)
+                                 norm_min, norm_span, D)
             except ValueError:
                 pass
         if settled or not refresh:
@@ -427,13 +426,6 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         else:
             start = None
 
-    # negated squared per-dimension distances (the kernel's broadcast), one
-    # flattened n x n block per row; every likelihood evaluation weights them
-    # with one (1, d) @ (d, n*n) product, which is then exactly the negated
-    # exponent, since IEEE rounding is symmetric in sign
-    D = np.subtract(Z.T[:, :, None], Z.T[:, None, :], order="C")
-    D *= -D
-    D = D.reshape(d, n * n)
     rhs = _rhs(y)
     rows = max(1, _KERNEL_BLOCK // (n * n))
 
@@ -444,9 +436,8 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         for i in range(0, V.shape[0], rows):
             B = V[i:i + rows]
             # (b, 1, d) @ (d, n*n): per row the bits of a (1, d) @ (d, n*n)
-            # np.dot, which a (b, d) @ (d, n*n) product does not give
-            R = np.matmul((10.0 ** B[:, :d])[:, None, :], D)
-            np.exp(R, out=R)
+            # product, which a (b, d) @ (d, n*n) product does not give
+            R = _corr((10.0 ** B[:, :d])[:, None, :], D)
             # the diagonals of the flat n x n matrices; scalar powers, since an
             # array power differs from them in the last bit
             R[:, 0, ::n + 1] += (np.array([[10.0 ** x] for x in B[:, d].tolist()])
@@ -455,7 +446,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         return out
 
     best_v, _ = _budgeted_search(objective, lo, hi, budget, seed, start=start)
-    return _finalize(Z, y, best_v, control.noise, norm_min, norm_span)
+    return _finalize(Z, y, best_v, control.noise, norm_min, norm_span, D)
 
 
 def _has_repeats(Z: np.ndarray) -> bool:
@@ -467,24 +458,29 @@ def _has_repeats(Z: np.ndarray) -> bool:
 
 
 def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
-              norm_min: np.ndarray, norm_span: np.ndarray) -> KrigingModel:
+              norm_min: np.ndarray, norm_span: np.ndarray,
+              D: np.ndarray) -> KrigingModel:
     """The model on the normalized inputs ``Z`` at the parameter vector
-    ``v`` (``theta_log10``, then the log10 nugget when ``noise``): R with
-    the nugget ``10**v[d]``, or ``JITTER_FLOOR`` without ``noise``, as the
-    likelihood search scores it, factored once (``ValueError`` when it is
-    not positive definite); mu and the weights from ``_likelihood_one``."""
-    d = Z.shape[1]
+    ``v`` (``theta_log10``, then the log10 nugget when ``noise``), given
+    ``_pair_diffs(Z)`` as ``D``: R with the nugget ``10**v[d]``, or
+    ``JITTER_FLOOR`` without ``noise``, formed as the likelihood search forms
+    it at ``v``, so it is that matrix bit for bit, factored once
+    (``ValueError`` when it is not positive definite); mu and the weights
+    from ``_likelihood_one``."""
+    n, d = Z.shape
     theta_log10 = v[:d]
     nugget = float(10.0 ** v[d]) if noise else JITTER_FLOOR
+    R = _corr(10.0 ** theta_log10[None, :], D)
+    R[0, ::n + 1] += nugget
     try:
-        L = _cholesky(_correlation(Z, theta_log10, nugget))
+        L = _cholesky(R.reshape(n, n))
     except np.linalg.LinAlgError:
         raise ValueError("correlation matrix not positive definite") from None
     _, mu, rinv_r = _likelihood_one(L, _rhs(y))
     return KrigingModel(
         theta_log10=theta_log10, nugget=nugget,
         mu=mu, norm_min=norm_min, norm_span=norm_span,
-        weights=rinv_r, Z=Z, neg_t10=-(10.0 ** theta_log10),
+        weights=rinv_r, Z=Z,
         params=theta_log10.tolist() + ([math.log10(nugget)] if noise else []),
     )
 

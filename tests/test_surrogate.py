@@ -83,30 +83,46 @@ def fit_objective(monkeypatch, X, y, control):
     return captured.pop()
 
 
-def loop_kernel(A, B, t10):
-    """Reference: the kernel accumulated one dimension at a time."""
-    w = np.zeros((A.shape[0], B.shape[0]))
-    for k in range(A.shape[1]):
+def correlation(Z, theta_log10, nugget):
+    """R of the normalized inputs ``Z`` at ``theta_log10`` with ``nugget`` on
+    its diagonal, through the surrogate's one correlation formula."""
+    n = Z.shape[0]
+    R = sg._corr(10.0 ** np.asarray(theta_log10)[None, :], sg._pair_diffs(Z)).reshape(n, n)
+    R[np.diag_indices(n)] += nugget
+    return R
+
+
+def loop_correlations(A, B, t10):
+    """Reference: the negated squared differences formed one dimension at a
+    time, then weighted by one length-d ``np.dot`` per row of ``A``."""
+    m, d = A.shape
+    D = np.empty((m, d, B.shape[0]))
+    for k in range(d):
         diff = A[:, k, None] - B[None, :, k]
-        w += t10[k] * diff * diff
-    return np.exp(-w)
+        D[:, k] = -(diff * diff)
+    return np.exp(np.array([np.dot(t10, D[i]) for i in range(m)]))
 
 
 class TestKernel:
     @pytest.mark.parametrize("d", range(1, 11))
     def test_bit_equal_to_per_dimension_loop(self, d):
+        # the correlations of rows of A with the rows of B as the model's
+        # mean forms them: one stacked (rows, 1, d) @ (rows, d, n) product
         rng = np.random.default_rng(d)
         for m in (1, 2, 7, 300):
             for n in (2, 3, 12, 100):
                 A = rng.random((m, d))
                 B = rng.random((n, d))
                 t10 = 10.0 ** rng.uniform(-4.0, 3.0, d)
-                want = loop_kernel(A, B, t10)
-                # _kernel takes the weights negated; one block or several
-                assert np.array_equal(sg._kernel(A, B, -t10), want)
-                # the memory order of the inputs must not change the sum order
-                assert np.array_equal(
-                    sg._kernel(np.asfortranarray(A), np.asfortranarray(B), -t10), want)
+                want = loop_correlations(A, B, t10)
+                # the memory order of the inputs must not change the bits
+                for A_, B_ in ((A, B), (np.asfortranarray(A), np.asfortranarray(B))):
+                    D = sg._neg_sq_diffs(A_[:, :, None], B_.T)
+                    assert np.array_equal(sg._corr(t10[None, :], D)[:, 0], want)
+            # the fit's layout holds the same differences, one n x n block
+            # per dimension
+            assert np.array_equal(sg._pair_diffs(B).reshape(d, n, n),
+                                  sg._neg_sq_diffs(B[:, :, None], B.T).transpose(1, 0, 2))
 
 
 class TestNegLogLikelihood:
@@ -193,7 +209,7 @@ class TestBlockLikelihood:
         rng = np.random.default_rng(4)
         Z = rng.random((12, 2))
         y = Z[:, 0] - 2.0 * Z[:, 1] ** 2
-        R = np.stack([sg._correlation(Z, rng.uniform(-1.0, 2.0, 2), 1e-10)
+        R = np.stack([correlation(Z, rng.uniform(-1.0, 2.0, 2), 1e-10)
                       for _ in range(5)])
         R[2] = 1.0                      # all ones: singular, not positive definite
         got = sg._nll(R, sg._rhs(y))
@@ -209,7 +225,7 @@ class TestBlockLikelihood:
         Z = rng.random((10, 2))
         y = Z.sum(axis=1)
         y[3] = bad
-        R = np.stack([sg._correlation(Z, np.zeros(2), 1e-10) for _ in range(4)])
+        R = np.stack([correlation(Z, np.zeros(2), 1e-10) for _ in range(4)])
         R[0] = 1.0                      # a non-PD first matrix does not hide it
         with pytest.raises(ValueError):
             sg._nll(R, sg._rhs(y))
@@ -251,7 +267,7 @@ class TestSingleMatrixLikelihood:
             Z = rng.random((n, d))
             y = np.sin(4.0 * Z).sum(axis=1) * 10.0 ** rng.uniform(-3, 3)
             nugget = 10.0 ** rng.uniform(-8.0, -1.0) if noise else JITTER_FLOOR
-            L = np.stack([np.linalg.cholesky(sg._correlation(
+            L = np.stack([np.linalg.cholesky(correlation(
                 Z, rng.uniform(-1.0, 1.5, d), nugget)) for _ in range(2)])
             rhs = sg._rhs(y)
             want_nll, want_mu, want_w = stacked_likelihood(L, rhs)
@@ -337,6 +353,25 @@ class TestFit:
             randoms = [neg_log_likelihood(model.Z, y, t, JITTER_FLOOR) for t in thetas]
             assert fitted <= min(randoms) + 1e-9
 
+    def test_nll_at_the_fitted_theta_is_the_searched_value(self, monkeypatch):
+        # neg_log_likelihood forms R as the search does, so at the fitted
+        # theta it gives the search's best value, bit for bit
+        found, real_search = [], sg._budgeted_search
+
+        def search(*args, **kw):
+            best_v, best_f = real_search(*args, **kw)
+            found.append(best_f)
+            return best_v, best_f
+
+        monkeypatch.setattr(sg, "_budgeted_search", search)
+        rng = np.random.default_rng(9)
+        for i in range(20):
+            n, d = int(rng.integers(4, 41)), int(rng.integers(1, 6))
+            X = rng.random((n, d))
+            y = np.cos(4.0 * X).sum(axis=1) + X[:, 0] ** 2
+            model = fit(X, y, SurrogateControl(model_fun_evals=80), seed=i)
+            assert neg_log_likelihood(model.Z, y, model.theta_log10, JITTER_FLOOR) == found[-1]
+
 
 class TestPredict:
     @staticmethod
@@ -365,7 +400,7 @@ class TestPredict:
         from spotkit.surrogate import _finalize
 
         model = _finalize(model.Z, y, np.array([3.0, 3.0]), False,
-                          model.norm_min, model.norm_span)
+                          model.norm_min, model.norm_span, sg._pair_diffs(model.Z))
         assert model.predict([1.0, 0.0]) == pytest.approx(model.mu, abs=1e-6)
 
     def test_symmetry_midpoint(self):
@@ -460,13 +495,13 @@ class TestMeanAt:
 
 class TestPredictRows:
     """``predict`` and ``predict_batch`` on an m x d array: each entry has
-    the bits of ``predict`` at that row alone, across ``_kernel``'s row
-    blocks."""
+    the bits of ``predict`` at that row alone, across ``_mean``'s row
+    blocks, since every row takes its own correlation and mean products."""
 
     def test_bit_equal_to_one_point_calls(self):
         rng = np.random.default_rng(11)
         for d in range(1, 7):
-            # n = 40: _kernel takes 409 // d rows per block, so 1,000 rows
+            # n = 40: _mean takes 409 // d rows per block, so 1,000 rows
             # span 3 to 15 blocks
             for n, m in [(2, 1), (7, 3), (40, 1000), (120, 2), (int(rng.integers(2, 121)),
                                                                int(rng.integers(1, 1001)))]:
@@ -642,7 +677,7 @@ class TestKeptStart:
         assert model.params == [0.5, 3.0]
         assert model.theta_log10.tolist() == [0.5, 3.0]
         ref = sg._finalize(model.Z, y, np.array([0.5, 3.0]), False,
-                           model.norm_min, model.norm_span)
+                           model.norm_min, model.norm_span, sg._pair_diffs(model.Z))
         probes = np.random.default_rng(1).random((50, self.D)) * 1.4 - 0.2
         assert ref.nugget == model.nugget
         assert np.array_equal(ref.weights, model.weights)
@@ -835,15 +870,46 @@ class TestFinalize:
             return real_cholesky(R)
 
         monkeypatch.setattr(sg, "_cholesky", cholesky)
-        model = sg._finalize(Z, y, v, False, np.zeros(2), np.ones(2))
+        model = sg._finalize(Z, y, v, False, np.zeros(2), np.ones(2), sg._pair_diffs(Z))
         assert len(factored) == 1
-        # the kernel plus the floor: _correlation's matrix, the one the
-        # likelihood search scores
-        assert np.array_equal(factored[0], sg._correlation(Z, v, JITTER_FLOOR))
+        # the one correlation formula plus the floor, as the likelihood search
+        # forms it (test_factors_the_matrix_the_search_scored)
+        assert np.array_equal(factored[0], correlation(Z, v, JITTER_FLOOR))
         assert model.nugget == JITTER_FLOOR and model.params == v.tolist()
         L = np.linalg.cholesky(factored[0])
         _, mu, weights = sg._likelihood_one(L, sg._rhs(y))
         assert model.mu == mu and np.array_equal(model.weights, weights)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_factors_the_matrix_the_search_scored(self, monkeypatch, noise):
+        # the matrix of the final model is, bit for bit, the one the search's
+        # objective factors at the vector the search returned
+        searched, real_search = [], sg._budgeted_search
+
+        def search(objective, *args, **kw):
+            best_v, best_f = real_search(objective, *args, **kw)
+            searched.append((objective, best_v))
+            return best_v, best_f
+
+        factored, real_cholesky = [], sg._cholesky
+
+        def cholesky(R):
+            factored.append(R.copy())
+            return real_cholesky(R)
+
+        monkeypatch.setattr(sg, "_budgeted_search", search)
+        monkeypatch.setattr(sg, "_cholesky", cholesky)
+        rng = np.random.default_rng(40 + noise)
+        for i in range(10):
+            n, d = int(rng.integers(5, 41)), 1 + i % 5
+            X = rng.random((n, d))
+            y = np.sin(5.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
+            fit(X, y, SurrogateControl(noise=noise, model_fun_evals=60), seed=i)
+            objective, best_v = searched[-1]
+            final = factored[-1]
+            factored.clear()
+            objective(best_v[None, :])
+            assert len(factored) == 1 and np.array_equal(final, factored[0])
 
     @pytest.mark.parametrize("noise", [False, True])
     def test_not_positive_definite_raises_value_error(self, monkeypatch, noise):
@@ -857,7 +923,7 @@ class TestFinalize:
         monkeypatch.setattr(sg, "_cholesky", cholesky)
         v = np.append(v, -6.0) if noise else v
         with pytest.raises(ValueError, match="not positive definite"):
-            sg._finalize(Z, y, v, noise, np.zeros(2), np.ones(2))
+            sg._finalize(Z, y, v, noise, np.zeros(2), np.ones(2), sg._pair_diffs(Z))
         assert len(calls) == 1
 
 

@@ -40,12 +40,19 @@ which a warm fit keeps the persisted parameters without a search. The
 printed output of each step and the final artifacts are compared. Prints
 one line per command and exits 1 on any difference or on a step that exits
 other than expected (0, or the command's ``EXIT_CODES`` entry), 0
-otherwise. The temporary directories are removed in either case.
+otherwise. Under a command's line, each CSV artifact that differs gets the
+first line that differs, from REV and from the working tree, and the
+largest relative and absolute differences of the numeric cells in the lines
+both have, so a change in the last digits can be told from another
+trajectory (a value near zero can move by much of itself and little in
+absolute terms). The temporary directories are removed in either case.
 """
 from __future__ import annotations
 
+import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -173,6 +180,47 @@ def run(tree: str, work: str, name: str, steps: list[list[str]]) -> dict[str, by
     return files
 
 
+def _float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def relative_difference(a: float, b: float) -> float:
+    """``|a - b| / max(|a|, |b|)``: 0 for equal values (NaN equals NaN here),
+    inf when only one is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def csv_difference(old: bytes, new: bytes) -> list[str]:
+    """How two different CSV files differ: the first line that differs
+    (1-based) on each side, and the largest relative and absolute
+    differences of the numeric cells at the same line and column, over the
+    lines both have."""
+    old_lines = old.decode("utf-8", "replace").splitlines()
+    new_lines = new.decode("utf-8", "replace").splitlines()
+    first = next((i for i, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b),
+                 min(len(old_lines), len(new_lines)))
+    largest = absolute = 0.0
+    for a_row, b_row in zip(csv.reader(old_lines), csv.reader(new_lines)):
+        for a, b in zip(a_row, b_row):
+            a, b = _float(a), _float(b)
+            if a is not None and b is not None:
+                largest = max(largest, relative_difference(a, b))
+                absolute = max(absolute, 0.0 if a == b else abs(a - b))
+    old_line, new_line = (lines[first] if first < len(lines) else "<no line>"
+                          for lines in (old_lines, new_lines))
+    return [f"first differing line {first + 1}:", f"  rev:  {old_line}",
+            f"  tree: {new_line}",
+            f"largest difference of numeric cells: relative {largest:.3g},"
+            f" absolute {absolute:.3g}"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: same_outputs.py REV", file=sys.stderr)
@@ -198,6 +246,11 @@ def main(argv: list[str]) -> int:
                        else "failed (identical)" if failed
                        else f"identical ({n_artifacts} artifacts)")
             print(f"{name}: {verdict}", flush=True)
+            for key in differ:
+                if key.endswith(".csv") and key in old and key in new:
+                    print(f"  {key}:")
+                    for line in csv_difference(old[key], new[key]):
+                        print(f"    {line}", flush=True)
     return 0 if ok else 1
 
 
