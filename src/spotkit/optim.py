@@ -4,9 +4,11 @@ Ten kinds with their stock default constants; one learning-rate multiplier
 (`lr_mult`) spans the heterogeneous portfolio, and `sgd_momentum` feeds the
 SGD kind only. The constants live inside the rules: betas (0.9, 0.999) and
 eps 1e-8 for the Adam family (Adam, AdamW, Adamax, NAdam, RAdam), RMSprop
-alpha 0.99 and eps 1e-8, Adadelta rho 0.9, ASGD power 0.75, AdamW's
-decoupled weight decay 1e-2 and ASGD's lambd 1e-4; SGD has no dampening
-or Nesterov step and Adagrad no learning-rate decay. Three values are not
+alpha 0.99 and eps 1e-8, Adadelta rho 0.9 and ASGD power 0.75; SGD has no
+dampening or Nesterov step and Adagrad no learning-rate decay. AdamW's
+decoupled weight decay 1e-2 and ASGD's lambd 1e-4 are the
+``OptimizerConfig`` fields ``weight_decay`` and ``lambd``, which
+``optimizer_handler`` sets. Three values are not
 the shared ones: Adadelta eps 1e-6 and Adagrad eps 1e-10 (torch's defaults
 for those kinds) and NAdam momentum_decay 0 (torch: 4e-3), which makes its
 momentum schedule the constant 0.45. ASGD's averaged iterate is not kept:
@@ -45,7 +47,6 @@ OPTIMIZER_KINDS = tuple(BASE_LR)
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str
-    base_lr: float
     lr_mult: float = 1.0
     momentum: float = 0.0         # SGD
     weight_decay: float = 0.0     # AdamW, decoupled
@@ -53,7 +54,7 @@ class OptimizerConfig:
 
     @property
     def lr(self) -> float:
-        return self.base_lr * self.lr_mult
+        return BASE_LR[self.kind] * self.lr_mult
 
 
 @dataclass
@@ -88,7 +89,7 @@ def optimizer_handler(name: str, lr_mult: float = 1.0,
         kw = dict(weight_decay=1e-2)
     elif name == "SGD":
         kw = dict(momentum=float(sgd_momentum))
-    return OptimizerConfig(kind=name, base_lr=BASE_LR[name], lr_mult=lr_mult, **kw)
+    return OptimizerConfig(kind=name, lr_mult=lr_mult, **kw)
 
 
 def init_state(config: OptimizerConfig, n: int) -> OptimizerState:

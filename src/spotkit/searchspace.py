@@ -172,12 +172,6 @@ class SearchSpace:
                 return p
         raise ValueError(f"unknown parameter {name!r}")
 
-    def index(self, name: str) -> int:
-        for i, p in enumerate(self.params):
-            if p.name == name:
-                return i
-        raise ValueError(f"unknown parameter {name!r}")
-
     # -- modification (returns new spaces) --------------------------------
 
     def modify_bounds(self, name: str, bounds) -> "SearchSpace":

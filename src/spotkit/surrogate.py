@@ -13,14 +13,16 @@ weight.
 
 One helper, ``_corr``, forms every correlation: the negated squared
 per-dimension differences weighted by ``10**theta`` in one length-d product
-per matrix or per row, then ``exp``. The likelihood search,
-``neg_log_likelihood``, ``_finalize`` and the mean all take it, so the model
-factors, bit for bit, the matrix the search scored at its parameters, and
-``neg_log_likelihood`` there gives the search's value.
+per matrix or per row, then ``exp``. One builder, ``_matrices``, adds the
+nugget ``_nuggets`` decodes and forms every matrix that is factored: the
+likelihood search's, ``_finalize``'s and ``neg_log_likelihood``'s. So the
+model factors the matrix the search scored by construction, its ``params``
+is the searched vector, and ``neg_log_likelihood`` there gives the search's
+value.
 
 ``fit`` evaluates the likelihood over blocks of parameter vectors, each
-value with the bits of evaluating its vector alone; a one-matrix block
-takes a single-matrix path with the same bits.
+value with the bits of evaluating its vector alone, one Cholesky call per
+block.
 
 A fitted ``KrigingModel`` predicts only the mean: ``predict_batch`` at
 each row of an array, and ``predict`` at a point or at rows, for the infill
@@ -208,10 +210,8 @@ def neg_log_likelihood(X, y, theta_log10, nugget: float) -> float:
     """
     Z = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    t10 = 10.0 ** np.asarray(theta_log10, dtype=float)[None, :]
-    R = _corr(t10, _pair_diffs(Z))
-    R[0, ::y.size + 1] += float(nugget)
-    return _nll(R.reshape(1, y.size, y.size), _rhs(y))[0]
+    T = np.asarray(theta_log10, dtype=float)[None, :]
+    return _nll(_matrices(T, float(nugget), _pair_diffs(Z)), _rhs(y))[0]
 
 
 def _neg_sq_diffs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -241,6 +241,26 @@ def _corr(t10: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.exp(R, out=R)
 
 
+def _matrices(T: np.ndarray, nugget: np.ndarray | float, D: np.ndarray) -> np.ndarray:
+    """The correlation matrices of the log10-theta rows ``T`` (b x d) plus
+    ``nugget`` (a float, or a (b, 1) column of one per row) on the
+    diagonals, given ``_pair_diffs(Z)`` as ``D``, as a new b x n x n stack;
+    each matrix has the bits of its row alone."""
+    n = math.isqrt(D.shape[1])
+    # (b, 1, d) rows: a (b, d) @ (d, n*n) product would not give each row's bits
+    R = _corr((10.0 ** T)[:, None, :], D)
+    R[:, 0, ::n + 1] += nugget      # the flat diagonals
+    return R.reshape(-1, n, n)
+
+
+def _nuggets(V: np.ndarray, d: int, noise: bool) -> np.ndarray | float:
+    """The nuggets of the parameter vectors in ``V`` (b x d, then a column
+    of log10 nuggets when ``noise``): ``10**`` each log10 by Python scalar
+    powers (an array power differs from them in the last bit), as a (b, 1)
+    column, or ``JITTER_FLOOR`` without ``noise``."""
+    return np.array([[10.0 ** x] for x in V[:, d].tolist()]) if noise else JITTER_FLOOR
+
+
 def _rhs(y: np.ndarray) -> np.ndarray:
     """The right-hand sides ``y`` and ones as the columns of one n x 2
     Fortran-ordered array, so each column is a contiguous vector."""
@@ -251,24 +271,18 @@ def _nll(R: np.ndarray, rhs: np.ndarray) -> list[float]:
     """NLL of each correlation matrix in the stack ``R`` (b x n x n), +inf
     where it is not positive definite.
 
-    A one-matrix stack (every golden-section step, and every screen block
-    once ``_KERNEL_BLOCK // n**2 == 1``) is factored alone and evaluated by
-    ``_likelihood_one``. A larger stack is factored by one ``_cholesky``
-    call, with the same bits per matrix as factoring each alone, and
-    evaluated by ``_likelihood``. If any matrix is not positive definite the
-    stack raises, and the matrices are taken one at a time.
+    The stack, a lone matrix included, is factored by one ``_cholesky``
+    call, with the same bits per matrix as factoring each alone. A
+    one-matrix stack (every golden-section step, and every screen block once
+    ``_KERNEL_BLOCK // n**2 == 1``) is evaluated by ``_likelihood_one``, a
+    larger one by ``_likelihood``. If any matrix is not positive definite
+    the stack raises, and the matrices are taken one at a time.
     """
-    if R.shape[0] == 1:
-        try:
-            L = _cholesky(R[0])
-        except np.linalg.LinAlgError:
-            return [math.inf]
-        return [_likelihood_one(L, rhs)[0]]
     try:
         L = _cholesky(R)
     except np.linalg.LinAlgError:
-        return [_nll(Ri[None], rhs)[0] for Ri in R]
-    return _likelihood(L, rhs)
+        return [_nll(Ri[None], rhs)[0] for Ri in R] if R.shape[0] > 1 else [math.inf]
+    return [_likelihood_one(L[0], rhs)[0]] if R.shape[0] == 1 else _likelihood(L, rhs)
 
 
 def _cholesky(R: np.ndarray) -> np.ndarray:
@@ -435,14 +449,7 @@ def fit(X, y, control: SurrogateControl | None = None, seed: int = 0, *,
         out = []
         for i in range(0, V.shape[0], rows):
             B = V[i:i + rows]
-            # (b, 1, d) @ (d, n*n): per row the bits of a (1, d) @ (d, n*n)
-            # product, which a (b, d) @ (d, n*n) product does not give
-            R = _corr((10.0 ** B[:, :d])[:, None, :], D)
-            # the diagonals of the flat n x n matrices; scalar powers, since an
-            # array power differs from them in the last bit
-            R[:, 0, ::n + 1] += (np.array([[10.0 ** x] for x in B[:, d].tolist()])
-                                 if control.noise else JITTER_FLOOR)
-            out += _nll(R.reshape(-1, n, n), rhs)
+            out += _nll(_matrices(B[:, :d], _nuggets(B, d, control.noise), D), rhs)
         return out
 
     best_v, _ = _budgeted_search(objective, lo, hi, budget, seed, start=start)
@@ -462,26 +469,22 @@ def _finalize(Z: np.ndarray, y: np.ndarray, v: np.ndarray, noise: bool,
               D: np.ndarray) -> KrigingModel:
     """The model on the normalized inputs ``Z`` at the parameter vector
     ``v`` (``theta_log10``, then the log10 nugget when ``noise``), given
-    ``_pair_diffs(Z)`` as ``D``: R with the nugget ``10**v[d]``, or
-    ``JITTER_FLOOR`` without ``noise``, formed as the likelihood search forms
-    it at ``v``, so it is that matrix bit for bit, factored once
-    (``ValueError`` when it is not positive definite); mu and the weights
-    from ``_likelihood_one``."""
-    n, d = Z.shape
-    theta_log10 = v[:d]
-    nugget = float(10.0 ** v[d]) if noise else JITTER_FLOOR
-    R = _corr(10.0 ** theta_log10[None, :], D)
-    R[0, ::n + 1] += nugget
+    ``_pair_diffs(Z)`` as ``D``: R from ``_nuggets`` and ``_matrices``, as
+    the likelihood search forms it at ``v``, so it is that matrix bit for
+    bit, factored once (``ValueError`` when it is not positive definite);
+    mu and the weights from ``_likelihood_one``, and ``params`` the list of
+    ``v`` itself."""
+    d = Z.shape[1]
+    nugget = float(np.ravel(_nuggets(v[None, :], d, noise))[0])
     try:
-        L = _cholesky(R.reshape(n, n))
+        L = _cholesky(_matrices(v[None, :d], nugget, D)[0])
     except np.linalg.LinAlgError:
         raise ValueError("correlation matrix not positive definite") from None
     _, mu, rinv_r = _likelihood_one(L, _rhs(y))
     return KrigingModel(
-        theta_log10=theta_log10, nugget=nugget,
+        theta_log10=v[:d], nugget=nugget,
         mu=mu, norm_min=norm_min, norm_span=norm_span,
-        weights=rinv_r, Z=Z,
-        params=theta_log10.tolist() + ([math.log10(nugget)] if noise else []),
+        weights=rinv_r, Z=Z, params=v.tolist(),
     )
 
 

@@ -173,7 +173,7 @@ class TestInternalVectors:
 
     def test_factor_index_zero(self, reference_space):
         vec = reference_space.default_internal()
-        vec[reference_space.index("optimizer")] = 0
+        vec[reference_space.names.index("optimizer")] = 0
         assert reference_space.from_internal(vec)["optimizer"] == "Adadelta"
 
     def test_vector_length_checked(self, reference_space):
@@ -182,7 +182,7 @@ class TestInternalVectors:
 
     def test_factor_index_out_of_range(self, reference_space):
         vec = reference_space.default_internal()
-        vec[reference_space.index("optimizer")] = 55
+        vec[reference_space.names.index("optimizer")] = 55
         with pytest.raises(ValueError, match="outside"):
             reference_space.from_internal(vec)
 
@@ -196,7 +196,7 @@ class TestInternalVectors:
         config = screening_space.default_config()
         config["lr_mult"] = 9.0   # contradicts the fixed value; gets pinned
         vec = screening_space.to_internal(config)
-        assert vec[screening_space.index("lr_mult")] == 1.0
+        assert vec[screening_space.names.index("lr_mult")] == 1.0
 
 
 @given(st.integers(0, 2 ** 32 - 1))

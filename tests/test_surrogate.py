@@ -354,8 +354,8 @@ class TestFit:
             assert fitted <= min(randoms) + 1e-9
 
     def test_nll_at_the_fitted_theta_is_the_searched_value(self, monkeypatch):
-        # neg_log_likelihood forms R as the search does, so at the fitted
-        # theta it gives the search's best value, bit for bit
+        # neg_log_likelihood builds R as the search does, so at the fitted
+        # theta and nugget it gives the search's best value, bit for bit
         found, real_search = [], sg._budgeted_search
 
         def search(*args, **kw):
@@ -371,6 +371,9 @@ class TestFit:
             y = np.cos(4.0 * X).sum(axis=1) + X[:, 0] ** 2
             model = fit(X, y, SurrogateControl(model_fun_evals=80), seed=i)
             assert neg_log_likelihood(model.Z, y, model.theta_log10, JITTER_FLOOR) == found[-1]
+            # with a searched nugget, at the model's own nugget
+            model = fit(X, y, SurrogateControl(noise=True, model_fun_evals=80), seed=i)
+            assert neg_log_likelihood(model.Z, y, model.theta_log10, model.nugget) == found[-1]
 
 
 class TestPredict:
@@ -883,7 +886,8 @@ class TestFinalize:
     @pytest.mark.parametrize("noise", [False, True])
     def test_factors_the_matrix_the_search_scored(self, monkeypatch, noise):
         # the matrix of the final model is, bit for bit, the one the search's
-        # objective factors at the vector the search returned
+        # objective factors, as a one-matrix stack, at the vector the search
+        # returned, and that vector is the model's params
         searched, real_search = [], sg._budgeted_search
 
         def search(objective, *args, **kw):
@@ -904,12 +908,13 @@ class TestFinalize:
             n, d = int(rng.integers(5, 41)), 1 + i % 5
             X = rng.random((n, d))
             y = np.sin(5.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
-            fit(X, y, SurrogateControl(noise=noise, model_fun_evals=60), seed=i)
+            model = fit(X, y, SurrogateControl(noise=noise, model_fun_evals=60), seed=i)
             objective, best_v = searched[-1]
+            assert [x.hex() for x in model.params] == [x.hex() for x in best_v.tolist()]
             final = factored[-1]
             factored.clear()
             objective(best_v[None, :])
-            assert len(factored) == 1 and np.array_equal(final, factored[0])
+            assert len(factored) == 1 and np.array_equal(final, factored[0][0])
 
     @pytest.mark.parametrize("noise", [False, True])
     def test_not_positive_definite_raises_value_error(self, monkeypatch, noise):

@@ -9,7 +9,7 @@ printed output (stdout and stderr) and every artifact byte for byte.
 ``run_state.json`` holds wall-clock timings in its ``elapsed`` column, so it
 is compared as raw bytes with only the numbers inside ``"elapsed": [...]``
 masked; key order, separators, float ``repr`` and the spelling ``NaN`` are
-compared as written. Nine commands run derived configs
+compared as written. Ten commands run derived configs
 written into the temporary directory: ``tune_toy_cv`` runs
 ``configs/toy.json`` under 2-3-fold cross validation, ``tune_toy_test``
 runs it validating on the explicit test split (``test_hold_out``),
@@ -36,7 +36,10 @@ it is expected to differ.
 warm (started from the parameters ``run_state.json`` keeps) where
 ``resume_mixed4``'s is cold. ``resume_mixed4_long`` tunes 45 evaluations and
 resumes to 60, past the 40 distinct rows (10 per mixed4 dimension) from
-which a warm fit keeps the persisted parameters without a search. The
+which a warm fit keeps the persisted parameters without a search.
+``resume_mixed4_noise`` tunes the derived noise config for 20 evaluations
+at seed 3 and resumes to 30, so the persisted ``params`` hold a searched
+log10 nugget and the resumed session's first fit starts warm from it. The
 printed output of each step and the final artifacts are compared. Prints
 one line per command and exits 1 on any difference or on a step that exits
 other than expected (0, or the command's ``EXIT_CODES`` entry), 0
@@ -99,6 +102,9 @@ COMMANDS = {
                            ["resume", "--fun-evals", "30"]],
     "resume_mixed4_long": [["tune", "--config", MIXED4, "--fun-evals", "45", "--seed", "1"],
                            ["resume", "--fun-evals", "60"]],
+    "resume_mixed4_noise": [["tune", "--config", MIXED4_NOISE, "--fun-evals", "20",
+                             "--seed", "3"],
+                            ["resume", "--fun-evals", "30"]],
 }
 # the exit code of each step of a command that is not expected to exit 0
 EXIT_CODES = {"tune_all_failed": 2}
