@@ -229,10 +229,11 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """Bounded Nelder-Mead minimization of ``f`` from each row of ``X0``.
 
     A port of scipy 1.17.1's ``minimize(method="Nelder-Mead", bounds=...)``
-    with ``xatol=1e-8``, ``fatol=1e-12`` and ``maxfev``: the same initial
-    simplex (reflected into the box, then clipped), coefficients, centroid,
-    re-sorting and stopping tests. A budget that runs out mid-iteration, a
-    shrink included, leaves that iteration as scipy does.
+    with ``xatol=1e-8``, ``fatol=1e-12``, ``maxfev`` and a stable sort: the
+    same initial simplex (reflected into the box, then clipped), coefficients,
+    centroid and stopping tests; one stable ``argsort`` at the start and per
+    iteration keeps tied vertices in index order. A budget that runs out
+    mid-iteration, a shrink included, leaves that iteration as scipy does.
 
     The starts run in lockstep: their simplices form one k x (N+1) x N
     array, and each iteration scores all live starts' four candidate
@@ -249,7 +250,7 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     vertex does. ``f`` maps an m x N array to m values, each with the bits of
     scoring its row alone, and must not modify its argument; then every
     start's ``(x, fun, nfev)`` has the bits scipy returns for that start
-    run alone.
+    run alone under a stable sort.
     """
     k, N = X0.shape
     X0 = np.minimum(np.maximum(X0, lo), hi)
@@ -263,9 +264,8 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     nfev0 = min(N + 1, maxfev)
     F[:, :nfev0] = f(S[:, :nfev0].reshape(-1, N)).reshape(k, nfev0)
     rows = np.arange(k)[:, None]
-    for _ in range(2):          # scipy sorts twice; ties may move the second time
-        ind = F.argsort(axis=1)
-        S, F = S[rows, ind], F[rows, ind]
+    ind = F.argsort(axis=1, kind="stable")
+    S, F = S[rows, ind], F[rows, ind]
 
     live = list(range(k))       # the start each row of S and F belongs to
     nfev = [nfev0] * k
@@ -327,7 +327,7 @@ def _nelder_mead(f, X0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 S[j, 1:r + 2] = V[t, :r + 1]
                 F[j, 1:r + 1] = fv[t, :r]
                 nfev[j] += min(r, N)
-        ind = F.argsort(axis=1)
+        ind = F.argsort(axis=1, kind="stable")
         S, F = S[rows, ind], F[rows, ind]
 
 
@@ -338,13 +338,13 @@ def suggest_next(state: RunState, model: sg.KrigingModel | None, space: SearchSp
 
     Random multistart probes take half the budget, scored in one
     ``model.predict_batch`` call; bounded Nelder-Mead (``_nelder_mead``,
-    scipy 1.17.1's algorithm) refines the best probes on the continuous
-    relaxation with the rest. The split is fixed up front: as many starts
-    as ``n_points`` (at least 3) and the rest allow at ``3 * (d + 1)``
-    evaluations each, none when that is not positive, and each start gets
-    an equal share of the rest. The starts run in lockstep, one
-    ``model.predict`` call on the rows of all their candidate vertices per
-    round, and every result enters the pool.
+    scipy 1.17.1's algorithm, tied vertices in index order) refines the best
+    probes on the continuous relaxation with the rest. The split is fixed up
+    front: as many starts as ``n_points`` (at least 3) and the rest allow at
+    ``3 * (d + 1)`` evaluations each, none when that is not positive, and
+    each start gets an equal share of the rest. The starts run in lockstep,
+    one ``model.predict`` call on the rows of all their candidate vertices
+    per round, and every result enters the pool.
     Integer and factor coordinates snap to their lattice, then the pool is
     scanned by predicted mean: a candidate is kept when it lies beyond
     ``tolerance_x`` in max-norm from every point of ``state`` and every

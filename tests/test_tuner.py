@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import fields
@@ -556,8 +557,8 @@ class TestPredictorNames:
 
 def sequential_nelder_mead(f, x0, lo, hi, maxfev) -> tuple[np.ndarray, float, int]:
     """The one-start port of scipy 1.17.1's bounded Nelder-Mead that
-    ``_nelder_mead`` replaced, kept verbatim as its reference: one ``f``
-    call per vertex, on a 1-D point."""
+    ``_nelder_mead`` replaced, kept as its reference with the same stable
+    sort: one ``f`` call per vertex, on a 1-D point."""
     N = x0.size
     x0 = np.minimum(np.maximum(x0, lo), hi)
     sim = np.empty((N + 1, N))
@@ -573,10 +574,9 @@ def sequential_nelder_mead(f, x0, lo, hi, maxfev) -> tuple[np.ndarray, float, in
     nfev = min(N + 1, maxfev)
     for k in range(nfev):
         fsim[k] = f(sim[k])
-    for _ in range(2):          # scipy sorts twice; ties may move the second time
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
+    ind = fsim.argsort(kind="stable")
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind, 0)
 
     while nfev < maxfev:
         if (np.abs(sim[1:] - sim[0]).max() <= 1e-8
@@ -625,7 +625,7 @@ def sequential_nelder_mead(f, x0, lo, hi, maxfev) -> tuple[np.ndarray, float, in
                         break
                     fsim[j] = f(sim[j])
                     nfev += 1
-        ind = fsim.argsort()
+        ind = fsim.argsort(kind="stable")
         sim = sim.take(ind, 0)
         fsim = fsim.take(ind, 0)
     return sim[0], fsim.min(), nfev
@@ -654,10 +654,16 @@ def rows_of(f):
 
 
 def scipy_nelder_mead(f, x0, lo, hi, maxfev):
+    """scipy's bounded Nelder-Mead with a stable simplex sort: its
+    ``_minimize_neldermead`` orders the vertices by ``np.argsort(fsim)``,
+    here with ``kind="stable"``, so tied vertices keep their index order
+    (and its second sort of the initial simplex moves nothing)."""
     from scipy.optimize import minimize
 
-    res = minimize(f, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
-                   options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-12})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", functools.partial(np.argsort, kind="stable"))
+        res = minimize(f, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
+                       options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-12})
     return res.x, res.fun, res.nfev
 
 
@@ -684,8 +690,8 @@ def assert_same_as_sequential(model, X0, lo, hi, maxfev):
 
 
 class TestNelderMead:
-    """The in-repo port against scipy's bounded Nelder-Mead, bit for bit,
-    one start at a time."""
+    """The in-repo port against scipy's bounded Nelder-Mead under a stable
+    sort, bit for bit, one start at a time."""
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_random_fitted_models(self, d):

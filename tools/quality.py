@@ -1,10 +1,11 @@
 """Compare the tuning quality of the working tree with a git revision.
 
-    python3 tools/quality.py REV
+    python3 tools/quality.py REV [REPS]
 
 Extracts REV into a temporary directory (``git archive``) and runs
 ``spotkit bench`` on each row's config with both source trees, in child
-processes with ``OPENBLAS_NUM_THREADS=1``, 20 reps at bench seeds 1 and 97.
+processes with ``OPENBLAS_NUM_THREADS=1``, REPS reps (20 by default) at
+bench seeds 1 and 97. Give more reps when a row leans one way.
 The rows are ``configs/bench_mixed4.json`` (40 evaluations), ``mixed4_long``
 and ``mixed4_300``, the same at 150 and 300 evaluations from derived configs
 written into the temporary directory, so that their fits pass 40 distinct
@@ -50,7 +51,7 @@ ROWS = {"mixed4": "configs/bench_mixed4.json",
         **{name: f"{name}.json" for name in DERIVED},
         "toy": "configs/toy.json"}
 SEEDS = (1, 97)
-REPS = 20
+DEFAULT_REPS = 20
 ALPHA = 0.05
 
 # records the best loss of each run that ``bench`` makes and the training
@@ -97,21 +98,21 @@ def write_derived(tmp: str) -> None:
             json.dump(exp, fh)
 
 
-def start(tree: str, config: str, seed: int) -> subprocess.Popen:
+def start(tree: str, config: str, seed: int, reps: int) -> subprocess.Popen:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(tree, "src"))
     env.pop("SPOTKIT_SEED", None)
     return subprocess.Popen(
-        [sys.executable, "-c", CHILD, config, str(REPS), str(seed)],
+        [sys.executable, "-c", CHILD, config, str(reps), str(seed)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
 
 
-def finish(proc: subprocess.Popen) -> dict | None:
+def finish(proc: subprocess.Popen, reps: int) -> dict | None:
     """The child's best losses, or None (with its stderr shown) on failure."""
     out, err = proc.communicate()
     lines = out.splitlines()
     result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
-    if result is None or result["code"] != 0 or len(result["spot"]) != REPS:
+    if result is None or result["code"] != 0 or len(result["spot"]) != reps:
         sys.stderr.write(err)
         return None
     return result
@@ -143,16 +144,19 @@ def report(name: str, seed: int, old: dict, new: dict) -> tuple[str, str]:
             f"{wins} won, {losses} lost, {len(pairs) - wins - losses} tied; "
             f"median log10 best {median_log10(new['spot']):.3f} "
             f"(rev {median_log10(old['spot']):.3f}); "
-            f"beats random {spot_wins(new)}/{REPS} (rev {spot_wins(old)}/{REPS}); "
+            f"beats random {spot_wins(new)}/{len(pairs)} "
+            f"(rev {spot_wins(old)}/{len(pairs)}); "
             f"training epochs {new['epochs']} (rev {old['epochs']}); "
             f"runtime {new['seconds']:.1f} s (rev {old['seconds']:.1f} s)")
     return verdict, line
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: quality.py REV", file=sys.stderr)
+    reps = argv[1] if len(argv) == 2 else str(DEFAULT_REPS)
+    if len(argv) not in (1, 2) or not reps.isdigit() or int(reps) < 1:
+        print("usage: quality.py REV [REPS]", file=sys.stderr)
         return 64
+    reps = int(reps)
     ok = True
     with tempfile.TemporaryDirectory(prefix="quality_") as tmp:
         rev = os.path.join(tmp, "rev")
@@ -162,8 +166,8 @@ def main(argv: list[str]) -> int:
             for seed in SEEDS:
                 paths = [os.path.join(tree, config) if config.startswith("configs/")
                          else os.path.join(tmp, config) for tree in (rev, ROOT)]
-                old, new = [finish(proc) for proc in
-                            [start(tree, path, seed)
+                old, new = [finish(proc, reps) for proc in
+                            [start(tree, path, seed, reps)
                              for tree, path in zip((rev, ROOT), paths)]]
                 if old is None or new is None:
                     print(f"{name} seed {seed}: failed", flush=True)
