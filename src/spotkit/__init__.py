@@ -16,4 +16,3 @@ from .searchspace import (  # noqa: F401
 )
 from .design import DesignControl, latin_hypercube  # noqa: F401
 from .surrogate import KrigingModel, SurrogateControl, fit, neg_log_likelihood  # noqa: F401
-from .optim import OPTIMIZER_KINDS, OptimizerConfig, OptimizerState, init_state, optimizer_handler, step  # noqa: F401

@@ -12,6 +12,10 @@ so is a failed write of ``bench.csv``). ``main`` is the one place that maps
 exceptions to these codes: a ``ConfigError`` prints ``error: <message>``,
 any other exception ``error: <exception class>: <message>``, and with
 SPOTKIT_DEBUG=1 in the environment also its traceback.
+
+The ToyNet training stack (``evalharness``, ``toynet``, ``optim``) is
+imported only when ``build_objective`` builds a ToyNet or external
+objective, so a built-in objective never loads it.
 """
 from __future__ import annotations
 
@@ -27,14 +31,13 @@ import traceback
 
 import numpy as np
 
-from . import analysis, evalharness, surrogate as sg, tuner as tn
+from . import analysis, surrogate as sg, tuner as tn
 from .design import DesignControl, child_seed
-from .evalharness import EvalResult, external_evaluate, make_toy_objective
 from .searchspace import (
     ParamSpec, SearchSpace, gen_design_table, parse_hyper_dict, render_table,
     serialize_hyper_dict,
 )
-from .toynet import HyperConfig, generate_dataset
+from .tuner import EvalResult
 
 SEED_ENV_VAR = "SPOTKIT_SEED"
 DEBUG_ENV_VAR = "SPOTKIT_DEBUG"
@@ -198,6 +201,8 @@ def build_objective(exp: dict, seed: int, space: SearchSpace):
     ``ConfigError`` before the first evaluation."""
     selector = exp["objective"]
     if selector == "toynet":
+        from .evalharness import make_toy_objective
+
         try:
             k = space.spec("k_folds")
             return make_toy_objective(
@@ -226,6 +231,8 @@ def build_objective(exp: dict, seed: int, space: SearchSpace):
         if not 0.0 < timeout < math.inf:
             raise ConfigError(f"external_timeout must be a positive number of seconds, "
                               f"got {exp['external_timeout']!r}")
+        from .evalharness import external_evaluate
+
         return lambda config: external_evaluate(command, config, timeout)
     raise ConfigError(f"unknown objective selector {selector!r}")
 
@@ -488,6 +495,9 @@ def _report_best(state: tn.RunState, space: SearchSpace) -> None:
 def _final_train_test(exp: dict, space: SearchSpace, state: tn.RunState,
                       out_dir: str, seed: int) -> None:
     """Retrain the winning configuration and score it on held-back data."""
+    from . import evalharness
+    from .toynet import HyperConfig, generate_dataset
+
     config, _ = tn.best(state, space)
     hp = HyperConfig.from_config(config)
     train, test = generate_dataset(exp["n_samples"], exp["input_dim"],

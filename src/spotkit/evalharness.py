@@ -12,7 +12,6 @@ import json
 import math
 import shlex
 import subprocess
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,27 +20,12 @@ from .optim import OptimizerConfig, OptimizerState, init_state, optimizer_handle
 from .toynet import (
     NUM_CLASSES, HyperConfig, SyntheticDataset, ToyNet, generate_dataset, log_softmax_loss,
 )
+from .tuner import EvalResult, failure_result
 
 EVAL_SETTINGS = ("train_hold_out", "test_hold_out", "train_cv", "test_cv")
 
 GRAD_CLIP_NORM = 1.0
 HOLD_OUT_TRAIN_FRACTION = 0.6
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    loss: float
-    metric: float
-    epochs_run: int = 0
-    stopped_early: bool = False
-
-    @property
-    def failed(self) -> bool:
-        return not math.isfinite(self.loss)
-
-
-def failure_result() -> EvalResult:
-    return EvalResult(loss=math.nan, metric=math.nan)
 
 
 # -- splitting ---------------------------------------------------------------

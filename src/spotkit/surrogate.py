@@ -34,10 +34,7 @@ weights); ``_load_flapack`` loads scipy's compiled wrappers from their
 extension file instead of importing ``scipy.linalg``. That package's
 ``__init__`` brings in about 310 more modules (its array-API layer loads
 ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``), paid at the start of
-every command: ``import spotkit.cli`` takes 0.15 s, 241 modules and 33 MB
-of RSS this way against 0.37 s, 554 modules and 58 MB through
-``scipy.linalg`` (median of 7 fresh interpreters, one core of a 2-core
-x86-64 VM, scipy 1.17.1).
+every command; README, "Install", gives the measured cost.
 """
 from __future__ import annotations
 

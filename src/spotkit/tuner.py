@@ -45,6 +45,25 @@ REFRESH_EVERY = 5
 
 
 @dataclass(frozen=True)
+class EvalResult:
+    """What an objective returns for one configuration; a non-finite loss
+    marks a failed evaluation."""
+
+    loss: float
+    metric: float
+    epochs_run: int = 0
+    stopped_early: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return not math.isfinite(self.loss)
+
+
+def failure_result() -> EvalResult:
+    return EvalResult(loss=math.nan, metric=math.nan)
+
+
+@dataclass(frozen=True)
 class TunerConfig:
     fun_evals: float = math.inf      # total evaluation budget (inf allowed)
     fun_repeats: int = 1

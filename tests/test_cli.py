@@ -36,6 +36,17 @@ TOYNET = {"objective": "toynet", "model": "ToyNet"}
 EXTERNAL = {"objective": "external:true", "model": "ToyNet", "hyper_dict": "builtin:toynet"}
 
 
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter importing this checkout's spotkit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.fixture
 def sphere_config(tmp_path):
     return write_config(tmp_path / "exp.json")
@@ -488,16 +499,11 @@ class TestBench:
     def test_bench_does_not_import_numpy_ma(self, sphere_config):
         # np.percentile imports numpy.ma at its first call, about 13 ms of
         # every bench command
-        code = ("import sys\nfrom spotkit.cli import main\n"
-                f"assert main(['bench', '--config', {sphere_config!r}, '--reps', '2']) == 0\n"
-                "print('numpy.ma' in sys.modules)")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        out = run_fresh("import sys\nfrom spotkit.cli import main\n"
+                        f"assert main(['bench', '--config', {sphere_config!r},"
+                        " '--reps', '2']) == 0\n"
+                        "print('numpy.ma' in sys.modules)")
+        assert out.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -641,6 +647,22 @@ def test_unknown_builtin_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "exp.json", objective="builtin:rastrigin")
     assert main(["tune", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "rastrigin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, loaded", [
+    ("bench_mixed4.json", []),
+    ("toy.json", ["spotkit.evalharness", "spotkit.optim", "spotkit.toynet"]),
+], ids=["mixed4", "toy"])
+def test_training_stack_only_for_toynet(config, loaded):
+    """Setting up a built-in objective loads no ToyNet training module; a
+    ToyNet experiment loads all three."""
+    path = os.path.join(REPO, "configs", config)
+    out = run_fresh("import sys\nfrom spotkit import cli\n"
+                    f"exp = cli.load_experiment({path!r})\n"
+                    "cli.build_objective(exp, 1, cli.build_space(exp))\n"
+                    "print(sorted(m for m in ('spotkit.evalharness', 'spotkit.toynet',"
+                    " 'spotkit.optim') if m in sys.modules))")
+    assert out.strip() == str(loaded)
 
 
 class TestRuntimeErrors:

@@ -2,16 +2,18 @@
 
     python3 tools/cpu_check.py
 
-Runs the tier-1 suite three times in child processes: once in the default
+Runs the tier-1 suite four times in child processes: once in the default
 environment, once with ``OPENBLAS_CORETYPE=Haswell`` and once with
 ``OPENBLAS_CORETYPE=Zen`` (OpenBLAS takes its Haswell or Zen kernels), both
 with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` (numpy
-takes its AVX2 loops), set in that child's environment only. The default
-child runs with both variables removed. On a CPU without AVX-512 an
-emulated run differs from the default one in OpenBLAS's kernels only, or
-not at all. Prints each run's counts and every test whose outcome differs
-from the default run, and exits 1 when an emulated pass/fail set differs
-from the default one or a run writes no report, 0 otherwise.
+takes its AVX2 loops), and once with ``X86_V3`` disabled as well and
+OpenBLAS's default kernels (numpy takes its x86-64-v2 loops), each set in
+that child's environment only. The default child runs with both variables
+removed. On a CPU without AVX-512 the AVX2 runs differ from the default
+one in OpenBLAS's kernels only, or not at all. Prints each run's counts and every
+test whose outcome differs from the default run, and exits 1 when an
+emulated pass/fail set differs from the default one or a run writes no
+report, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ AVX2_LOOPS = "X86_V4 AVX512_ICL AVX512_SPR"
 # the environment of each emulated run, by name
 EMULATED = {core.lower(): {"OPENBLAS_CORETYPE": core, "NPY_DISABLE_CPU_FEATURES": AVX2_LOOPS}
             for core in ("Haswell", "Zen")}
+EMULATED["x86-64-v2"] = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 " + AVX2_LOOPS}
 VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 
